@@ -4,7 +4,8 @@ Every output-producing command writes a JSON manifest next to its primary
 output (path + ".manifest.json") recording the command, tool version, seed,
 inputs, parameters, and the SHA-256 of each emitted file. Exit codes are
 stable: 0 success, 1 data error ("ERROR <code>: <message>" on stderr),
-2 usage error. LUXPROBE_THREADS caps internal parallelism (0 = auto).
+2 usage error. LUXPROBE_THREADS sizes the eval-video frame pool (0 = one
+thread per CPU); BLAS threads follow OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
 """
 
 import argparse
@@ -30,7 +31,7 @@ COMMANDS = (
 
 
 def thread_limit() -> int:
-    """Worker cap from LUXPROBE_THREADS (0 or unset = auto)."""
+    """eval-video pool size from LUXPROBE_THREADS (0 or unset = one per CPU)."""
     raw = os.environ.get("LUXPROBE_THREADS", "0")
     try:
         val = int(raw)
@@ -197,20 +198,18 @@ def _cmd_tonemap(args):
                     [args.out_ldr, args.out_log])
 
 
+def _decode_dual(ldr_path, log_path, net_path) -> np.ndarray:
+    """HDR from a dual pair: the fusion net if one is given, else the analytic rule."""
+    _require_inputs(ldr_path, log_path)
+    maps = tonemap.DualToneMaps(ldr=_load_channel(ldr_path), log=_load_channel(log_path))
+    if net_path is None:
+        return tonemap.inverse_rule(maps.ldr, maps.log)
+    _require_inputs(net_path, str(net_path) + ".layers.txt")
+    return fusion.fuse_image(fusion.load_fusion_net(net_path), maps).data
+
+
 def _cmd_inverse(args):
-    _require_inputs(args.ldr, args.log)
-    ldr = _load_channel(args.ldr)
-    log = _load_channel(args.log)
-    if ldr.shape != log.shape:
-        raise ValueError("ldr and log images must share dimensions")
-    if args.net:
-        _require_inputs(args.net, str(args.net) + ".layers.txt")
-        net = fusion.load_fusion_net(args.net)
-        maps = tonemap.DualToneMaps(ldr=ldr, log=log)
-        hdr = fusion.fuse_image(net, maps).data
-    else:
-        hdr = tonemap.inverse_rule(ldr, log)
-    write_pfm(args.out, hdr)
+    write_pfm(args.out, _decode_dual(args.ldr, args.log, args.net))
     params = {"net": str(args.net) if args.net else None}
     _write_manifest("inverse", args.out, args.seed,
                     {"ldr": args.ldr, "log": args.log}, params, [args.out])
@@ -232,13 +231,7 @@ def _cmd_fuse_train(args):
 
 
 def _cmd_fuse_apply(args):
-    _require_inputs(args.net, str(args.net) + ".layers.txt", args.ldr, args.log)
-    net = fusion.load_fusion_net(args.net)
-    ldr = _load_channel(args.ldr)
-    log = _load_channel(args.log)
-    maps = tonemap.DualToneMaps(ldr=ldr, log=log)
-    hdr = fusion.fuse_image(net, maps)
-    write_pfm(args.out, hdr.data)
+    write_pfm(args.out, _decode_dual(args.ldr, args.log, args.net))
     _write_manifest("fuse-apply", args.out, args.seed,
                     {"net": args.net, "ldr": args.ldr, "log": args.log}, {}, [args.out])
 
@@ -293,22 +286,7 @@ def _cmd_eval_video(args):
     with concurrent.futures.ThreadPoolExecutor(max_workers=thread_limit()) as pool:
         pred_envs = list(pool.map(_load_env, pred_frames))
         gt_envs = list(pool.map(_load_env, gt_frames))
-        per_frame = list(pool.map(
-            lambda pair: metrics.evaluate_three_spheres(
-                pair[0], pair[1], probe_size=args.probe_size
-            ),
-            zip(pred_envs, gt_envs),
-        ))
-    report = metrics.MetricReport(materials={}, temporal={})
-    for mat in probes.STANDARD_MATERIALS:
-        report.materials[mat] = {}
-        for metric in ("si_rmse", "angular_deg", "n_rmse"):
-            stats = metrics.temporal_stats([f.materials[mat][metric] for f in per_frame])
-            report.materials[mat][metric] = stats["mean"]
-            report.temporal[f"{mat}.{metric}"] = stats
-    pae_stats = metrics.temporal_stats([f.pae_deg for f in per_frame])
-    report.pae_deg = pae_stats["mean"]
-    report.temporal["pae_deg"] = pae_stats
+        report = metrics.evaluate_sequence(pred_envs, gt_envs, args.probe_size, map=pool.map)
     with open(args.out, "w") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=2)
         f.write("\n")

@@ -50,6 +50,10 @@ class FusionNet:
         return self.weights[0].dtype
 
 
+def _leaky(z):
+    return np.maximum(z, z.dtype.type(LEAKY_SLOPE) * z)
+
+
 def _softplus(z):
     return np.logaddexp(np.asarray(0.0, dtype=z.dtype), z)
 
@@ -112,8 +116,7 @@ def init_structured(seed: int, dtype=np.float64, quantize: bool = True) -> Fusio
     ldr, log, hdr = sample_training_pairs(design_rng, 32768, quantize=quantize)
     h = np.concatenate([ldr, log], axis=1)
     for w, b in zip(weights, biases):
-        z = h @ w + b
-        h = np.where(z > 0, z, LEAKY_SLOPE * z)
+        h = _leaky(h @ w + b)
     phi = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
     lam = 1e-3 * phi.shape[0]
     gram = phi.T @ phi + lam * np.eye(phi.shape[1])
@@ -132,7 +135,7 @@ def _forward(net: FusionNet, x: np.ndarray):
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = h @ w + b
         pre.append(z)
-        h = np.where(z > 0, z, z.dtype.type(LEAKY_SLOPE) * z) if i < last else _softplus(z)
+        h = _leaky(z) if i < last else _softplus(z)
         acts.append(h)
     return pre, acts
 
@@ -143,8 +146,8 @@ def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     log = np.asarray(log_rgb, dtype=net.dtype)
     single = ldr.ndim == 1
     x = np.concatenate([np.atleast_2d(ldr), np.atleast_2d(log)], axis=1)
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError("fusion inputs must lie in [0, 1]")
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
     _, acts = _forward(net, x)
     out = acts[-1]
     return out[0] if single else out
@@ -299,11 +302,7 @@ def train_fusion(cfg: TrainConfig, data=None):
                 v += dtype(1.0 - beta2) * g * g
                 p -= lr_t * m / (np.sqrt(v) + eps)
         if t == cfg.steps or t % 500 == 0:
-            ae = np.abs(err.astype(np.float64))
-            loss = float(
-                np.mean(np.where(ae <= cfg.huber_delta, 0.5 * ae * ae,
-                                 cfg.huber_delta * (ae - 0.5 * cfg.huber_delta)))
-            )
+            loss = float(np.mean(huber_loss(err, 0.0, cfg.huber_delta)))
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged at step {t} (loss {loss})")
     return net, loss

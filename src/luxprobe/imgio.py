@@ -193,9 +193,14 @@ def read_png(path):
         if pos + 8 > len(blob):
             raise ValueError("truncated PNG chunk")
         (length,) = struct.unpack_from(">I", blob, pos)
+        end = pos + 12 + length
+        if end > len(blob):
+            raise ValueError("PNG chunk runs past the end of the file")
         tag = blob[pos + 4 : pos + 8]
-        body = blob[pos + 8 : pos + 8 + length]
-        pos += 12 + length
+        body = blob[pos + 8 : end - 4]
+        if zlib.crc32(body, zlib.crc32(tag)) != struct.unpack_from(">I", blob, end - 4)[0]:
+            raise ValueError(f"PNG chunk {tag.decode('latin-1')!r} fails its CRC check")
+        pos = end
         if tag == b"IHDR":
             width, height, depth, color_type, _, _, interlace = struct.unpack(
                 ">IIBBBBB", body

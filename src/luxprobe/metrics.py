@@ -28,11 +28,10 @@ def _masked(img, mask):
     return sel if sel.ndim == 2 else sel[:, None]
 
 
-def si_rmse(pred, gt, mask=None) -> float:
-    """Scale-invariant RMSE: best single positive scale on pred, then RMSE.
+def _masked_pair(pred, gt, mask):
+    """Both images flattened to (pixels, channels) over the mask.
 
-    alpha = sum(pred*gt) / sum(pred^2) over masked pixels and channels
-    jointly; raises for an all-zero prediction under the mask.
+    Raises if the two selections differ in shape or select nothing.
     """
     p = _masked(pred, mask)
     g = _masked(gt, mask)
@@ -40,6 +39,16 @@ def si_rmse(pred, gt, mask=None) -> float:
         raise ValueError("pred and gt must share dimensions")
     if p.size == 0:
         raise ValueError("empty mask")
+    return p, g
+
+
+def si_rmse(pred, gt, mask=None) -> float:
+    """Scale-invariant RMSE: best single positive scale on pred, then RMSE.
+
+    alpha = sum(pred*gt) / sum(pred^2) over masked pixels and channels
+    jointly; raises for an all-zero prediction under the mask.
+    """
+    p, g = _masked_pair(pred, gt, mask)
     denom = float((p * p).sum())
     if denom == 0.0:
         raise ValueError("degenerate prediction: all-zero under mask")
@@ -53,10 +62,7 @@ def angular_error(pred, gt, mask=None) -> float:
     Pixels where either norm is below 1e-8 are excluded; raises if none
     qualify.
     """
-    p = _masked(pred, mask)
-    g = _masked(gt, mask)
-    if p.shape != g.shape:
-        raise ValueError("pred and gt must share dimensions")
+    p, g = _masked_pair(pred, gt, mask)
     pn = np.linalg.norm(p, axis=1)
     gn = np.linalg.norm(g, axis=1)
     ok = (pn > _ZERO_NORM_EPS) & (gn > _ZERO_NORM_EPS)
@@ -73,10 +79,7 @@ def angular_error(pred, gt, mask=None) -> float:
 
 def n_rmse(pred, gt, mask=None) -> float:
     """RMSE after normalizing each image to unit mean intensity over the mask."""
-    p = _masked(pred, mask)
-    g = _masked(gt, mask)
-    if p.shape != g.shape:
-        raise ValueError("pred and gt must share dimensions")
+    p, g = _masked_pair(pred, gt, mask)
     pm, gm = p.mean(), g.mean()
     if pm <= 0.0 or gm <= 0.0:
         raise ValueError("images must have positive mean under the mask")
@@ -107,23 +110,21 @@ def temporal_stats(values) -> dict:
 
 @dataclass
 class MetricReport:
-    """Per-material metric table plus optional PAE and temporal statistics."""
+    """Per-material metric table, PAE, and optional temporal statistics."""
 
     materials: dict
-    pae_deg: float | None = None
+    pae_deg: float
     temporal: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {"materials": self.materials}
-        if self.pae_deg is not None:
-            out["pae_deg"] = self.pae_deg
+        out = {"materials": self.materials, "pae_deg": self.pae_deg}
         if self.temporal is not None:
             out["temporal"] = self.temporal
         return out
 
 
 def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
-                           probe_size: int = 128, with_pae: bool = True) -> MetricReport:
+                           probe_size: int = 128) -> MetricReport:
     """Score a predicted map against ground truth with the standard probes."""
     materials = {}
     for name, material in STANDARD_MATERIALS.items():
@@ -135,23 +136,25 @@ def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
             "angular_deg": angular_error(pred_probe.pixels, gt_probe.pixels, mask),
             "n_rmse": n_rmse(pred_probe.pixels, gt_probe.pixels, mask),
         }
-    pae = peak_angular_error(pred_env, gt_env) if with_pae else None
-    return MetricReport(materials=materials, pae_deg=pae)
+    return MetricReport(materials=materials, pae_deg=peak_angular_error(pred_env, gt_env))
 
 
 def evaluate_sequence(pred_envs, gt_envs, probe_size: int = 128,
-                      with_pae: bool = True) -> MetricReport:
+                      map=map) -> MetricReport:
     """Per-frame three-sphere metrics plus temporal mean/std per metric.
 
-    The temporal table keys are "<material>.<metric>" (and "pae_deg"), each
-    holding the mean and population std of the per-frame values.
+    The temporal table keys are "<material>.<metric>" and "pae_deg", each
+    holding the mean and population std of the per-frame values. `map` runs
+    the per-frame evaluations (a thread pool's map evaluates frames in
+    parallel); results are taken in frame order, so the report does not
+    depend on it.
     """
     if len(pred_envs) != len(gt_envs) or not pred_envs:
         raise ValueError("sequences must be non-empty and equal length")
-    frames = [
-        evaluate_three_spheres(p, g, probe_size=probe_size, with_pae=with_pae)
-        for p, g in zip(pred_envs, gt_envs)
-    ]
+    frames = list(map(
+        lambda p, g: evaluate_three_spheres(p, g, probe_size=probe_size),
+        pred_envs, gt_envs,
+    ))
     materials = {}
     temporal = {}
     for mat in STANDARD_MATERIALS:
@@ -161,10 +164,6 @@ def evaluate_sequence(pred_envs, gt_envs, probe_size: int = 128,
             stats = temporal_stats(series)
             materials[mat][metric] = stats["mean"]
             temporal[f"{mat}.{metric}"] = stats
-    pae = None
-    if with_pae:
-        pae_series = [f.pae_deg for f in frames]
-        stats = temporal_stats(pae_series)
-        pae = stats["mean"]
-        temporal["pae_deg"] = stats
-    return MetricReport(materials=materials, pae_deg=pae, temporal=temporal)
+    pae = temporal_stats([f.pae_deg for f in frames])
+    temporal["pae_deg"] = pae
+    return MetricReport(materials=materials, pae_deg=pae["mean"], temporal=temporal)

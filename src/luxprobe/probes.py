@@ -152,14 +152,3 @@ def render_probe(env: EnvironmentMap, material: Material, size: int) -> ProbeIma
         refl = 2.0 * n[:, 2:3] * n - np.array([0.0, 0.0, 1.0])
         pixels[mask] = albedo * sample_equirect(glossy.data, refl)
     return ProbeImage(pixels=pixels, mask=mask)
-
-
-def render_probe_sequence(envs, material: Material, size: int):
-    """Elementwise render_probe over a uniform-size sequence."""
-    if not envs:
-        raise ValueError("empty environment-map sequence")
-    shape = (envs[0].height, envs[0].width)
-    for env in envs:
-        if (env.height, env.width) != shape:
-            raise ValueError("sequence maps must share dimensions")
-    return [render_probe(env, material, size) for env in envs]

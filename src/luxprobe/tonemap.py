@@ -37,8 +37,8 @@ class DualToneMaps:
         if self.ldr.shape != self.log.shape:
             raise ValueError("ldr and log channels must share dimensions")
         for name, arr in (("ldr", self.ldr), ("log", self.log)):
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise ValueError(f"{name} channel must lie in [0, 1]")
+            if not ((arr >= 0.0) & (arr <= 1.0)).all():
+                raise ValueError(f"{name} channel must lie in [0, 1] (NaN is rejected)")
 
     @property
     def height(self) -> int:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from luxprobe.cli import main, thread_limit
-from luxprobe.envmap import EnvironmentMap
+from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.imgio import read_pfm, read_png, write_pfm
+from luxprobe.metrics import evaluate_sequence
 from conftest import hot_spot_env
 
 
@@ -95,6 +96,30 @@ class TestEval:
         assert report["temporal"]["mirror.si_rmse"] == {"mean": 0.0, "std": 0.0}
         assert report["temporal"]["pae_deg"]["std"] == 0.0
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_eval_video_is_evaluate_sequence(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("LUXPROBE_THREADS", threads)
+        pred_dir = tmp_path / "pred"
+        gt_dir = tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        gt = hot_spot_env(height=16, row=6, col=10, value=40.0, base=0.25)
+        for i, yaw in enumerate((0.0, 22.5, 45.0)):
+            write_pfm(pred_dir / f"f{i}.pfm", rotate_env(gt, yaw).data)
+            write_pfm(gt_dir / f"f{i}.pfm", gt.data)
+        out = tmp_path / "video.json"
+        assert main(["eval-video", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--probe-size", "32", "--out", str(out)]) == 0
+
+        def frames(d):
+            return [EnvironmentMap(read_pfm(p).astype(np.float64))
+                    for p in sorted(d.iterdir()) if p.suffix == ".pfm"]
+
+        expected = evaluate_sequence(frames(pred_dir), frames(gt_dir), probe_size=32)
+        report = json.loads(out.read_text())
+        assert report == expected.to_dict()
+        assert report["temporal"]["mirror.si_rmse"]["std"] > 0.0
+
     def test_frame_count_mismatch_is_data_error(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
         gt_dir = tmp_path / "gt"
@@ -125,8 +150,6 @@ class TestCropRotatePeak:
         assert meta["tonecurve"] == "aces"
 
     def test_rotate_matches_library(self, tmp_path, env_file):
-        from luxprobe.envmap import rotate_env
-
         out = tmp_path / "rot.pfm"
         assert main(["rotate", "--env", str(env_file), "--yaw", "90", "--out", str(out)]) == 0
         expected = rotate_env(EnvironmentMap(read_pfm(env_file).astype(np.float64)), 90.0)
@@ -229,6 +252,34 @@ class TestCliContract:
                      "--yaw", "90", "--out", str(out_a)]) == 0
         m = manifest_of(out_a)
         assert m["parameters"]["yaw"] == 90.0
+
+    def test_nan_channel_is_data_error(self, tmp_path, capsys):
+        ldr = np.full((4, 8, 3), 0.5)
+        ldr[1, 2, 1] = np.nan
+        write_pfm(tmp_path / "ldr.pfm", ldr)
+        write_pfm(tmp_path / "log.pfm", np.full((4, 8, 3), 0.25))
+        out = tmp_path / "rec.pfm"
+        code = main(["inverse", "--ldr", str(tmp_path / "ldr.pfm"),
+                     "--log", str(tmp_path / "log.pfm"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("ERROR DATA:") and "\n" not in err
+        assert not out.exists()
+
+    def test_bad_png_crc_is_data_error(self, tmp_path, env_file, capsys):
+        ldr, log = tmp_path / "ldr.png", tmp_path / "log.png"
+        assert main(["tonemap", "--in", str(env_file), "--out-ldr", str(ldr),
+                     "--out-log", str(log)]) == 0
+        blob = bytearray(ldr.read_bytes())
+        blob[blob.find(b"IEND") - 5] ^= 0xFF  # last byte of the IDAT CRC
+        ldr.write_bytes(bytes(blob))
+        capsys.readouterr()
+        out = tmp_path / "rec.pfm"
+        code = main(["inverse", "--ldr", str(ldr), "--log", str(log), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("ERROR DATA:") and "CRC" in err and "\n" not in err
+        assert not out.exists()
 
     def test_thread_limit_env(self, monkeypatch):
         monkeypatch.setenv("LUXPROBE_THREADS", "3")

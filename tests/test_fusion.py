@@ -57,8 +57,9 @@ class TestForward:
             )
 
     def test_rejects_out_of_range_inputs(self):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            fusion_forward(init_uniform(0), np.full(3, 1.5), np.zeros(3))
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match="\\[0, 1\\]"):
+                fusion_forward(init_uniform(0), np.full(3, bad), np.zeros(3))
 
     def test_rejects_nonfinite_params(self):
         net = init_uniform(0)

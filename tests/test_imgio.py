@@ -252,8 +252,30 @@ class TestPng:
         blob = bytearray(path.read_bytes())
         idat_at = blob.find(b"IDAT")
         blob[idat_at + 8] ^= 0xFF  # flip a byte inside the compressed stream
+        (length,) = struct.unpack_from(">I", blob, idat_at - 4)
+        crc_at = idat_at + 4 + length  # keep the CRC valid so zlib sees the damage
+        blob[crc_at : crc_at + 4] = struct.pack(">I", zlib.crc32(blob[idat_at:crc_at]))
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="PNG"):
+            read_png(path)
+
+    def test_bad_chunk_crc_rejected(self, tmp_path, rng):
+        path = tmp_path / "crc.png"
+        write_png(path, rng.random((4, 4, 3)))
+        blob = bytearray(path.read_bytes())
+        blob[blob.find(b"IEND") - 5] ^= 0xFF  # last byte of the IDAT CRC; data intact
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="IDAT.*CRC"):
+            read_png(path)
+
+    def test_chunk_past_end_of_file_rejected(self, tmp_path, rng):
+        path = tmp_path / "overrun.png"
+        write_png(path, rng.random((4, 4, 3)))
+        blob = path.read_bytes()
+        # replace IEND with a tEXt chunk declaring 1000 bytes where 10 follow
+        blob = blob[: blob.find(b"IEND") - 4] + b"\x00\x00\x03\xe8tEXtcomment\x00ab"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="past the end"):
             read_png(path)
 
     def test_truncated_chunk_rejected(self, tmp_path, rng):

@@ -111,6 +111,10 @@ class TestNRmse:
         with pytest.raises(ValueError, match="positive mean"):
             n_rmse(np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
 
+    def test_empty_mask_raises(self):
+        with pytest.raises(ValueError, match="empty mask"):
+            n_rmse(np.ones((2, 2, 3)), np.ones((2, 2, 3)), np.zeros((2, 2), dtype=bool))
+
 
 class TestPeakAngularError:
     def test_identity(self):

@@ -17,7 +17,6 @@ from luxprobe.probes import (
     prefilter_diffuse,
     prefilter_glossy,
     render_probe,
-    render_probe_sequence,
 )
 
 
@@ -188,29 +187,3 @@ class TestRenderProbe:
         with pytest.raises(ValueError, match="at least 16"):
             render_probe(EnvironmentMap.constant(1.0, 8), MIRROR_BALL, size=8)
 
-
-class TestRenderSequence:
-    def test_constant_sequence_identical_frames(self):
-        env = EnvironmentMap.constant(1.0, height=16)
-        out = render_probe_sequence([env, env, env], MIRROR_BALL, size=32)
-        assert len(out) == 3
-        assert (out[0].pixels == out[1].pixels).all()
-        assert (out[1].pixels == out[2].pixels).all()
-
-    def test_rotated_sequence_matches_per_frame(self, rng):
-        base = EnvironmentMap(rng.random((16, 32, 3)) + 0.2)
-        envs = [rotate_env(base, 360.0 * k / 32) for k in range(3)]
-        seq = render_probe_sequence(envs, MIRROR_BALL, size=32)
-        for env, probe in zip(envs, seq):
-            single = render_probe(env, MIRROR_BALL, size=32)
-            assert (probe.pixels == single.pixels).all()
-
-    def test_dimension_mismatch_rejected(self):
-        a = EnvironmentMap.constant(1.0, height=16)
-        b = EnvironmentMap.constant(1.0, height=8)
-        with pytest.raises(ValueError, match="share dimensions"):
-            render_probe_sequence([a, b], MIRROR_BALL, size=32)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            render_probe_sequence([], MIRROR_BALL, size=32)

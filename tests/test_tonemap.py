@@ -59,6 +59,14 @@ class TestDualForward:
         with pytest.raises(ValueError, match="share dimensions"):
             DualToneMaps(ldr=np.zeros((4, 8, 3)), log=np.zeros((4, 4, 3)))
 
+    @pytest.mark.parametrize("channel", ["ldr", "log"])
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.25])
+    def test_out_of_range_or_nan_channel_rejected(self, channel, bad):
+        pair = {"ldr": np.full((4, 8, 3), 0.5), "log": np.full((4, 8, 3), 0.5)}
+        pair[channel][1, 2, 0] = bad
+        with pytest.raises(ValueError, match=f"{channel} channel"):
+            DualToneMaps(**pair)
+
 
 class TestInverseRule:
     def test_zero(self):
