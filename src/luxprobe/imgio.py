@@ -8,6 +8,7 @@ The PNG codec is deliberately minimal (8-bit RGB/gray, no interlace) and
 byte-deterministic: fixed filter choice and zlib level, plus an sRGB chunk.
 """
 
+import os
 import struct
 import zlib
 
@@ -31,12 +32,17 @@ def read_pfm(path) -> np.ndarray:
         if len(dims) != 2:
             raise ValueError("malformed PFM dimensions line")
         width, height = int(dims[0]), int(dims[1])
+        if width <= 0 or height <= 0:
+            raise ValueError(f"PFM dimensions must be positive, got {width}x{height}")
         scale = float(f.readline().rstrip())
+        if not np.isfinite(scale):
+            raise ValueError("PFM scale must be finite")
         endian = "<" if scale < 0 else ">"
         count = width * height * channels
-        data = np.fromfile(f, dtype=endian + "f4", count=count)
-        if data.size != count:
+        # check the size before reading: a huge header count must not allocate
+        if 4 * count > os.fstat(f.fileno()).st_size - f.tell():
             raise ValueError("truncated PFM payload")
+        data = np.fromfile(f, dtype=endian + "f4", count=count)
     data = data.reshape(height, width, channels)[::-1]  # bottom-to-top on disk
     if channels == 1:
         data = np.repeat(data, 3, axis=2)
@@ -77,8 +83,16 @@ def read_hdr(path) -> np.ndarray:
         if len(res) != 4 or res[0] not in (b"-Y", b"+Y") or res[2] != b"+X":
             raise ValueError(f"unsupported HDR resolution line {b' '.join(res)!r}")
         height, width = int(res[1]), int(res[3])
-        rgbe = np.empty((height, width, 4), dtype=np.uint8)
+        if width <= 0 or height <= 0:
+            raise ValueError(f"HDR dimensions must be positive, got {width}x{height}")
         payload = f.read()
+    # the most compact scanline is flat (4 bytes a pixel) or RLE (a 4-byte
+    # marker plus 2-byte runs of up to 127 pixels per channel); a header that
+    # claims more scanlines than the payload can hold must not allocate them
+    min_scanline = min(4 * width, 4 + 8 * -(-width // 127))
+    if height * min_scanline > len(payload):
+        raise ValueError("truncated HDR payload")
+    rgbe = np.empty((height, width, 4), dtype=np.uint8)
     pos = 0
     for y in range(height):
         pos = _read_rgbe_scanline(payload, pos, rgbe[y])
@@ -102,10 +116,17 @@ def _read_rgbe_scanline(buf: bytes, pos: int, out: np.ndarray) -> int:
                 count = buf[pos]
                 pos += 1
                 if count > 128:  # run
-                    out[x : x + count - 128, ch] = buf[pos]
+                    count -= 128
+                    if pos >= len(buf):
+                        raise ValueError("truncated HDR RLE scanline")
+                    if x + count > width:
+                        raise ValueError("HDR RLE run overruns its scanline")
+                    out[x : x + count, ch] = buf[pos]
                     pos += 1
-                    x += count - 128
+                    x += count
                 else:  # literal
+                    if x + count > width:
+                        raise ValueError("HDR RLE literal overruns its scanline")
                     out[x : x + count, ch] = np.frombuffer(
                         buf, dtype=np.uint8, count=count, offset=pos
                     )
@@ -202,11 +223,15 @@ def read_png(path):
             raise ValueError(f"PNG chunk {tag.decode('latin-1')!r} fails its CRC check")
         pos = end
         if tag == b"IHDR":
+            if len(body) != 13:
+                raise ValueError(f"PNG IHDR chunk must be 13 bytes, got {len(body)}")
             width, height, depth, color_type, _, _, interlace = struct.unpack(
                 ">IIBBBBB", body
             )
             if depth != 8 or interlace != 0 or color_type not in (0, 2, 6):
                 raise ValueError("only 8-bit non-interlaced gray/RGB/RGBA PNGs supported")
+            if width == 0 or height == 0:
+                raise ValueError("PNG dimensions must be positive")
         elif tag == b"tEXt":
             key, _, val = body.partition(b"\x00")
             meta[key.decode("latin-1")] = val.decode("latin-1")

@@ -2,20 +2,25 @@
 
 The three standard probes are a white mirror ball, a gray 0.9-albedo sphere
 with a normalized Phong lobe (exponent 64), and a 0.5-albedo Lambertian
-sphere. Prefilters integrate the full input map by direct summation over a
-coarse output grid (at most 64 rows) that is bilinearly upsampled at lookup
-time; every output pixel accumulates input chunks in a fixed serial order,
-so results do not depend on scheduling.
+sphere. Prefilters integrate the full input map over a coarse output grid
+(at most 64 rows) that is bilinearly upsampled at lookup time.
+
+The clamped-cosine lobe depends only on the two polar angles and the
+azimuth difference, and the equirect grid is uniform in azimuth, so for one
+output row and one input row the sum over input columns is a circular
+convolution (the Driscoll & Healy 1994 structure on the sphere). The
+prefilters evaluate it exactly with real FFTs along each input row, one
+output row at a time; results are deterministic and equal the direct
+double sum up to float64 round-off.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, grid_directions, sample_equirect, solid_angle_rows
+from .envmap import EnvironmentMap, sample_equirect, solid_angle_rows
 
 PREFILTER_MAX_ROWS = 64
-_CHUNK = 4096
 
 
 @dataclass
@@ -54,46 +59,66 @@ class ProbeImage:
 
 
 def _pow_int(base: np.ndarray, exponent: int) -> np.ndarray:
-    """base**exponent by binary squaring (fast path for integer lobes)."""
+    """base**exponent by binary squaring (fast path for integer lobes).
+
+    Squares `base` in place, so the caller hands over a scratch array.
+    """
     result = None
-    acc = base
-    e = exponent
-    while e > 0:
-        if e & 1:
-            result = acc.copy() if result is None else result * acc
-        e >>= 1
-        if e:
-            acc = acc * acc
-    return result
+    while True:
+        if exponent & 1:
+            result = base.copy() if result is None else np.multiply(result, base, out=result)
+        exponent >>= 1
+        if not exponent:
+            return result
+        np.multiply(base, base, out=base)
 
 
-def _weighted_sums(env: EnvironmentMap, out_dirs: np.ndarray, exponent):
+def _weighted_sums(env: EnvironmentMap, rows: int, exponent):
     """Sum of radiance*dOmega (and dOmega) against clamped-cosine^n kernels.
 
-    Returns (numerator (M, 3), denominator (M,)). Chunked over input pixels
-    in a fixed order.
+    The output grid is the (rows, 2*rows) pixel-center grid. Returns
+    (numerator (rows, 2*rows, 3), denominator (rows, 2*rows)).
+
+    In units of input columns, output column i lies at azimuth q + t, where
+    q, r = divmod(i*W, Wo) and t = (2r + W - Wo) / (2*Wo) depends only on
+    the phase r. Each phase class therefore has one kernel per output row,
+    sampled at azimuth differences m + t for m = 0..W-1, and its columns
+    read the circular convolution of kernel and radiance at q. When Wo
+    divides W (every power-of-two map) there is a single phase class.
     """
-    in_dirs = grid_directions(env.width, env.height).reshape(-1, 3)
-    omega = np.broadcast_to(
-        solid_angle_rows(env.width, env.height)[:, None], (env.height, env.width)
-    ).reshape(-1)
-    radiance = env.data.reshape(-1, 3)
-    flat_out = out_dirs.reshape(-1, 3)
-    num = np.zeros((flat_out.shape[0], 3))
-    den = np.zeros(flat_out.shape[0])
-    for start in range(0, in_dirs.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        dots = flat_out @ in_dirs[sl].T
-        np.maximum(dots, 0.0, out=dots)
-        if exponent != 1:
-            if float(exponent).is_integer():
-                dots = _pow_int(dots, int(exponent))
-            else:
-                dots = dots ** exponent
-        w = dots * omega[sl]
-        num += w @ radiance[sl]
-        den += w.sum(axis=1)
-    return num.reshape(out_dirs.shape), den.reshape(out_dirs.shape[:-1])
+    height, width = env.height, env.width
+    out_width = 2 * rows
+    theta_in = np.pi * (np.arange(height) + 0.5) / height
+    theta_out = np.pi * (np.arange(rows) + 0.5) / rows
+    omega = solid_angle_rows(width, height)[:, None]
+    q, r = np.divmod(np.arange(out_width) * width, out_width)
+    phases, phase_of_col = np.unique(r, return_inverse=True)
+    shifts = (2 * phases + width - out_width) / (2 * out_width)
+    cos_dphi = np.cos(2.0 * np.pi * (np.arange(width) + shifts[:, None]) / width)
+    # (frequency, input row, channel), so each frequency is one small matmul
+    radiance_hat = np.ascontiguousarray(np.fft.rfft(env.data, axis=1).transpose(1, 0, 2))
+    num = np.empty((rows, out_width, 3))
+    den = np.empty((rows, out_width))
+    for a in range(rows):
+        sin_sin = (np.sin(theta_out[a]) * np.sin(theta_in))[:, None]
+        cos_cos = (np.cos(theta_out[a]) * np.cos(theta_in))[:, None]
+        for p, cos_row in enumerate(cos_dphi):
+            kernel = sin_sin * cos_row + cos_cos
+            np.maximum(kernel, 0.0, out=kernel)
+            if exponent != 1:
+                if float(exponent).is_integer():
+                    kernel = _pow_int(kernel, int(exponent))
+                else:
+                    kernel = kernel ** exponent
+            kernel *= omega
+            cols = phase_of_col == p
+            den[a, cols] = kernel.sum()
+            spectrum = np.fft.rfft(kernel, axis=1).T[:, None, :] @ radiance_hat
+            num[a, cols] = np.fft.irfft(spectrum[:, 0], n=width, axis=0)[q[cols]]
+    # kernel and radiance are non-negative, so the exact sum is too; the
+    # clamp removes FFT round-off (~-1e-17) where the true value is zero
+    np.maximum(num, 0.0, out=num)
+    return num, den
 
 
 def _out_rows(env: EnvironmentMap, out_height: int) -> int:
@@ -102,9 +127,7 @@ def _out_rows(env: EnvironmentMap, out_height: int) -> int:
 
 def prefilter_diffuse(env: EnvironmentMap, out_height: int) -> EnvironmentMap:
     """Cosine-convolved irradiance map (steradian-integrated, not averaged)."""
-    rows = _out_rows(env, out_height)
-    dirs = grid_directions(2 * rows, rows)
-    num, _ = _weighted_sums(env, dirs, exponent=1)
+    num, _ = _weighted_sums(env, _out_rows(env, out_height), exponent=1)
     return EnvironmentMap(num)
 
 
@@ -112,9 +135,7 @@ def prefilter_glossy(env: EnvironmentMap, exponent: float, out_height: int) -> E
     """Normalized Phong-lobe-weighted mean radiance per direction."""
     if exponent <= 0:
         raise ValueError("exponent must be positive")
-    rows = _out_rows(env, out_height)
-    dirs = grid_directions(2 * rows, rows)
-    num, den = _weighted_sums(env, dirs, exponent=exponent)
+    num, den = _weighted_sums(env, _out_rows(env, out_height), exponent=exponent)
     return EnvironmentMap(num / den[..., None])
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from luxprobe.envmap import (
     rotate_env,
     sample_equirect,
     solid_angle,
+    solid_angle_rows,
 )
 from luxprobe.probes import (
     GRAY_DIFFUSE,
@@ -18,6 +21,97 @@ from luxprobe.probes import (
     prefilter_glossy,
     render_probe,
 )
+
+
+def dense_weighted_sums(env: EnvironmentMap, rows: int, exponent):
+    """Reference prefilter sums: every output direction against every texel.
+
+    O(outputs x texels) direct summation over the (rows, 2*rows) output
+    grid, accumulated over input chunks in a fixed order. Returns
+    (numerator (rows, 2*rows, 3), denominator (rows, 2*rows)).
+    """
+    out_dirs = grid_directions(2 * rows, rows)
+    in_dirs = grid_directions(env.width, env.height).reshape(-1, 3)
+    omega = np.broadcast_to(
+        solid_angle_rows(env.width, env.height)[:, None], (env.height, env.width)
+    ).reshape(-1)
+    radiance = env.data.reshape(-1, 3)
+    flat_out = out_dirs.reshape(-1, 3)
+    num = np.zeros((flat_out.shape[0], 3))
+    den = np.zeros(flat_out.shape[0])
+    for start in range(0, in_dirs.shape[0], 4096):
+        sl = slice(start, start + 4096)
+        dots = flat_out @ in_dirs[sl].T
+        np.maximum(dots, 0.0, out=dots)
+        w = dots ** exponent * omega[sl]
+        num += w @ radiance[sl]
+        den += w.sum(axis=1)
+    return num.reshape(out_dirs.shape), den.reshape(out_dirs.shape[:-1])
+
+
+def assert_parity(fast, dense, rel=1e-12):
+    """max |fast - dense| <= rel * max |dense|, per channel."""
+    assert fast.shape == dense.shape
+    err = np.abs(fast - dense).max(axis=(0, 1))
+    scale = np.abs(dense).max(axis=(0, 1))
+    assert (err <= rel * scale).all(), (err / scale).max()
+
+
+def _test_env(height, rng):
+    # per-channel scales so each channel's tolerance is checked on its own
+    data = rng.random((height, 2 * height, 3)) ** 3 * np.array([1.0, 20.0, 0.05])
+    data[height // 3, height // 2] *= 400.0  # one hot spot
+    return EnvironmentMap(data)
+
+
+class TestPrefilterParity:
+    """Azimuthal-FFT prefilters against the dense double sum."""
+
+    @pytest.mark.parametrize(
+        "height, out_height, exponent",
+        [
+            (64, 64, 1),  # power of two, one phase class
+            (64, 64, 64),
+            (64, 64, 7.5),  # non-integer lobe
+            (128, 128, 1),  # capped at 64 output rows
+            (96, 96, 64),  # output width 128 does not divide 192
+            (96, 96, 7.5),
+            (72, 72, 1),  # eight phase classes
+            (16, 12, 64),  # coarse output grid that does not divide the input
+        ],
+    )
+    def test_matches_dense_sum(self, rng, height, out_height, exponent):
+        env = _test_env(height, rng)
+        rows = min(out_height, height, 64)
+        num, den = dense_weighted_sums(env, rows, exponent)
+        glossy = prefilter_glossy(env, exponent, out_height)
+        assert_parity(glossy.data, num / den[..., None])
+        if exponent == 1:
+            assert_parity(prefilter_diffuse(env, out_height).data, num)
+
+    @pytest.mark.parametrize("height", [64, 96])
+    def test_doubling_radiance_doubles_output_exactly(self, rng, height):
+        env = _test_env(height, rng)
+        doubled = EnvironmentMap(2.0 * env.data)
+        assert (
+            prefilter_diffuse(doubled, height).data == 2.0 * prefilter_diffuse(env, height).data
+        ).all()
+        assert (
+            prefilter_glossy(doubled, 64, height).data
+            == 2.0 * prefilter_glossy(env, 64, height).data
+        ).all()
+
+    def test_memory_stays_near_input_size(self, rng):
+        # the full (rows, H, W) kernel tensor would be 64*512*1024*8 bytes,
+        # 21x the input; the row-at-a-time FFT needs a few input-sized buffers
+        env = EnvironmentMap(rng.random((512, 1024, 3)))
+        tracemalloc.start()
+        try:
+            prefilter_glossy(env, 64, out_height=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * env.data.nbytes
 
 
 class TestMaterial:

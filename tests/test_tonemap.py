@@ -41,12 +41,18 @@ class TestDualForward:
     @given(st.floats(0.0, M_LOG), st.floats(0.0, M_LOG))
     @settings(max_examples=300, deadline=None)
     def test_strictly_monotone(self, a, b):
-        if a == b:
-            return
+        # non-decreasing everywhere; strictly increasing wherever float64
+        # outputs resolve the gap: a relative gap above 1e-9, with hi in the
+        # normal range (a=0, b=5e-324 both give 0.0 since the output underflows)
         lo, hi = min(a, b), max(a, b)
-        assert tonemap_log(lo) < tonemap_log(hi)
+        resolved = hi - lo > 1e-9 * hi and hi > 1e-300
+        assert tonemap_log(lo) <= tonemap_log(hi)
+        if resolved:
+            assert tonemap_log(lo) < tonemap_log(hi)
         if hi <= M_LDR:  # the ldr channel saturates at M_LDR
-            assert tonemap_ldr(lo) < tonemap_ldr(hi)
+            assert tonemap_ldr(lo) <= tonemap_ldr(hi)
+            if resolved:
+                assert tonemap_ldr(lo) < tonemap_ldr(hi)
 
     def test_dual_maps_from_env(self, rng):
         env = EnvironmentMap(rng.random((8, 16, 3)) * 100)
