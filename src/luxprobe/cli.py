@@ -50,9 +50,20 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _json_text(obj, indent=None) -> str:
+    """JSON for an output file; a NaN or infinity raises ValueError before any file opens."""
+    return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+
+
+def _write_json(path, obj) -> None:
+    text = _json_text(obj, indent=2) + "\n"
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _write_manifest(command: str, primary_out, seed: int, inputs: dict,
-                    parameters: dict, outputs) -> str:
-    manifest = {
+                    parameters: dict, outputs) -> None:
+    _write_json(str(primary_out) + ".manifest.json", {
         "command": command,
         "tool_version": __version__,
         "seed": int(seed),
@@ -60,47 +71,46 @@ def _write_manifest(command: str, primary_out, seed: int, inputs: dict,
         "parameters": parameters,
         "outputs": {str(p): _sha256(p) for p in outputs},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    path = str(primary_out) + ".manifest.json"
-    with open(path, "w") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return path
+    })
 
 
-def _require_inputs(*paths) -> None:
-    for p in paths:
-        if not Path(p).is_file():
-            raise FileNotFoundError(f"input file not found: {p}")
+# The one suffix -> decoder table for every CLI image input. Entries look the
+# decoder up at call time, so a rebound name (bench/tracer.py) reaches every read.
+_READERS = {
+    ".pfm": lambda path: read_pfm(path),
+    ".hdr": lambda path: read_hdr(path),
+    ".png": lambda path: read_png(path)[0],
+}
+
+
+def _read_image(path, suffixes) -> np.ndarray:
+    """Decode `path` by its suffix (one of `suffixes`); reject non-finite values
+    before any caller clips them. A missing file raises FileNotFoundError."""
+    suffix = Path(path).suffix
+    if suffix not in suffixes:
+        raise ValueError(f"unsupported image format (not {'/'.join(suffixes)}): {path}")
+    data = _READERS[suffix](path)
+    if not np.isfinite(data).all():
+        raise ValueError(f"non-finite value in {path}")
+    return data
 
 
 def _load_env(path) -> EnvironmentMap:
-    path = str(path)
-    if path.endswith(".pfm"):
-        data = read_pfm(path)
-    elif path.endswith(".hdr"):
-        data = read_hdr(path)
-    else:
-        raise ValueError(f"unsupported environment-map format: {path}")
-    return EnvironmentMap(np.clip(data.astype(np.float64), 0.0, None))
+    """HDR radiance from PFM or Radiance HDR; negatives clip to 0."""
+    data = _read_image(path, (".pfm", ".hdr")).astype(np.float64)
+    return EnvironmentMap(np.clip(data, 0.0, None, out=data))
 
 
 def _load_channel(path) -> np.ndarray:
-    """[0,1] image from PNG or PFM."""
-    path = str(path)
-    if path.endswith(".png"):
-        img, _ = read_png(path)
-        return img
-    if path.endswith(".pfm"):
-        return np.clip(read_pfm(path).astype(np.float64), 0.0, 1.0)
-    raise ValueError(f"unsupported LDR image format: {path}")
+    """A [0,1] image from PNG or PFM; PFM values clip to [0, 1]."""
+    data = _read_image(path, (".png", ".pfm")).astype(np.float64, copy=False)
+    return np.clip(data, 0.0, 1.0, out=data)  # in place: PNG data is already in range
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 
 def _cmd_crop(args):
-    _require_inputs(args.pano)
     env = _load_env(args.pano)
     cam = projection.CameraSpec(
         azimuth=args.az, elevation=args.el, fov=args.fov,
@@ -120,19 +130,14 @@ def _cmd_crop(args):
 
 def _cmd_dataset_gen(args):
     src_dir = Path(args.panos_dir)
-    if not src_dir.is_dir():
-        raise FileNotFoundError(f"panorama directory not found: {src_dir}")
     sources = []
     names = []
     for p in sorted(src_dir.iterdir()):
-        if p.suffix == ".pfm":
-            sources.append(projection.PanoramaSource(read_pfm(p).astype(np.float64), hdr=True))
-        elif p.suffix == ".hdr":
-            sources.append(projection.PanoramaSource(read_hdr(p).astype(np.float64), hdr=True))
-        elif p.suffix == ".png":
-            sources.append(projection.PanoramaSource(read_png(p)[0], hdr=False))
-        else:
+        if p.suffix not in _READERS:
             continue
+        hdr = p.suffix != ".png"  # PNG is display-referred LDR; EnvironmentMap checks its 2:1
+        env = _load_env(p) if hdr else EnvironmentMap(_load_channel(p))
+        sources.append(projection.PanoramaSource(env.data, hdr=hdr))
         names.append(p.name)
     if not sources:
         raise ValueError(f"no panoramas (*.pfm, *.hdr, *.png) in {src_dir}")
@@ -178,9 +183,9 @@ def _cmd_dataset_gen(args):
             "target_log": str(log_path) if log_path else None,
         })
     listing = out_dir / "dataset.jsonl"
+    text = "".join(_json_text(rec) + "\n" for rec in records)
     with open(listing, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+        f.write(text)
     outputs.append(str(listing))
     params = {"count": args.count, "video_frames": args.video_frames,
               "w": args.w, "h": args.h}
@@ -189,7 +194,6 @@ def _cmd_dataset_gen(args):
 
 
 def _cmd_tonemap(args):
-    _require_inputs(args.infile)
     env = _load_env(args.infile)
     maps = tonemap.tonemap_dual(env)
     write_png(args.out_ldr, maps.ldr, metadata={"tonecurve": "dual-reinhard16"})
@@ -200,11 +204,9 @@ def _cmd_tonemap(args):
 
 def _decode_dual(ldr_path, log_path, net_path) -> np.ndarray:
     """HDR from a dual pair: the fusion net if one is given, else the analytic rule."""
-    _require_inputs(ldr_path, log_path)
     maps = tonemap.DualToneMaps(ldr=_load_channel(ldr_path), log=_load_channel(log_path))
     if net_path is None:
         return tonemap.inverse_rule(maps.ldr, maps.log)
-    _require_inputs(net_path, str(net_path) + ".layers.txt")
     return fusion.fuse_image(fusion.load_fusion_net(net_path), maps).data
 
 
@@ -227,7 +229,7 @@ def _cmd_fuse_train(args):
               "quantize": cfg.quantize, "init": cfg.init,
               "final_loss": loss}
     _write_manifest("fuse-train", args.out, args.seed, {}, params, outputs)
-    print(f"final loss {loss:.6f}")
+    print("final loss", "none (no step ran)" if loss is None else f"{loss:.6f}")
 
 
 def _cmd_fuse_apply(args):
@@ -237,7 +239,6 @@ def _cmd_fuse_apply(args):
 
 
 def _cmd_render_probes(args):
-    _require_inputs(args.env)
     env = _load_env(args.env)
     outputs = []
     for name, material in probes.STANDARD_MATERIALS.items():
@@ -254,13 +255,10 @@ def _cmd_render_probes(args):
 
 
 def _cmd_eval(args):
-    _require_inputs(args.pred, args.gt)
     pred = _load_env(args.pred)
     gt = _load_env(args.gt)
     report = metrics.evaluate_three_spheres(pred, gt, probe_size=args.probe_size)
-    with open(args.out, "w") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(args.out, report.to_dict())
     params = {"probe_size": args.probe_size}
     _write_manifest("eval", args.out, args.seed,
                     {"pred": args.pred, "gt": args.gt}, params, [args.out])
@@ -268,8 +266,6 @@ def _cmd_eval(args):
 
 def _list_frames(directory) -> list:
     d = Path(directory)
-    if not d.is_dir():
-        raise FileNotFoundError(f"frame directory not found: {d}")
     frames = sorted(p for p in d.iterdir() if p.suffix == ".pfm")
     if not frames:
         raise ValueError(f"no *.pfm frames in {d}")
@@ -287,20 +283,17 @@ def _cmd_eval_video(args):
         pred_envs = list(pool.map(_load_env, pred_frames))
         gt_envs = list(pool.map(_load_env, gt_frames))
         report = metrics.evaluate_sequence(pred_envs, gt_envs, args.probe_size, map=pool.map)
-    with open(args.out, "w") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(args.out, report.to_dict())
     params = {"probe_size": args.probe_size, "frames": len(pred_frames)}
     _write_manifest("eval-video", args.out, args.seed,
                     {"pred_dir": args.pred_dir, "gt_dir": args.gt_dir}, params, [args.out])
 
 
 def _cmd_peak(args):
-    _require_inputs(args.env)
     env = _load_env(args.env)
     direction = peak_direction(env, percentile=args.percentile)
     result = {"direction": [float(v) for v in direction]}
-    text = json.dumps(result, sort_keys=True)
+    text = _json_text(result)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -310,7 +303,6 @@ def _cmd_peak(args):
 
 
 def _cmd_rotate(args):
-    _require_inputs(args.env)
     env = _load_env(args.env)
     rotated = rotate_env(env, args.yaw)
     write_pfm(args.out, rotated.data)
@@ -425,8 +417,6 @@ def _peek_config(argv) -> dict:
             path = tok.split("=", 1)[1]
         else:
             continue
-        if not Path(path).is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
         with open(path) as f:
             cfg = json.load(f)
         if not isinstance(cfg, dict):

@@ -19,6 +19,13 @@ from .tonemap import DualToneMaps, tonemap_ldr, tonemap_log, quantize8
 WIDTHS = (6, 64, 64, 64, 64, 3)
 LEAKY_SLOPE = 0.01
 
+# training constants (no command or workload varies them)
+HUBER_DELTA = 1.0
+LR_MIN = 1e-5  # end of the cosine decay
+INTENSITY_RANGE = (1e-3, 1e4)  # radiance range of the synthetic training pairs
+EXPOSURE_RANGE = (0.25, 4.0)
+TRAIN_DTYPE = np.float32
+
 # structured init: hinge kinks per input channel; the log channels carry the
 # exponential branch and get the denser basis
 _KINKS_PER_INPUT = (6, 6, 6, 14, 14, 14)
@@ -169,7 +176,7 @@ def _backward(net: FusionNet, pre, acts, dout):
     return grads_w, grads_b
 
 
-def huber_loss(pred, target, delta: float = 1.0):
+def huber_loss(pred, target, delta: float = HUBER_DELTA):
     """Elementwise Huber loss: quadratic inside delta, linear outside."""
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -179,7 +186,7 @@ def huber_loss(pred, target, delta: float = 1.0):
 
 
 def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool = True,
-                          intensity_range=(1e-3, 1e4), exposure_range=(0.25, 4.0)):
+                          intensity_range=INTENSITY_RANGE, exposure_range=EXPOSURE_RANGE):
     """Synthetic supervised pairs: ((ldr, log) inputs, hdr targets).
 
     Radiance is drawn log-uniformly over the intensity range as a shared
@@ -211,56 +218,46 @@ class TrainConfig:
     learning_rate: float = 1e-2
     batch_size: int = 2048
     steps: int = 25000
-    huber_delta: float = 1.0
     seed: int = 0
     warmup_steps: int = 500
     hold_steps: int = 4000
-    lr_min: float = 1e-5
     pool_size: int = 2_000_000
     quantize: bool = True
-    intensity_range: tuple = (1e-3, 1e4)
-    exposure_range: tuple = (0.25, 4.0)
     init: str = "structured"  # or "uniform"
-    dtype: type = np.float32
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
-        if self.huber_delta <= 0:
-            raise ValueError("huber delta must be positive")
         if self.init not in ("structured", "uniform"):
             raise ValueError(f"unknown init {self.init!r}")
 
 
 def _lr_at(cfg: TrainConfig, t: int) -> float:
-    """Warmup, hold, then cosine decay to lr_min."""
+    """Warmup, hold, then cosine decay to LR_MIN."""
     if t <= cfg.warmup_steps:
         return cfg.learning_rate * t / max(cfg.warmup_steps, 1)
     if t <= cfg.hold_steps:
         return cfg.learning_rate
     f = (t - cfg.hold_steps) / max(cfg.steps - cfg.hold_steps, 1)
-    return cfg.lr_min + 0.5 * (cfg.learning_rate - cfg.lr_min) * (1.0 + np.cos(np.pi * f))
+    return LR_MIN + 0.5 * (cfg.learning_rate - LR_MIN) * (1.0 + np.cos(np.pi * f))
 
 
 def train_fusion(cfg: TrainConfig, data=None):
-    """Train a fusion net; returns (net, final mean Huber loss).
+    """Train a fusion net; returns (net, final mean Huber loss or None if no step ran).
 
     `data` may supply a fixed (ldr, log, hdr) pool; by default a pool of
     cfg.pool_size synthetic pairs is drawn from cfg.seed + 1. Batches cycle
     through the pool in order, so identical configs give bit-identical nets.
     Raises RuntimeError with the step index if the loss goes non-finite.
     """
-    dtype = cfg.dtype
+    dtype = TRAIN_DTYPE
     if cfg.init == "structured":
         net = init_structured(cfg.seed, dtype=dtype, quantize=cfg.quantize)
     else:
         net = init_uniform(cfg.seed, dtype=dtype)
     if data is None:
         rng = np.random.default_rng(cfg.seed + 1)
-        data = sample_training_pairs(
-            rng, cfg.pool_size, quantize=cfg.quantize,
-            intensity_range=cfg.intensity_range, exposure_range=cfg.exposure_range,
-        )
+        data = sample_training_pairs(rng, cfg.pool_size, quantize=cfg.quantize)
     ldr, log, hdr = data
     x_pool = np.ascontiguousarray(np.concatenate([ldr, log], axis=1), dtype=dtype)
     y_pool = np.ascontiguousarray(hdr, dtype=dtype)
@@ -276,9 +273,9 @@ def train_fusion(cfg: TrainConfig, data=None):
     m_b = [np.zeros_like(b) for b in net.biases]
     v_b = [np.zeros_like(b) for b in net.biases]
     beta1, beta2, eps = 0.9, 0.999, dtype(1e-8)
-    delta = dtype(cfg.huber_delta)
+    delta = dtype(HUBER_DELTA)
     offset = 0
-    loss = np.float64(np.nan)
+    loss = None
     for t in range(1, cfg.steps + 1):
         # fold bias correction into the step size
         lr_t = dtype(_lr_at(cfg, t) * np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t))
@@ -302,7 +299,7 @@ def train_fusion(cfg: TrainConfig, data=None):
                 v += dtype(1.0 - beta2) * g * g
                 p -= lr_t * m / (np.sqrt(v) + eps)
         if t == cfg.steps or t % 500 == 0:
-            loss = float(np.mean(huber_loss(err, 0.0, cfg.huber_delta)))
+            loss = float(np.mean(huber_loss(err, 0.0)))
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged at step {t} (loss {loss})")
     return net, loss

@@ -10,6 +10,7 @@ byte-deterministic: fixed filter choice and zlib level, plus an sRGB chunk.
 
 import os
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -133,10 +134,13 @@ def _read_rgbe_scanline(buf: bytes, pos: int, out: np.ndarray) -> int:
                     pos += count
                     x += count
         return pos
-    # flat scanline (old-style runs unsupported beyond repetition-free data)
+    # flat scanline; old-style RLE marks a run with an (1, 1, 1, n) pixel,
+    # which a normalised RGBE encoder never writes, so reject it
     need = width * 4
-    flat = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
-    out[:] = flat.reshape(width, 4)
+    flat = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos).reshape(width, 4)
+    if (flat[:, :3] == 1).all(axis=1).any():
+        raise ValueError("old-style RLE HDR scanlines are not supported")
+    out[:] = flat
     return pos + need
 
 
@@ -242,13 +246,17 @@ def read_png(path):
     if width is None:
         raise ValueError("PNG missing IHDR")
     channels = {0: 1, 2: 3, 6: 4}[color_type]
+    stride = width * channels
+    size = height * (stride + 1)
+    # inflate one byte past the declared size at most, so a small stream
+    # that expands hugely is rejected without being inflated in full
+    inflater = zlib.decompressobj()
     try:
-        decoded = zlib.decompress(b"".join(idat))
+        decoded = inflater.decompress(b"".join(idat), min(size + 1, sys.maxsize))
     except zlib.error as exc:
         raise ValueError(f"corrupt PNG data: {exc}") from exc
-    stride = width * channels
-    if len(decoded) != height * (stride + 1):
-        raise ValueError("PNG payload size mismatch")
+    if len(decoded) != size or not inflater.eof:
+        raise ValueError("PNG payload size mismatch or truncated stream")
     img = np.empty((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     for y in range(height):

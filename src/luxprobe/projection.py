@@ -92,10 +92,9 @@ def camera_rays(cam: CameraSpec) -> np.ndarray:
     return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
 
 
-def project_perspective(pano, cam: CameraSpec) -> np.ndarray:
-    """Project a panorama (EnvironmentMap or (H, W, 3) array) to a pinhole view."""
-    data = pano.data if isinstance(pano, EnvironmentMap) else np.asarray(pano)
-    return sample_equirect(data, camera_rays(cam))
+def project_perspective(pano: EnvironmentMap, cam: CameraSpec) -> np.ndarray:
+    """The (cam.height, cam.width, 3) pinhole view: the panorama sampled along each pixel's ray."""
+    return sample_equirect(pano.data, camera_rays(cam))
 
 
 def sample_camera(rng: np.random.Generator, ranges: CameraRanges = CameraRanges(),

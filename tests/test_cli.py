@@ -5,7 +5,8 @@ import pytest
 
 from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import EnvironmentMap, rotate_env
-from luxprobe.imgio import read_pfm, read_png, write_pfm
+from luxprobe.fusion import init_uniform, save_fusion_net
+from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
 from luxprobe.metrics import evaluate_sequence
 from conftest import hot_spot_env
 
@@ -177,6 +178,16 @@ class TestRenderProbes:
 
 
 class TestFuseCommands:
+    def test_zero_steps_manifest_is_strict_json(self, tmp_path, capsys):
+        net = tmp_path / "net.bin"
+        assert main(["fuse-train", "--steps", "0", "--out", str(net)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        m = json.loads((tmp_path / "net.bin.manifest.json").read_text(), parse_constant=reject)
+        assert m["parameters"]["final_loss"] is None
+
     def test_train_and_apply(self, tmp_path, env_file):
         net = tmp_path / "net.bin"
         assert main(["fuse-train", "--steps", "300", "--batch", "256",
@@ -215,8 +226,6 @@ class TestDatasetGen:
         assert (out_dir / "sample_0000" / "target_ldr.pfm").is_file()
 
     def test_ldr_png_source_omits_log(self, tmp_path):
-        from luxprobe.imgio import write_png
-
         src = tmp_path / "panos"
         src.mkdir()
         write_png(src / "pano.png", np.clip(smooth_env(16).data / 500.0, 0, 1))
@@ -309,3 +318,91 @@ class TestCliContract:
         main(["rotate", "--env", str(env_file), "--yaw", "45", "--out",
               str(tmp_path / "o.pfm")])
         assert env_file.read_bytes() == before
+
+
+def _argv(command, bad, good, net, out):
+    """Arguments that make `command` read `bad`, with any other input valid."""
+    return {
+        "crop": ["crop", "--pano", bad, "--w", "8", "--h", "6", "--out", out / "c.pfm"],
+        "dataset-gen": ["dataset-gen", "--panos-dir", bad.parent, "--count", "1",
+                        "--w", "8", "--h", "6", "--out-dir", out / "ds"],
+        "tonemap": ["tonemap", "--in", bad, "--out-ldr", out / "l.png",
+                    "--out-log", out / "g.png"],
+        "inverse": ["inverse", "--ldr", bad, "--log", good, "--out", out / "r.pfm"],
+        "fuse-apply": ["fuse-apply", "--net", net, "--ldr", bad, "--log", good,
+                       "--out", out / "f.pfm"],
+        "render-probes": ["render-probes", "--env", bad, "--size", "16",
+                          "--out-prefix", out / "p_"],
+        "eval": ["eval", "--pred", bad, "--gt", good, "--probe-size", "16",
+                 "--out", out / "e.json"],
+        "eval-video": ["eval-video", "--pred-dir", bad.parent, "--gt-dir", good.parent,
+                       "--probe-size", "16", "--out", out / "v.json"],
+        "peak": ["peak", "--env", bad, "--out", out / "k.json"],
+        "rotate": ["rotate", "--env", bad, "--yaw", "90", "--out", out / "o.pfm"],
+    }[command]
+
+
+def _assert_rejected(argv, out, capsys):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []  # no output and no manifest
+
+
+FILE_COMMANDS = ["crop", "dataset-gen", "tonemap", "inverse", "fuse-apply",
+                 "render-probes", "eval", "eval-video", "peak", "rotate"]
+
+
+def _valid_map():
+    """A map every command accepts: in [0, 1] for the dual-pair commands, with a peak."""
+    data = np.full((8, 16, 3), 0.25)
+    data[2, 4] = 0.9
+    return data
+
+
+class TestInputRule:
+    """Every command that reads a file rejects bad input before writing anything."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        good = tmp_path / "good" / "x.pfm"
+        good.parent.mkdir()
+        write_pfm(good, _valid_map())
+        net = tmp_path / "net.bin"
+        save_fusion_net(init_uniform(0, dtype=np.float32), net)
+        out = tmp_path / "out"
+        out.mkdir()
+        return good, net, out
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_valid_input_runs(self, tmp_path, inputs, command):
+        good, net, out = inputs
+        bad = tmp_path / "bad" / "x.pfm"  # the same map: the control for the cases below
+        bad.parent.mkdir()
+        write_pfm(bad, _valid_map())
+        assert main([str(a) for a in _argv(command, bad, good, net, out)]) == 0
+
+    @pytest.mark.parametrize("texel", ["nan", "+inf", "-inf", "missing"])
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_non_finite_or_missing_input_exits_1(self, tmp_path, capsys, inputs, command, texel):
+        good, net, out = inputs
+        bad = tmp_path / "bad" / "x.pfm"
+        if texel != "missing":  # else neither the file nor its directory exists
+            data = _valid_map()
+            data[3, 5, 1] = float(texel)
+            bad.parent.mkdir()
+            write_pfm(bad, data)
+        _assert_rejected(_argv(command, bad, good, net, out), out, capsys)
+
+    @pytest.mark.parametrize("suffix", [".pfm", ".png"])
+    def test_dataset_gen_rejects_non_2to1_panorama(self, tmp_path, capsys, suffix):
+        pano = tmp_path / "panos" / f"x{suffix}"
+        pano.parent.mkdir()
+        (write_pfm if suffix == ".pfm" else write_png)(pano, np.full((8, 12, 3), 0.5))
+        out = tmp_path / "out"
+        out.mkdir()
+        _assert_rejected(["dataset-gen", "--panos-dir", pano.parent, "--count", "1",
+                          "--out-dir", out / "ds"], out, capsys)

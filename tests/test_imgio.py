@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -132,6 +133,17 @@ class TestRadianceHdr:
         assert img[0, 0, 1] == pytest.approx(1.0)  # bottom scanline becomes row 0
         assert img[1, 0, 0] == pytest.approx(1.0)
 
+    def test_old_style_rle_marker_rejected(self, tmp_path):
+        width = 4
+        px = [rgbe_bytes(128, 64, 32, 129)] * width
+        path = tmp_path / "g.hdr"
+        path.write_bytes(self._header(width, 1) + b"".join(px))
+        np.testing.assert_allclose(read_hdr(path)[0], [[1.0, 0.5, 0.25]] * width, atol=1e-7)
+        px[2] = rgbe_bytes(1, 1, 1, 2)  # old-style RLE: repeat the previous pixel twice
+        path.write_bytes(self._header(width, 1) + b"".join(px))
+        with pytest.raises(ValueError, match="old-style RLE"):
+            read_hdr(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.hdr"
         path.write_bytes(b"JUNK\n")
@@ -257,6 +269,40 @@ class TestPng:
         blob[crc_at : crc_at + 4] = struct.pack(">I", zlib.crc32(blob[idat_at:crc_at]))
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="PNG"):
+            read_png(path)
+
+    @staticmethod
+    def _png(path, width, height, color_type, stream):
+        def chunk(tag, body):
+            return (struct.pack(">I", len(body)) + tag + body
+                    + struct.pack(">I", zlib.crc32(tag + body)))
+
+        path.write_bytes(
+            b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0))
+            + chunk(b"IDAT", stream)
+            + chunk(b"IEND", b"")
+        )
+
+    def test_inflate_bomb_rejected_in_bounded_memory(self, tmp_path):
+        deflate = zlib.compressobj(9)
+        block = bytes(1 << 20)
+        stream = b"".join(deflate.compress(block) for _ in range(100)) + deflate.flush()
+        path = tmp_path / "bomb.png"
+        self._png(path, 1, 1, 2, stream)  # 1x1 RGB needs 4 bytes; this inflates to 100 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="size mismatch"):
+                read_png(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_huge_declared_size_rejected(self, tmp_path):
+        path = tmp_path / "huge.png"
+        self._png(path, 2**32 - 1, 2**32 - 1, 6, zlib.compress(b"abc"))
+        with pytest.raises(ValueError, match="size mismatch"):
             read_png(path)
 
     def test_bad_chunk_crc_rejected(self, tmp_path, rng):
