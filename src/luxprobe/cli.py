@@ -224,11 +224,10 @@ def _cmd_fuse_train(args):
     )
     net, loss = fusion.train_fusion(cfg)
     fusion.save_fusion_net(net, args.out)
-    outputs = [args.out, str(args.out) + ".layers.txt"]
     params = {"steps": cfg.steps, "batch": cfg.batch_size, "lr": cfg.learning_rate,
               "quantize": cfg.quantize, "init": cfg.init,
               "final_loss": loss}
-    _write_manifest("fuse-train", args.out, args.seed, {}, params, outputs)
+    _write_manifest("fuse-train", args.out, args.seed, {}, params, [args.out])
     print("final loss", "none (no step ran)" if loss is None else f"{loss:.6f}")
 
 

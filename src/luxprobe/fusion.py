@@ -17,6 +17,7 @@ from .envmap import EnvironmentMap
 from .tonemap import DualToneMaps, tonemap_ldr, tonemap_log, quantize8
 
 WIDTHS = (6, 64, 64, 64, 64, 3)
+N_PARAMS = sum(fi * fo + fo for fi, fo in zip(WIDTHS[:-1], WIDTHS[1:]))
 LEAKY_SLOPE = 0.01
 
 # training constants (no command or workload varies them)
@@ -32,29 +33,43 @@ _KINKS_PER_INPUT = (6, 6, 6, 14, 14, 14)
 _KINK_GAIN = 8.0
 
 
-@dataclass
+def _flatten(weights, biases) -> np.ndarray:
+    """One vector of layer arrays in file order: w0, b0, ..., w4, b4."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+def _layer_views(params: np.ndarray):
+    """(weights, biases) as views into a parameter vector in file order."""
+    weights, biases = [], []
+    pos = 0
+    for fi, fo in zip(WIDTHS[:-1], WIDTHS[1:]):
+        weights.append(params[pos : pos + fi * fo].reshape(fi, fo))
+        pos += fi * fo
+        biases.append(params[pos : pos + fo])
+        pos += fo
+    return weights, biases
+
+
 class FusionNet:
-    """Weights and biases of the fusion MLP (5 affine layers)."""
+    """The fusion MLP's parameters, copied into one vector `params` in file order.
 
-    weights: list
-    biases: list
+    `weights` and `biases` are views into `params`: writing a layer writes it.
+    """
 
-    def __post_init__(self):
-        if len(self.weights) != len(WIDTHS) - 1 or len(self.biases) != len(WIDTHS) - 1:
+    def __init__(self, weights: list, biases: list):
+        if len(weights) != len(WIDTHS) - 1 or len(biases) != len(WIDTHS) - 1:
             raise ValueError(f"expected {len(WIDTHS) - 1} layers")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape != (WIDTHS[i], WIDTHS[i + 1]) or b.shape != (WIDTHS[i + 1],):
                 raise ValueError(f"layer {i} has shape {w.shape}/{b.shape}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i} contains non-finite parameters")
-
-    @property
-    def widths(self):
-        return WIDTHS
+        self.params = _flatten(weights, biases)
+        self.weights, self.biases = _layer_views(self.params)
 
     @property
     def dtype(self):
-        return self.weights[0].dtype
+        return self.params.dtype
 
 
 def _leaky(z):
@@ -121,9 +136,7 @@ def init_structured(seed: int, dtype=np.float64, quantize: bool = True) -> Fusio
 
     design_rng = np.random.default_rng(seed + 101)
     ldr, log, hdr = sample_training_pairs(design_rng, 32768, quantize=quantize)
-    h = np.concatenate([ldr, log], axis=1)
-    for w, b in zip(weights, biases):
-        h = _leaky(h @ w + b)
+    h = _hidden(weights, biases, np.concatenate([ldr, log], axis=1))
     phi = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
     lam = 1e-3 * phi.shape[0]
     gram = phi.T @ phi + lam * np.eye(phi.shape[1])
@@ -147,6 +160,15 @@ def _forward(net: FusionNet, x: np.ndarray):
     return pre, acts
 
 
+def _hidden(weights, biases, h):
+    """The hidden layers for inference: only the current activation stays live."""
+    for w, b in zip(weights, biases):
+        h = h @ w
+        h += b
+        h = _leaky(h)
+    return h
+
+
 def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     """Predict HDR RGB from a dual-tonemapped pair; accepts (3,) or (N, 3)."""
     ldr = np.asarray(ldr_rgb, dtype=net.dtype)
@@ -155,8 +177,8 @@ def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     x = np.concatenate([np.atleast_2d(ldr), np.atleast_2d(log)], axis=1)
     if not ((x >= 0.0) & (x <= 1.0)).all():
         raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
-    _, acts = _forward(net, x)
-    out = acts[-1]
+    h = _hidden(net.weights[:-1], net.biases[:-1], x)
+    out = _softplus(h @ net.weights[-1] + net.biases[-1])
     return out[0] if single else out
 
 
@@ -268,10 +290,8 @@ def train_fusion(cfg: TrainConfig, data=None):
         y_pool = np.tile(y_pool, (reps, 1))
         pool = x_pool.shape[0]
 
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    m = np.zeros_like(net.params)
+    v = np.zeros_like(net.params)
     beta1, beta2, eps = 0.9, 0.999, dtype(1e-8)
     delta = dtype(HUBER_DELTA)
     offset = 0
@@ -287,17 +307,12 @@ def train_fusion(cfg: TrainConfig, data=None):
         pre, acts = _forward(net, x)
         err = acts[-1] - y
         dout = np.clip(err, -delta, delta) / dtype(err.size)
-        grads_w, grads_b = _backward(net, pre, acts, dout)
-        for i in range(len(net.weights)):
-            for g, p, m, v in (
-                (grads_w[i], net.weights[i], m_w[i], v_w[i]),
-                (grads_b[i], net.biases[i], m_b[i], v_b[i]),
-            ):
-                m *= dtype(beta1)
-                m += dtype(1.0 - beta1) * g
-                v *= dtype(beta2)
-                v += dtype(1.0 - beta2) * g * g
-                p -= lr_t * m / (np.sqrt(v) + eps)
+        g = _flatten(*_backward(net, pre, acts, dout))
+        m *= dtype(beta1)
+        m += dtype(1.0 - beta1) * g
+        v *= dtype(beta2)
+        v += dtype(1.0 - beta2) * g * g
+        net.params -= lr_t * m / (np.sqrt(v) + eps)
         if t == cfg.steps or t % 500 == 0:
             loss = float(np.mean(huber_loss(err, 0.0)))
             if not np.isfinite(loss):
@@ -315,48 +330,32 @@ def fuse_image(net: FusionNet, maps: DualToneMaps) -> EnvironmentMap:
 
 
 # ---------------------------------------------------------------------------
-# serialization: 16-byte header + flat little-endian float32 params, plus a
-# sidecar text manifest of layer widths
+# serialization: a 16-byte header (magic, version, layer count, 0), then
+# `params` as little-endian float32; the widths are WIDTHS, so a
+# `.layers.txt` sidecar left by older versions is ignored
 
 _MAGIC = b"LXFN"
 _VERSION = 1
 
 
 def save_fusion_net(net: FusionNet, path) -> None:
-    path = str(path)
-    blobs = []
-    for w, b in zip(net.weights, net.biases):
-        blobs.append(w.astype("<f4").tobytes())
-        blobs.append(b.astype("<f4").tobytes())
-    header = _MAGIC + np.array([_VERSION, len(net.weights), 0], dtype="<u4").tobytes()
+    header = _MAGIC + np.array([_VERSION, len(WIDTHS) - 1, 0], dtype="<u4").tobytes()
     with open(path, "wb") as f:
         f.write(header)
-        f.write(b"".join(blobs))
-    with open(path + ".layers.txt", "w") as f:
-        f.write(" ".join(str(w) for w in net.widths) + "\n")
+        f.write(net.params.astype("<f4").tobytes())
 
 
 def load_fusion_net(path) -> FusionNet:
-    path = str(path)
-    with open(path + ".layers.txt") as f:
-        widths = tuple(int(tok) for tok in f.read().split())
-    if widths != WIDTHS:
-        raise ValueError(f"unsupported layer widths {widths}")
     with open(path, "rb") as f:
         header = f.read(16)
-        if header[:4] != _MAGIC:
-            raise ValueError("not a fusion net file")
-        version, n_layers, _ = np.frombuffer(header[4:], dtype="<u4")
-        if version != _VERSION or n_layers != len(WIDTHS) - 1:
-            raise ValueError(f"unsupported fusion net file (v{version}, {n_layers} layers)")
-        params = np.frombuffer(f.read(), dtype="<f4")
-    weights, biases = [], []
-    pos = 0
-    for fi, fo in zip(WIDTHS[:-1], WIDTHS[1:]):
-        weights.append(params[pos : pos + fi * fo].reshape(fi, fo).astype(np.float32))
-        pos += fi * fo
-        biases.append(params[pos : pos + fo].astype(np.float32))
-        pos += fo
-    if pos != params.size:
-        raise ValueError("fusion net file has trailing or missing parameters")
-    return FusionNet(weights, biases)
+        body = f.read(4 * N_PARAMS + 1)  # one byte past the end shows trailing data
+    if len(header) < 16 or header[:4] != _MAGIC:
+        raise ValueError("not a fusion net file")
+    version, n_layers, _ = np.frombuffer(header[4:], dtype="<u4")
+    if version != _VERSION or n_layers != len(WIDTHS) - 1:
+        raise ValueError(f"unsupported fusion net file (v{version}, {n_layers} layers)")
+    if len(body) != 4 * N_PARAMS:
+        raise ValueError(f"fusion net file has trailing or missing parameters "
+                         f"({len(body)} bytes, expected {4 * N_PARAMS})")
+    params = np.frombuffer(body, dtype="<f4").astype(np.float32)
+    return FusionNet(*_layer_views(params))

@@ -32,6 +32,8 @@ class CameraSpec:
             raise ValueError(f"fov must be in (0, 180), got {self.fov}")
         if not abs(self.elevation) < 90.0:
             raise ValueError(f"|elevation| must be < 90, got {self.elevation}")
+        if not np.isfinite(self.azimuth):
+            raise ValueError(f"azimuth must be finite, got {self.azimuth}")
         self.azimuth = float(self.azimuth) % 360.0
         if self.width <= 0 or self.height <= 0:
             raise ValueError("output size must be positive")
@@ -67,29 +69,24 @@ def _rotation(cam: CameraSpec) -> np.ndarray:
     return yaw @ pitch
 
 
-def pixel_ray(cam: CameraSpec, col: float, row: float) -> np.ndarray:
-    """World-space unit ray through a continuous image coordinate.
+def pixel_ray(cam: CameraSpec, col, row) -> np.ndarray:
+    """World-space unit ray(s) through continuous image coordinates.
 
     Pixel centers sit at integer + 0.5; (0, 0) is the top-left image corner,
-    so col = 0 is the exact left edge of the view.
+    so col = 0 is the exact left edge of the view. `col` and `row` broadcast:
+    scalars give one (3,) ray, arrays give rays of their broadcast shape + (3,).
     """
     half = np.tan(np.deg2rad(cam.fov) / 2.0)
     u = (2.0 * col / cam.width - 1.0) * half
     v = (1.0 - 2.0 * row / cam.height) * half * cam.height / cam.width
-    ray = np.array([u, v, -1.0])
-    ray = _rotation(cam) @ ray
-    return ray / np.linalg.norm(ray)
+    u, v = np.broadcast_arrays(u, v)
+    rays = np.stack([u, v, -np.ones_like(u)], axis=-1) @ _rotation(cam).T
+    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
 
 
 def camera_rays(cam: CameraSpec) -> np.ndarray:
     """(H, W, 3) unit rays through every pixel center."""
-    half = np.tan(np.deg2rad(cam.fov) / 2.0)
-    cols = (2.0 * (np.arange(cam.width) + 0.5) / cam.width - 1.0) * half
-    rows = (1.0 - 2.0 * (np.arange(cam.height) + 0.5) / cam.height) * half * cam.height / cam.width
-    u, v = np.meshgrid(cols, rows)
-    rays = np.stack([u, v, -np.ones_like(u)], axis=-1)
-    rays = rays @ _rotation(cam).T
-    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+    return pixel_ray(cam, np.arange(cam.width) + 0.5, (np.arange(cam.height) + 0.5)[:, None])
 
 
 def project_perspective(pano: EnvironmentMap, cam: CameraSpec) -> np.ndarray:

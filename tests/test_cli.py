@@ -192,7 +192,7 @@ class TestFuseCommands:
         net = tmp_path / "net.bin"
         assert main(["fuse-train", "--steps", "300", "--batch", "256",
                      "--out", str(net), "--seed", "7"]) == 0
-        assert net.is_file() and (tmp_path / "net.bin.layers.txt").is_file()
+        assert net.is_file() and not (tmp_path / "net.bin.layers.txt").exists()
         ldr, log = tmp_path / "l.png", tmp_path / "g.png"
         main(["tonemap", "--in", str(env_file), "--out-ldr", str(ldr), "--out-log", str(log)])
         out = tmp_path / "fused.pfm"
@@ -396,6 +396,12 @@ class TestInputRule:
             bad.parent.mkdir()
             write_pfm(bad, data)
         _assert_rejected(_argv(command, bad, good, net, out), out, capsys)
+
+    @pytest.mark.parametrize("az", ["nan", "inf", "-inf"])
+    def test_crop_rejects_non_finite_azimuth(self, capsys, inputs, az):
+        good, _, out = inputs
+        _assert_rejected(["crop", "--pano", good, f"--az={az}", "--w", "8", "--h", "6",
+                          "--out", out / "c.pfm"], out, capsys)
 
     @pytest.mark.parametrize("suffix", [".pfm", ".png"])
     def test_dataset_gen_rejects_non_2to1_panorama(self, tmp_path, capsys, suffix):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from luxprobe.envmap import EnvironmentMap
 from luxprobe.fusion import (
+    WIDTHS,
     FusionNet,
     TrainConfig,
     _backward,
@@ -17,7 +20,7 @@ from luxprobe.fusion import (
     save_fusion_net,
     train_fusion,
 )
-from luxprobe.tonemap import inverse_rule, tonemap_dual
+from luxprobe.tonemap import DualToneMaps, inverse_rule, tonemap_dual
 
 
 def zero_net():
@@ -55,6 +58,16 @@ class TestForward:
             np.testing.assert_allclose(
                 fusion_forward(net, ldr[i], log[i]), batch[i], atol=1e-12
             )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_training_forward_bit_for_bit(self, rng, dtype):
+        net = init_structured(2, dtype=dtype)
+        ldr, log, _ = sample_training_pairs(rng, 300)
+        x = np.concatenate([ldr, log], axis=1).astype(dtype)
+        np.testing.assert_array_equal(fusion_forward(net, ldr, log), _forward(net, x)[1][-1])
+        single = fusion_forward(net, ldr[7], log[7])
+        assert single.shape == (3,) and single.dtype == dtype
+        np.testing.assert_array_equal(single, _forward(net, x[7:8])[1][-1][0])
 
     def test_rejects_out_of_range_inputs(self):
         for bad in (1.5, np.nan):
@@ -200,12 +213,25 @@ class TestTraining:
 class TestFuseImage:
     def test_constant_maps_give_constant_output(self):
         net = init_uniform(1)
-        from luxprobe.tonemap import DualToneMaps
-
         maps = DualToneMaps(ldr=np.full((4, 8, 3), 0.25), log=np.full((4, 8, 3), 0.5))
         out = fuse_image(net, maps)
         assert out.data.shape == (4, 8, 3)
         assert (out.data == out.data[0, 0]).all()
+
+    def test_peak_memory_keeps_no_activations(self):
+        # inference holds the current hidden activation and its temporaries,
+        # not the per-layer pre-activations and activations backprop needs
+        net = init_uniform(1, dtype=np.float32)
+        h, w = 64, 128
+        maps = DualToneMaps(ldr=np.full((h, w, 3), 0.25), log=np.full((h, w, 3), 0.5))
+        hidden = h * w * WIDTHS[1] * 4  # bytes of one float32 hidden-layer array
+        tracemalloc.start()
+        try:
+            fuse_image(net, maps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * hidden, f"peak {peak / hidden:.2f} hidden-layer arrays"
 
     def test_shape_preserved(self, rng):
         net = init_uniform(1)
@@ -224,6 +250,41 @@ class TestSerialization:
             assert (a == b).all()
         for a, b in zip(net.biases, loaded.biases):
             assert (a == b).all()
+
+    def test_save_writes_no_sidecar(self, tmp_path):
+        path = tmp_path / "net.bin"
+        save_fusion_net(init_uniform(0, dtype=np.float32), path)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_older_file_with_stale_sidecar_loads(self, tmp_path):
+        # files of earlier versions: the same bytes, plus a widths sidecar
+        # that the loader no longer reads
+        net = init_structured(4, dtype=np.float32)
+        path = tmp_path / "net.bin"
+        header = b"LXFN" + np.array([1, 5, 0], dtype="<u4").tobytes()
+        body = b"".join(w.astype("<f4").tobytes() + b.astype("<f4").tobytes()
+                        for w, b in zip(net.weights, net.biases))
+        path.write_bytes(header + body)
+        (tmp_path / "net.bin.layers.txt").write_text("6 32 3\n")
+        loaded = load_fusion_net(path)
+        assert loaded.params.tobytes() == net.params.tobytes()
+
+    @pytest.mark.parametrize("version, n_layers", [(2, 5), (0, 5), (1, 4), (1, 6)])
+    def test_wrong_version_or_layer_count_rejected(self, tmp_path, version, n_layers):
+        path = tmp_path / "net.bin"
+        save_fusion_net(init_uniform(0, dtype=np.float32), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + np.array([version, n_layers], dtype="<u4").tobytes()
+                         + blob[12:])
+        with pytest.raises(ValueError, match="unsupported"):
+            load_fusion_net(path)
+
+    def test_trailing_parameters_rejected(self, tmp_path):
+        path = tmp_path / "net.bin"
+        save_fusion_net(init_uniform(0, dtype=np.float32), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(ValueError, match="parameters"):
+            load_fusion_net(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "net.bin"

@@ -3,7 +3,9 @@
 Each reader gets arbitrary bytes, bytes behind its format's magic, and
 mutated valid files; PNG also gets well-formed chunk streams (valid CRCs)
 with arbitrary chunk bodies, so the fuzzer reaches the IHDR, zlib and
-unfilter code behind the CRC check.
+unfilter code behind the CRC check. The fusion net loader, which reads the
+`--net` file, gets bytes behind its magic and mutated valid nets and must
+return a FusionNet or raise ValueError.
 """
 
 import struct
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from luxprobe.fusion import N_PARAMS, FusionNet, init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_hdr, read_pfm, read_png
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -170,3 +173,37 @@ def test_png_bytes_after_signature(fuzz_path, blob):
 def test_png_chunk_streams_with_valid_crcs(fuzz_path, chunks):
     blob = b"\x89PNG\r\n\x1a\n" + b"".join(_chunk(tag, body) for tag, body in chunks)
     assert_decodes_or_value_error(read_png, blob, fuzz_path)
+
+
+@pytest.fixture(scope="module")
+def net_seed(tmp_path_factory):
+    path = tmp_path_factory.mktemp("net") / "net.bin"
+    save_fusion_net(init_uniform(0, dtype=np.float32), path)
+    return path.read_bytes()
+
+
+def assert_net_or_value_error(blob, path):
+    path.write_bytes(blob)
+    try:
+        net = load_fusion_net(path)
+    except ValueError:
+        return
+    assert isinstance(net, FusionNet)
+    assert net.params.shape == (N_PARAMS,) and np.isfinite(net.params).all()
+
+
+def test_net_seed_loads(fuzz_path, net_seed):
+    fuzz_path.write_bytes(net_seed)
+    assert isinstance(load_fusion_net(fuzz_path), FusionNet)
+
+
+@FUZZ
+@given(blob=st.binary(max_size=256))
+def test_net_bytes_after_magic(fuzz_path, blob):
+    assert_net_or_value_error(b"LXFN" + blob, fuzz_path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_net_mutated_valid_file(fuzz_path, net_seed, data):
+    assert_net_or_value_error(data.draw(mutated(net_seed)), fuzz_path)

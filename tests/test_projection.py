@@ -33,6 +33,9 @@ class TestCameraSpec:
             CameraSpec(azimuth=0, elevation=0, fov=180)
         with pytest.raises(ValueError, match="elevation"):
             CameraSpec(azimuth=0, elevation=90, fov=60)
+        for az in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="azimuth"):
+                CameraSpec(azimuth=az, elevation=0, fov=60)
 
     def test_azimuth_normalized(self):
         assert CameraSpec(azimuth=370.0, elevation=0, fov=60).azimuth == 10.0
