@@ -24,11 +24,6 @@ from . import fusion, metrics, probes, projection, tonemap
 from .envmap import EnvironmentMap, peak_direction, rotate_env
 from .imgio import read_hdr, read_pfm, read_png, write_pfm, write_png
 
-COMMANDS = (
-    "crop", "dataset-gen", "tonemap", "inverse", "fuse-train", "fuse-apply",
-    "render-probes", "eval", "eval-video", "peak", "rotate",
-)
-
 
 def thread_limit() -> int:
     """eval-video pool size from LUXPROBE_THREADS (0 or unset = one per CPU)."""
@@ -141,14 +136,13 @@ def _cmd_dataset_gen(args):
         names.append(p.name)
     if not sources:
         raise ValueError(f"no panoramas (*.pfm, *.hdr, *.png) in {src_dir}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     samples = projection.dataset_gen(
-        sources, rng, args.count, video=args.video_frames > 1,
-        frame_count=max(args.video_frames, 1),
+        sources, rng, args.count, frame_count=args.video_frames,
         crop_width=args.w, crop_height=args.h,
     )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     records = []
     for i, sample in enumerate(samples):
@@ -222,7 +216,8 @@ def _cmd_fuse_train(args):
         seed=args.seed, steps=args.steps, batch_size=args.batch,
         learning_rate=args.lr, quantize=not args.no_quantize, init=args.init,
     )
-    net, loss = fusion.train_fusion(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises on its own
+        net, loss = fusion.train_fusion(cfg)
     fusion.save_fusion_net(net, args.out)
     params = {"steps": cfg.steps, "batch": cfg.batch_size, "lr": cfg.learning_rate,
               "quantize": cfg.quantize, "init": cfg.init,
@@ -312,7 +307,7 @@ def _cmd_rotate(args):
 # ---------------------------------------------------------------------------
 # parser plumbing
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luxprobe",
         description="HDR lighting toolkit: tonemapping, fusion, probes, metrics",
@@ -396,40 +391,58 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--env", required=True)
     p.add_argument("--yaw", type=float, required=True)
     p.add_argument("--out", required=True)
-
-    if config:
-        normalized = {k.replace("-", "_"): v for k, v in config.items()}
-        for sub_parser in sub.choices.values():
-            for action in sub_parser._actions:
-                if action.dest in normalized:
-                    action.default = normalized[action.dest]
-                    action.required = False
     return parser
 
 
-def _peek_config(argv) -> dict:
-    """Extract --config before the real parse so its values become defaults."""
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
+def _with_config(parser, argv) -> list:
+    """`argv` with the values of its --config file as --flag=value tokens, put right
+    after the subcommand so that they parse like flags and explicit flags win.
+
+    Config keys are flag names (`-` or `_`); keys that name no flag of the
+    subcommand are ignored. A store_true flag takes true or false, any other
+    flag a string or a number (written as its JSON text).
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
+    if at is None or argv[at] not in sub.choices:
+        return argv  # argparse reports it
+    path = None  # the last --config wins, as in argparse
+    for tok, nxt in zip(argv[at + 1:], argv[at + 2:] + [None]):
+        if tok == "--config":
+            path = nxt
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
-        else:
+    if path is None:
+        return argv
+    with open(path) as f:
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    sub_parser = sub.choices[argv[at]]
+    flags = {a.dest: a for a in sub_parser._actions if a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in config.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             continue
-        with open(path) as f:
-            cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        return cfg
-    return {}
+        flag = action.option_strings[-1]
+        on_off = isinstance(action, argparse._StoreTrueAction)
+        if on_off != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            kind = "true or false" if on_off else "a string or a number"
+            sub_parser.error(f"argument {flag}: config value must be {kind}, "
+                             f"got {json.dumps(value)}")
+        if not on_off:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+        elif value:
+            tokens.append(flag)
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _peek_config(argv)
-        parser = _build_parser(config)
-        args = parser.parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(_with_config(parser, argv))
         thread_limit()  # validate the env var before any work
         args.func(args)
         return 0

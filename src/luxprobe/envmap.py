@@ -52,29 +52,6 @@ class EnvironmentMap:
         return cls(data)
 
 
-@dataclass
-class DirectionMap:
-    """Per-pixel unit direction grid, same layout as EnvironmentMap."""
-
-    directions: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.directions)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"direction map must be (H, W, 3), got {arr.shape}")
-        if arr.shape[1] != 2 * arr.shape[0]:
-            raise ValueError("width must equal 2*height")
-        self.directions = arr
-
-    @property
-    def height(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.directions.shape[1]
-
-
 def _dirs_from_angles(theta, phi):
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=np.float64), phi)
     sin_t = np.sin(theta)
@@ -94,11 +71,11 @@ def pixel_to_direction(col: int, row: int, width: int, height: int) -> np.ndarra
     return _dirs_from_angles(np.float64(theta), np.float64(phi))
 
 
-def grid_directions(width: int, height: int, yaw_deg: float = 0.0) -> np.ndarray:
-    """(H, W, 3) array of pixel-center directions, optional azimuth offset."""
+def grid_directions(width: int, height: int) -> np.ndarray:
+    """(H, W, 3) array of pixel-center directions."""
     cols = np.arange(width, dtype=np.float64)
     rows = np.arange(height, dtype=np.float64)
-    phi = 2.0 * np.pi * (cols + 0.5) / width - np.pi + np.deg2rad(yaw_deg)
+    phi = 2.0 * np.pi * (cols + 0.5) / width - np.pi
     theta = np.pi * (rows + 0.5) / height
     return _dirs_from_angles(theta[:, None], phi[None, :])
 
@@ -146,14 +123,6 @@ def _polar_cosines(height: int) -> np.ndarray:
     return c
 
 
-def solid_angle(row: int, width: int, height: int) -> float:
-    """Solid angle (sr) of one pixel in the given row; equal across columns."""
-    if not 0 <= row < height:
-        raise ValueError(f"row {row} outside [0, {height})")
-    c = _polar_cosines(height)
-    return (2.0 * np.pi / width) * (c[row] - c[row + 1])
-
-
 def solid_angle_rows(width: int, height: int) -> np.ndarray:
     """Per-row pixel solid angles, shape (height,)."""
     c = _polar_cosines(height)
@@ -198,6 +167,8 @@ def rotate_env(env: EnvironmentMap, yaw_deg: float) -> EnvironmentMap:
     """
     width = env.width
     shift = yaw_deg * width / 360.0
+    if not np.isfinite(shift):
+        raise ValueError(f"yaw must be finite with a finite column shift, got {yaw_deg}")
     k = round(shift)
     if abs(shift - k) < 1e-9:
         return EnvironmentMap(np.roll(env.data, -int(k) % width, axis=1))
@@ -208,21 +179,6 @@ def rotate_env(env: EnvironmentMap, yaw_deg: float) -> EnvironmentMap:
     lo = env.data[:, i0]
     data = lo + t * (env.data[:, i1] - lo)
     return EnvironmentMap(data)
-
-
-def gen_direction_map(width: int, height: int, yaw_deg: float = 0.0) -> DirectionMap:
-    """Direction map with an azimuthal offset, the conditioning-grid encoding.
-
-    Grid-aligned yaw reduces to an exact column roll of the yaw-0 map.
-    """
-    if width != 2 * height:
-        raise ValueError("width must equal 2*height")
-    shift = yaw_deg * width / 360.0
-    k = round(shift)
-    if abs(shift - k) < 1e-9:
-        base = grid_directions(width, height)
-        return DirectionMap(np.roll(base, -int(k) % width, axis=1))
-    return DirectionMap(grid_directions(width, height, yaw_deg=yaw_deg))
 
 
 def peak_direction(env: EnvironmentMap, percentile: float = 0.999) -> np.ndarray:

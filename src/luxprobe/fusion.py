@@ -208,7 +208,7 @@ def huber_loss(pred, target, delta: float = HUBER_DELTA):
 
 
 def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool = True,
-                          intensity_range=INTENSITY_RANGE, exposure_range=EXPOSURE_RANGE):
+                          intensity_range=INTENSITY_RANGE):
     """Synthetic supervised pairs: ((ldr, log) inputs, hdr targets).
 
     Radiance is drawn log-uniformly over the intensity range as a shared
@@ -224,7 +224,7 @@ def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool =
     base = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
     jitter = 2.0 ** rng.uniform(-1.0, 1.0, size=(count, 3))
     exposure = np.exp(
-        rng.uniform(np.log(exposure_range[0]), np.log(exposure_range[1]), size=count)
+        rng.uniform(np.log(EXPOSURE_RANGE[0]), np.log(EXPOSURE_RANGE[1]), size=count)
     )
     hdr = np.clip(base[:, None] * jitter * exposure[:, None], lo, hi)
     ldr = tonemap_ldr(hdr)
@@ -248,8 +248,12 @@ class TrainConfig:
     init: str = "structured"  # or "uniform"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.init not in ("structured", "uniform"):
             raise ValueError(f"unknown init {self.init!r}")
 

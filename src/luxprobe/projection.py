@@ -16,6 +16,11 @@ from .tonemap import apply_display_tonemap, auto_expose, quantize8, tonemap_ldr,
 DEFAULT_CROP_WIDTH = 720
 DEFAULT_CROP_HEIGHT = 480
 
+# uniform sampling ranges (degrees) of randomized cameras
+AZIMUTH_RANGE = (0.0, 360.0)
+ELEVATION_RANGE = (-10.0, 10.0)
+FOV_RANGE = (45.0, 80.0)
+
 
 @dataclass
 class CameraSpec:
@@ -45,15 +50,6 @@ class CameraSpec:
         return np.array(
             [np.sin(az) * np.cos(el), np.sin(el), -np.cos(az) * np.cos(el)]
         )
-
-
-@dataclass
-class CameraRanges:
-    """Uniform sampling ranges for randomized cameras (degrees)."""
-
-    azimuth: tuple = (0.0, 360.0)
-    elevation: tuple = (-10.0, 10.0)
-    fov: tuple = (45.0, 80.0)
 
 
 def _rotation(cam: CameraSpec) -> np.ndarray:
@@ -94,12 +90,12 @@ def project_perspective(pano: EnvironmentMap, cam: CameraSpec) -> np.ndarray:
     return sample_equirect(pano.data, camera_rays(cam))
 
 
-def sample_camera(rng: np.random.Generator, ranges: CameraRanges = CameraRanges(),
-                  width: int = DEFAULT_CROP_WIDTH, height: int = DEFAULT_CROP_HEIGHT) -> CameraSpec:
-    """Uniformly sample a camera within the given ranges."""
-    az = rng.uniform(*ranges.azimuth)
-    el = rng.uniform(*ranges.elevation)
-    fov = rng.uniform(*ranges.fov)
+def sample_camera(rng: np.random.Generator, width: int = DEFAULT_CROP_WIDTH,
+                  height: int = DEFAULT_CROP_HEIGHT) -> CameraSpec:
+    """Uniformly sample a camera within the module's ranges."""
+    az = rng.uniform(*AZIMUTH_RANGE)
+    el = rng.uniform(*ELEVATION_RANGE)
+    fov = rng.uniform(*FOV_RANGE)
     return CameraSpec(azimuth=az, elevation=el, fov=fov, width=width, height=height)
 
 
@@ -195,10 +191,9 @@ class DatasetSample:
 _CURVE_NAMES = sorted(TONE_CURVES)
 
 
-def dataset_gen(panos, rng: np.random.Generator, count: int, video: bool = False,
-                frame_count: int = 25, ranges: CameraRanges = CameraRanges(),
+def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 1,
                 crop_width: int = DEFAULT_CROP_WIDTH, crop_height: int = DEFAULT_CROP_HEIGHT):
-    """Generate `count` supervised samples from a list of panorama sources.
+    """Generate `count` >= 1 supervised samples of `frame_count` >= 1 crops each.
 
     Each sample draws its own RNG stream spawned from `rng`, so sample i is
     reproducible independent of processing order. HDR sources get a random
@@ -209,6 +204,8 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, video: bool = False
     """
     if not panos:
         raise ValueError("no panoramas supplied")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     sources = [
         p if isinstance(p, PanoramaSource) else PanoramaSource(np.asarray(p.data), hdr=True)
         for p in panos
@@ -218,8 +215,8 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, video: bool = False
     for i, child in enumerate(streams):
         src_idx = int(child.integers(0, len(sources)))
         src = sources[src_idx]
-        start = sample_camera(child, ranges, width=crop_width, height=crop_height)
-        cams = gen_trajectory(child, frame_count, start=start).frames if video else [start]
+        start = sample_camera(child, width=crop_width, height=crop_height)
+        cams = gen_trajectory(child, frame_count, start=start).frames
         curve = _CURVE_NAMES[int(child.integers(0, len(_CURVE_NAMES)))] if src.hdr else "none"
         raw = [sample_equirect(src.data, camera_rays(c)) for c in cams]
         try:

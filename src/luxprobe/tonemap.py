@@ -87,11 +87,6 @@ def inverse_rule(ldr, log):
     return (1.0 - w) * e_reinhard + w * e_log
 
 
-def invert_dual(maps: DualToneMaps) -> EnvironmentMap:
-    """Rule-based HDR reconstruction of a dual-tonemapped map."""
-    return EnvironmentMap(inverse_rule(maps.ldr, maps.log))
-
-
 # ---------------------------------------------------------------------------
 # Display tone curves (for LDR crop generation, not for the dual encoding).
 # Each curve is monotone non-decreasing on [0, inf), maps 0 -> 0, and returns

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import EnvironmentMap, rotate_env
-from luxprobe.fusion import init_uniform, save_fusion_net
+from luxprobe.fusion import init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
 from luxprobe.metrics import evaluate_sequence
 from conftest import hot_spot_env
@@ -412,3 +419,182 @@ class TestInputRule:
         out.mkdir()
         _assert_rejected(["dataset-gen", "--panos-dir", pano.parent, "--count", "1",
                           "--out-dir", out / "ds"], out, capsys)
+
+
+class TestUniformMap:
+    """A uniform map has no peak, so its report cannot be complete: exit 1, write nothing."""
+
+    @pytest.mark.parametrize("command", ["eval", "eval-video"])
+    def test_uniform_map_exits_1(self, tmp_path, capsys, command):
+        flat = tmp_path / "flat" / "x.pfm"
+        flat.parent.mkdir()
+        write_pfm(flat, np.full((16, 32, 3), 0.5))
+        out = tmp_path / "out"
+        out.mkdir()
+        _assert_rejected(_argv(command, flat, flat, None, out), out, capsys)
+
+
+# ---------------------------------------------------------------------------
+# the argument boundary: flags and --config values parse the same way, and each
+# value out of range exits 1 or 2 before anything is written
+
+def _boundary_base(command, good, out) -> dict:
+    """Small valid arguments for `command`, flag -> value."""
+    return {
+        "crop": {"--pano": good, "--w": 8, "--h": 6, "--out": out / "c.pfm"},
+        "dataset-gen": {"--panos-dir": good.parent, "--count": 1, "--w": 8, "--h": 6,
+                        "--out-dir": out / "ds"},
+        "fuse-train": {"--steps": 2, "--batch": 8, "--out": out / "n.bin"},
+        "render-probes": {"--env": good, "--size": 16, "--out-prefix": out / "p_"},
+        "eval": {"--pred": good, "--gt": good, "--probe-size": 16, "--out": out / "e.json"},
+        "eval-video": {"--pred-dir": good.parent, "--gt-dir": good.parent,
+                       "--probe-size": 16, "--out": out / "v.json"},
+        "peak": {"--env": good, "--out": out / "k.json"},
+        "rotate": {"--env": good, "--yaw": 90, "--out": out / "o.pfm"},
+    }[command]
+
+
+NUMERIC_FLAGS = [
+    ("crop", "--az"), ("crop", "--el"), ("crop", "--fov"), ("crop", "--w"), ("crop", "--h"),
+    ("crop", "--seed"), ("dataset-gen", "--count"), ("dataset-gen", "--video-frames"),
+    ("dataset-gen", "--w"), ("dataset-gen", "--h"), ("dataset-gen", "--seed"),
+    ("fuse-train", "--steps"), ("fuse-train", "--batch"), ("fuse-train", "--lr"),
+    ("fuse-train", "--seed"), ("render-probes", "--size"), ("eval", "--probe-size"),
+    ("eval-video", "--probe-size"), ("peak", "--percentile"), ("rotate", "--yaw"),
+]
+EDGE_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "0": 0,
+               "-1": -1, "1e308": 1e308, "1e-300": 1e-300}
+
+
+def _run(argv):
+    """main(argv) with its stdout and stderr, warnings included as a terminal shows
+    them; a traceback fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+def _check_outcome(code, err, out_dir):
+    written = sorted(p for p in out_dir.rglob("*"))
+    if code == 0:
+        for path in written:
+            if path.suffix == ".pfm":
+                assert np.isfinite(read_pfm(path)).all(), path
+            elif path.suffix in (".json", ".jsonl"):
+                text = path.read_text()
+                for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                    json.loads(doc, parse_constant=lambda name: pytest.fail(f"{name} in {path}"))
+            elif path.suffix == ".bin":
+                assert np.isfinite(load_fusion_net(path).params).all()
+        return
+    assert written == [], f"exit {code} wrote {written}"
+    lines = err.splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
+    else:
+        assert code == 2, err
+        assert lines[0].startswith("usage: luxprobe ")
+        assert re.match(r"luxprobe [\w-]+: error: ", lines[-1]), err
+        assert sum("error:" in line for line in lines) == 1, err
+
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("boundary")
+    good = root / "maps" / "x.pfm"
+    good.parent.mkdir()
+    write_pfm(good, hot_spot_env(height=16, value=20.0, base=0.2).data)
+    return root, good
+
+
+class TestArgumentBoundary:
+    # 140 cases; hypothesis stops once it has tried each of them (about 10 s)
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from([(*c, v) for c in NUMERIC_FLAGS for v in EDGE_VALUES]))
+    def test_flag_and_config_agree(self, boundary_dir, case):
+        root, good = boundary_dir
+        command, flag, value = case
+        codes = []
+        for route in ("flag", "config"):
+            work = Path(tempfile.mkdtemp(dir=root))
+            out = work / "out"
+            out.mkdir()
+            base = _boundary_base(command, good, out)
+            base.pop(flag, None)
+            argv = [command, *(tok for item in base.items() for tok in item)]
+            if route == "flag":
+                argv.insert(1, f"{flag}={value}")
+            else:
+                cfg = work / "cfg.json"
+                cfg.write_text(json.dumps({flag[2:]: EDGE_VALUES[value]}))
+                argv[1:1] = ["--config", cfg]
+            code, _, err = _run(argv)
+            _check_outcome(code, err, out)
+            codes.append(code)
+        assert codes[0] == codes[1], f"{command} {flag}={value}: flag {codes[0]}, config {codes[1]}"
+
+    @pytest.mark.parametrize("command, config", [
+        ("crop", {"w": 8.5}),
+        ("crop", {"tonemap": "bogus"}),
+        ("crop", {"az": None}),
+        ("rotate", {"yaw": [1]}),
+        ("fuse-train", {"steps": 2.5}),
+        ("fuse-train", {"no_quantize": "yes"}),
+        ("rotate", {"out": None}),
+        ("dataset-gen", {"seed": 1.5}),
+        ("eval", {"probe_size": 16.5}),
+    ])
+    def test_bad_config_value_is_usage_error(self, boundary_dir, command, config):
+        root, good = boundary_dir
+        work = Path(tempfile.mkdtemp(dir=root))
+        out = work / "out"
+        out.mkdir()
+        cfg = work / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        base = _boundary_base(command, good, out)
+        argv = [command, "--config", cfg, *(tok for item in base.items() for tok in item)]
+        code, _, err = _run(argv)
+        assert code == 2, err
+        _check_outcome(code, err, out)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("rotate", "--yaw", "inf"), ("rotate", "--yaw", "-inf"), ("rotate", "--yaw", "1e308"),
+        ("dataset-gen", "--count", "-1"), ("dataset-gen", "--count", "0"),
+        ("dataset-gen", "--video-frames", "0"), ("dataset-gen", "--video-frames", "-1"),
+        ("fuse-train", "--steps", "-1"), ("fuse-train", "--batch", "0"),
+        ("fuse-train", "--lr", "nan"),
+    ])
+    def test_out_of_range_flag_is_data_error(self, boundary_dir, command, flag, value):
+        root, good = boundary_dir
+        out = Path(tempfile.mkdtemp(dir=root)) / "out"
+        out.mkdir()
+        base = _boundary_base(command, good, out)
+        base[flag] = value
+        code, _, err = _run([command, *(f"{k}={v}" for k, v in base.items())])
+        assert code == 1, err
+        _check_outcome(code, err, out)
+
+    def test_config_store_true_and_unknown_keys(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for no_quantize, quantize in ((True, False), (False, True)):
+            cfg.write_text(json.dumps({"no-quantize": no_quantize, "not_a_flag": 1}))
+            net = tmp_path / "n.bin"
+            code, _, err = _run(["fuse-train", "--config", cfg, "--steps", 0, "--out", net])
+            assert code == 0, err
+            assert manifest_of(net)["parameters"]["quantize"] is quantize
+
+    def test_config_int_for_float_flag_records_float(self, tmp_path, env_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"yaw": 10}))
+        outs = [tmp_path / "config.pfm", tmp_path / "flag.pfm"]
+        assert main(["rotate", "--config", str(cfg), "--env", str(env_file),
+                     "--out", str(outs[0])]) == 0
+        assert main(["rotate", "--yaw", "10", "--env", str(env_file), "--out", str(outs[1])]) == 0
+        yaws = [manifest_of(p)["parameters"]["yaw"] for p in outs]
+        assert yaws == [10.0, 10.0] and all(isinstance(y, float) for y in yaws)
+        assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from luxprobe.envmap import (
-    DirectionMap,
     EnvironmentMap,
     direction_to_pixel,
-    gen_direction_map,
     great_circle_deg,
     grid_directions,
     luminance,
@@ -14,7 +12,6 @@ from luxprobe.envmap import (
     pixel_to_direction,
     rotate_env,
     sample_equirect,
-    solid_angle,
     solid_angle_rows,
 )
 from conftest import hot_spot_env
@@ -110,7 +107,7 @@ class TestDirectionToPixel:
 class TestSolidAngle:
     def test_closed_form_tiny_map(self):
         # (2pi/4) * (cos 0 - cos pi/2) = pi/2
-        assert solid_angle(0, 4, 2) == pytest.approx(np.pi / 2, rel=1e-15)
+        assert solid_angle_rows(4, 2)[0] == pytest.approx(np.pi / 2, rel=1e-15)
 
     @pytest.mark.parametrize("height", [4, 64, 256])
     def test_total_is_sphere(self, height):
@@ -123,15 +120,17 @@ class TestSolidAngle:
             rows = solid_angle_rows(2 * height, height)
             assert (rows == rows[::-1]).all()
 
-    def test_row_out_of_range(self):
-        with pytest.raises(ValueError):
-            solid_angle(4, 8, 4)
-
 
 class TestRotateEnv:
     def test_identity(self, rng):
         env = EnvironmentMap(rng.random((8, 16, 3)))
         assert (rotate_env(env, 0.0).data == env.data).all()
+
+    @pytest.mark.parametrize("yaw", [float("nan"), float("inf"), float("-inf"), 1e308])
+    def test_rejects_non_finite_yaw_or_shift(self, yaw):
+        # 1e308 is finite, but 1e308 * 16 / 360 overflows to inf columns
+        with pytest.raises(ValueError, match="yaw must be finite"):
+            rotate_env(EnvironmentMap(np.ones((8, 16, 3))), yaw)
 
     def test_grid_aligned_is_roll(self, rng):
         env = EnvironmentMap(rng.random((8, 16, 3)))
@@ -159,28 +158,6 @@ class TestRotateEnv:
         interior = slice(10, 97)
         rel = np.abs(back.data[interior] - env.data[interior]) / env.data[interior]
         assert rel.max() < 1e-3
-
-
-class TestGenDirectionMap:
-    def test_center_is_forward(self):
-        dm = gen_direction_map(16, 8)
-        center = 0.5 * (dm.directions[3, 7] + dm.directions[4, 8])
-        assert great_circle_deg(center, [0, 0, -1]) < np.degrees(np.pi / 8)
-
-    def test_one_column_roll_exact(self):
-        base = gen_direction_map(16, 8)
-        rolled = gen_direction_map(16, 8, yaw_deg=360.0 / 16)
-        assert (rolled.directions == np.roll(base.directions, -1, axis=1)).all()
-
-    def test_unit_norm(self):
-        dm = gen_direction_map(256, 128, yaw_deg=17.3)
-        np.testing.assert_allclose(
-            np.linalg.norm(dm.directions, axis=-1), 1.0, atol=1e-6
-        )
-
-    def test_bad_aspect(self):
-        with pytest.raises(ValueError):
-            gen_direction_map(10, 8)
 
 
 class TestLuminance:

@@ -200,6 +200,14 @@ class TestTraining:
         with pytest.raises(RuntimeError, match="step 500"):
             train_fusion(cfg, data=(ldr, log, hdr))
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("steps", -1), ("batch_size", 0), ("batch_size", -1),
+    ])
+    def test_config_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            TrainConfig(**{field: value})
+
     def test_structured_init_starts_in_range(self):
         net = init_structured(0)
         rng = np.random.default_rng(3)

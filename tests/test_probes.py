@@ -9,7 +9,6 @@ from luxprobe.envmap import (
     pixel_to_direction,
     rotate_env,
     sample_equirect,
-    solid_angle,
     solid_angle_rows,
 )
 from luxprobe.probes import (
@@ -144,7 +143,7 @@ class TestPrefilterDiffuse:
         env = EnvironmentMap(data)
         irr = prefilter_diffuse(env, out_height=height)
         d = pixel_to_direction(col, row, width, height)
-        omega = solid_angle(row, width, height)
+        omega = solid_angle_rows(width, height)[row]
         # at the texel direction: E = L * dOmega * 1
         at_d = sample_equirect(irr.data, np.asarray(d))
         np.testing.assert_allclose(at_d, radiance * omega, rtol=5e-3)

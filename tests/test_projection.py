@@ -3,7 +3,6 @@ import pytest
 
 from luxprobe.envmap import EnvironmentMap, great_circle_deg, rotate_env
 from luxprobe.projection import (
-    CameraRanges,
     CameraSpec,
     PanoramaSource,
     Trajectory,
@@ -14,6 +13,7 @@ from luxprobe.projection import (
     project_perspective,
     sample_camera,
 )
+from luxprobe.tonemap import TONE_CURVES
 
 
 def smooth_pano(height=64):
@@ -117,11 +117,6 @@ class TestSampleCamera:
         b = [sample_camera(np.random.default_rng(3)) for _ in range(5)]
         assert a == b
 
-    def test_degenerate_range(self):
-        rng = np.random.default_rng(1)
-        ranges = CameraRanges(fov=(60.0, 60.0))
-        assert all(sample_camera(rng, ranges).fov == 60.0 for _ in range(10))
-
 
 class TestTrajectory:
     def test_single_frame(self):
@@ -193,8 +188,8 @@ class TestDatasetGen:
 
     def test_video_mode_emits_trajectory(self):
         env = smooth_pano(32)
-        samples = dataset_gen([env], np.random.default_rng(2), 1, video=True,
-                              frame_count=7, crop_width=40, crop_height=30)
+        samples = dataset_gen([env], np.random.default_rng(2), 1, frame_count=7,
+                              crop_width=40, crop_height=30)
         assert len(samples[0].cameras) == 7
         assert len(samples[0].crops) == 7
 
@@ -208,6 +203,28 @@ class TestDatasetGen:
             assert sa.exposure_scale == sb.exposure_scale
             for ca, cb in zip(sa.crops, sb.crops):
                 assert (ca == cb).all()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            dataset_gen([smooth_pano(8)], np.random.default_rng(0), count)
+
+    @pytest.mark.parametrize("frames", [0, -1])
+    def test_frame_count_below_one_rejected(self, frames):
+        with pytest.raises(ValueError, match="frame_count must be >= 1"):
+            dataset_gen([smooth_pano(8)], np.random.default_rng(0), 1, frame_count=frames,
+                        crop_width=8, crop_height=6)
+
+    def test_still_is_trajectory_start_without_draws(self):
+        # one frame: the camera is the trajectory start and the tone curve is
+        # the next draw, so stills keep the bits they had before trajectories
+        samples = dataset_gen([smooth_pano(8)], np.random.default_rng(4), 3,
+                              crop_width=8, crop_height=6)
+        curves = sorted(TONE_CURVES)
+        for sample, child in zip(samples, np.random.default_rng(4).spawn(3)):
+            child.integers(0, 1)  # the source index
+            assert sample.cameras == [sample_camera(child, width=8, height=6)]
+            assert sample.tone_curve == curves[int(child.integers(0, len(curves)))]
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError, match="no panoramas"):
