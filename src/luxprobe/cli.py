@@ -3,9 +3,10 @@
 Every output-producing command writes a JSON manifest next to its primary
 output (path + ".manifest.json") recording the command, tool version, seed,
 inputs, parameters, and the SHA-256 of each emitted file. Exit codes are
-stable: 0 success, 1 data error ("ERROR <code>: <message>" on stderr),
-2 usage error. LUXPROBE_THREADS sizes the eval-video frame pool (0 = one
-thread per CPU); BLAS threads follow OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
+stable: 0 success, 1 data error ("ERROR DATA: <message>" on stderr), 2 usage
+error. Flags take no abbreviations. LUXPROBE_THREADS sizes the eval-video
+frame pool (0 = one thread per CPU); BLAS threads follow
+OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
 """
 
 import argparse
@@ -311,12 +312,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luxprobe",
         description="HDR lighting toolkit: tonemapping, fusion, probes, metrics",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"luxprobe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file of flag defaults", default=None)
         p.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in manifests)")

@@ -22,7 +22,10 @@ LEAKY_SLOPE = 0.01
 
 # training constants (no command or workload varies them)
 HUBER_DELTA = 1.0
+WARMUP_STEPS = 500  # linear warmup to the learning rate
+HOLD_STEPS = 4000  # held there up to this step, then the cosine decay
 LR_MIN = 1e-5  # end of the cosine decay
+POOL_SIZE = 2_000_000  # synthetic pairs drawn for a training run
 INTENSITY_RANGE = (1e-3, 1e4)  # radiance range of the synthetic training pairs
 EXPOSURE_RANGE = (0.25, 4.0)
 TRAIN_DTYPE = np.float32
@@ -31,11 +34,6 @@ TRAIN_DTYPE = np.float32
 # exponential branch and get the denser basis
 _KINKS_PER_INPUT = (6, 6, 6, 14, 14, 14)
 _KINK_GAIN = 8.0
-
-
-def _flatten(weights, biases) -> np.ndarray:
-    """One vector of layer arrays in file order: w0, b0, ..., w4, b4."""
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
 
 
 def _layer_views(params: np.ndarray):
@@ -51,21 +49,20 @@ def _layer_views(params: np.ndarray):
 
 
 class FusionNet:
-    """The fusion MLP's parameters, copied into one vector `params` in file order.
+    """The fusion MLP as one parameter vector `params` in file order: w0, b0, ..., w4, b4.
 
-    `weights` and `biases` are views into `params`: writing a layer writes it.
+    The net keeps the vector it is given, not a copy. `weights` and `biases`
+    are views into it: writing a layer writes `params`.
     """
 
-    def __init__(self, weights: list, biases: list):
-        if len(weights) != len(WIDTHS) - 1 or len(biases) != len(WIDTHS) - 1:
-            raise ValueError(f"expected {len(WIDTHS) - 1} layers")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (WIDTHS[i], WIDTHS[i + 1]) or b.shape != (WIDTHS[i + 1],):
-                raise ValueError(f"layer {i} has shape {w.shape}/{b.shape}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i} contains non-finite parameters")
-        self.params = _flatten(weights, biases)
-        self.weights, self.biases = _layer_views(self.params)
+    def __init__(self, params: np.ndarray):
+        if params.shape != (N_PARAMS,):
+            raise ValueError(f"expected a vector of {N_PARAMS} parameters, "
+                             f"got shape {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError("fusion net contains non-finite parameters")
+        self.params = params
+        self.weights, self.biases = _layer_views(params)
 
     @property
     def dtype(self):
@@ -81,23 +78,19 @@ def _softplus(z):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def init_uniform(seed: int, dtype=np.float64) -> FusionNet:
     """Fan-in-scaled uniform initialization."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fi, fo in zip(WIDTHS[:-1], WIDTHS[1:]):
-        s = 1.0 / np.sqrt(fi)
-        weights.append(rng.uniform(-s, s, size=(fi, fo)).astype(dtype))
-        biases.append(rng.uniform(-s, s, size=fo).astype(dtype))
-    return FusionNet(weights, biases)
+    params = np.empty(N_PARAMS, dtype=dtype)
+    for w, b in zip(*_layer_views(params)):
+        s = 1.0 / np.sqrt(w.shape[0])
+        w[:] = rng.uniform(-s, s, size=w.shape)
+        b[:] = rng.uniform(-s, s, size=b.shape)
+    return FusionNet(params)
 
 
 def _softplus_inv(y):
@@ -115,9 +108,9 @@ def init_structured(seed: int, dtype=np.float64, quantize: bool = True) -> Fusio
     training to refine kink placement.
     """
     rng = np.random.default_rng(seed)
-    n_hidden = WIDTHS[1]
-    w1 = np.zeros((WIDTHS[0], n_hidden))
-    b1 = np.zeros(n_hidden)
+    params = np.zeros(N_PARAMS)  # float64 for the fit; cast at the end
+    weights, biases = _layer_views(params)
+    w1, b1 = weights[0], biases[0]
     unit = 0
     for i, n_kinks in enumerate(_KINKS_PER_INPUT):
         for c in np.linspace(0.0, 0.92, n_kinks):
@@ -125,26 +118,23 @@ def init_structured(seed: int, dtype=np.float64, quantize: bool = True) -> Fusio
             b1[unit] = -_KINK_GAIN * c
             unit += 1
     s = 1.0 / np.sqrt(WIDTHS[0])
-    w1[:, unit:] = rng.uniform(-s, s, size=(WIDTHS[0], n_hidden - unit))
-    b1[unit:] = rng.uniform(-s, s, size=n_hidden - unit)
-    weights, biases = [w1], [b1]
-    for li in range(1, len(WIDTHS) - 2):
-        w = np.eye(WIDTHS[li], WIDTHS[li + 1])
+    w1[:, unit:] = rng.uniform(-s, s, size=(WIDTHS[0], WIDTHS[1] - unit))
+    b1[unit:] = rng.uniform(-s, s, size=WIDTHS[1] - unit)
+    for w in weights[1:-1]:
+        w[:] = np.eye(*w.shape)
         w += rng.uniform(-1e-3, 1e-3, size=w.shape)
-        weights.append(w)
-        biases.append(np.zeros(WIDTHS[li + 1]))
 
     design_rng = np.random.default_rng(seed + 101)
     ldr, log, hdr = sample_training_pairs(design_rng, 32768, quantize=quantize)
-    h = _hidden(weights, biases, np.concatenate([ldr, log], axis=1))
+    h = _hidden(weights[:-1], biases[:-1], np.concatenate([ldr, log], axis=1))
     phi = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
     lam = 1e-3 * phi.shape[0]
     gram = phi.T @ phi + lam * np.eye(phi.shape[1])
     rhs = phi.T @ _softplus_inv(hdr)
     sol = np.linalg.solve(gram, rhs)
-    weights.append(sol[:-1])
-    biases.append(sol[-1])
-    return FusionNet([w.astype(dtype) for w in weights], [b.astype(dtype) for b in biases])
+    weights[-1][:] = sol[:-1]
+    biases[-1][:] = sol[-1]
+    return FusionNet(params.astype(dtype))
 
 
 def _forward(net: FusionNet, x: np.ndarray):
@@ -182,29 +172,31 @@ def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     return out[0] if single else out
 
 
-def _backward(net: FusionNet, pre, acts, dout):
-    """Exact gradients of the loss wrt every weight and bias."""
-    n_layers = len(net.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+def _gradient(net: FusionNet, pre, acts, dout) -> np.ndarray:
+    """Exact gradient of the loss as one vector in `params` order."""
+    grad = np.empty_like(net.params)
+    grads_w, grads_b = _layer_views(grad)
     g = dout * _sigmoid(pre[-1])
-    for i in range(n_layers - 1, -1, -1):
-        grads_w[i] = acts[i].T @ g
-        grads_b[i] = g.sum(axis=0)
+    for i in range(len(grads_w) - 1, -1, -1):
+        np.matmul(acts[i].T, g, out=grads_w[i])
+        np.sum(g, axis=0, out=grads_b[i])
         if i > 0:
             g = g @ net.weights[i].T
-            slope = pre[i - 1].dtype.type(LEAKY_SLOPE)
-            g = g * np.where(pre[i - 1] > 0, pre[i - 1].dtype.type(1.0), slope)
-    return grads_w, grads_b
+            one, slope = pre[i - 1].dtype.type(1.0), pre[i - 1].dtype.type(LEAKY_SLOPE)
+            g *= np.where(pre[i - 1] > 0, one, slope)
+    return grad
 
 
-def huber_loss(pred, target, delta: float = HUBER_DELTA):
-    """Elementwise Huber loss: quadratic inside delta, linear outside."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+def _backward(net: FusionNet, pre, acts, dout):
+    """The gradient as (per-layer weight views, per-layer bias views)."""
+    return _layer_views(_gradient(net, pre, acts, dout))
+
+
+def huber_loss(pred, target):
+    """Elementwise Huber loss: quadratic inside HUBER_DELTA, linear outside."""
     e = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
     ae = np.abs(e)
-    return np.where(ae <= delta, 0.5 * e * e, delta * (ae - 0.5 * delta))
+    return np.where(ae <= HUBER_DELTA, 0.5 * e * e, HUBER_DELTA * (ae - 0.5 * HUBER_DELTA))
 
 
 def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool = True,
@@ -241,9 +233,6 @@ class TrainConfig:
     batch_size: int = 2048
     steps: int = 25000
     seed: int = 0
-    warmup_steps: int = 500
-    hold_steps: int = 4000
-    pool_size: int = 2_000_000
     quantize: bool = True
     init: str = "structured"  # or "uniform"
 
@@ -260,11 +249,11 @@ class TrainConfig:
 
 def _lr_at(cfg: TrainConfig, t: int) -> float:
     """Warmup, hold, then cosine decay to LR_MIN."""
-    if t <= cfg.warmup_steps:
-        return cfg.learning_rate * t / max(cfg.warmup_steps, 1)
-    if t <= cfg.hold_steps:
+    if t <= WARMUP_STEPS:
+        return cfg.learning_rate * t / WARMUP_STEPS
+    if t <= HOLD_STEPS:
         return cfg.learning_rate
-    f = (t - cfg.hold_steps) / max(cfg.steps - cfg.hold_steps, 1)
+    f = (t - HOLD_STEPS) / max(cfg.steps - HOLD_STEPS, 1)
     return LR_MIN + 0.5 * (cfg.learning_rate - LR_MIN) * (1.0 + np.cos(np.pi * f))
 
 
@@ -272,7 +261,8 @@ def train_fusion(cfg: TrainConfig, data=None):
     """Train a fusion net; returns (net, final mean Huber loss or None if no step ran).
 
     `data` may supply a fixed (ldr, log, hdr) pool; by default a pool of
-    cfg.pool_size synthetic pairs is drawn from cfg.seed + 1. Batches cycle
+    POOL_SIZE synthetic pairs is drawn from cfg.seed + 1, unless no step runs
+    (cfg.steps == 0), which returns the initial net. Batches cycle
     through the pool in order, so identical configs give bit-identical nets.
     Raises RuntimeError with the step index if the loss goes non-finite.
     """
@@ -281,9 +271,11 @@ def train_fusion(cfg: TrainConfig, data=None):
         net = init_structured(cfg.seed, dtype=dtype, quantize=cfg.quantize)
     else:
         net = init_uniform(cfg.seed, dtype=dtype)
+    if cfg.steps == 0:
+        return net, None
     if data is None:
         rng = np.random.default_rng(cfg.seed + 1)
-        data = sample_training_pairs(rng, cfg.pool_size, quantize=cfg.quantize)
+        data = sample_training_pairs(rng, POOL_SIZE, quantize=cfg.quantize)
     ldr, log, hdr = data
     x_pool = np.ascontiguousarray(np.concatenate([ldr, log], axis=1), dtype=dtype)
     y_pool = np.ascontiguousarray(hdr, dtype=dtype)
@@ -311,7 +303,7 @@ def train_fusion(cfg: TrainConfig, data=None):
         pre, acts = _forward(net, x)
         err = acts[-1] - y
         dout = np.clip(err, -delta, delta) / dtype(err.size)
-        g = _flatten(*_backward(net, pre, acts, dout))
+        g = _gradient(net, pre, acts, dout)
         m *= dtype(beta1)
         m += dtype(1.0 - beta1) * g
         v *= dtype(beta2)
@@ -362,4 +354,4 @@ def load_fusion_net(path) -> FusionNet:
         raise ValueError(f"fusion net file has trailing or missing parameters "
                          f"({len(body)} bytes, expected {4 * N_PARAMS})")
     params = np.frombuffer(body, dtype="<f4").astype(np.float32)
-    return FusionNet(*_layer_views(params))
+    return FusionNet(params)

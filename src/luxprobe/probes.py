@@ -53,10 +53,6 @@ class ProbeImage:
     pixels: np.ndarray
     mask: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.pixels.shape[0]
-
 
 def _pow_int(base: np.ndarray, exponent: int) -> np.ndarray:
     """base**exponent by binary squaring (fast path for integer lobes).

@@ -40,14 +40,6 @@ class DualToneMaps:
             if not ((arr >= 0.0) & (arr <= 1.0)).all():
                 raise ValueError(f"{name} channel must lie in [0, 1] (NaN is rejected)")
 
-    @property
-    def height(self) -> int:
-        return self.ldr.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.ldr.shape[1]
-
 
 def tonemap_ldr(e):
     """Extended Reinhard channel, clipped to [0,1]."""

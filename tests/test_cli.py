@@ -269,6 +269,21 @@ class TestCliContract:
         m = manifest_of(out_a)
         assert m["parameters"]["yaw"] == 90.0
 
+    def test_abbreviated_flags_are_usage_errors(self, tmp_path, env_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"w": 12, "h": 8}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        crop = ["crop", "--pano", str(env_file), "--out", str(out_dir / "c.pfm")]
+        evaluate = ["eval", "--pred", str(env_file), "--gt", str(env_file),
+                    "--out", str(out_dir / "r.json")]
+        for argv, bad in ((crop, "--conf"), (evaluate, "--probe")):
+            assert main(argv + [bad, str(cfg) if bad == "--conf" else "16"]) == 2
+            assert f"unrecognized arguments: {bad} " in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        assert main(crop + ["--config", str(cfg)]) == 0  # the full spelling reads the file
+        assert read_pfm(out_dir / "c.pfm").shape == (8, 12, 3)
+
     def test_nan_channel_is_data_error(self, tmp_path, capsys):
         ldr = np.full((4, 8, 3), 0.5)
         ldr[1, 2, 1] = np.nan
