@@ -70,7 +70,8 @@ class FusionNet:
 
 
 def _leaky(z):
-    return np.maximum(z, z.dtype.type(LEAKY_SLOPE) * z)
+    t = z.dtype.type(LEAKY_SLOPE) * z
+    return np.maximum(z, t, out=t)
 
 
 def _softplus(z):

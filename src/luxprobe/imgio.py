@@ -4,8 +4,11 @@ PFM layout on disk follows the standard: `PF\\n<width> <height>\\n<scale>\\n`
 with rows bottom-to-top; negative scale marks little-endian floats. In-memory
 arrays are top-row-first, so rows are flipped on both read and write.
 
-The PNG codec is deliberately minimal (8-bit RGB/gray, no interlace) and
-byte-deterministic: fixed filter choice and zlib level, plus an sRGB chunk.
+The PNG codec is deliberately minimal (8-bit gray/RGB/RGBA, no interlace).
+The writer is byte-deterministic: fixed filter choice and zlib level, plus an
+sRGB chunk. The reader undoes any mix of row filters exactly, in vector
+steps: one per row when no row uses Avg or Paeth, else one per anti-diagonal
+of the image (W + H - 1).
 """
 
 import os
@@ -257,16 +260,8 @@ def read_png(path):
         raise ValueError(f"corrupt PNG data: {exc}") from exc
     if len(decoded) != size or not inflater.eof:
         raise ValueError("PNG payload size mismatch or truncated stream")
-    img = np.empty((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    for y in range(height):
-        ftype = decoded[y * (stride + 1)]
-        line = np.frombuffer(
-            decoded, dtype=np.uint8, count=stride, offset=y * (stride + 1) + 1
-        ).copy()
-        img[y] = _unfilter(ftype, line, prev, channels)
-        prev = img[y]
-    img = img.reshape(height, width, channels)
+    payload = np.frombuffer(decoded, dtype=np.uint8).reshape(height, stride + 1)
+    img = _unfilter(payload, channels)
     if channels == 1:
         img = img.repeat(3, axis=2)
     elif channels == 4:
@@ -274,30 +269,87 @@ def read_png(path):
     return img.astype(np.float64) / 255.0, meta
 
 
-def _unfilter(ftype: int, line: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:
-    if ftype == 0:
-        return line
-    if ftype == 2:
-        return line + prev
-    out = line.astype(np.int32)
-    if ftype == 1:
-        for i in range(bpp, out.size):
-            out[i] = (out[i] + out[i - bpp]) & 0xFF
-    elif ftype == 3:
-        up = prev.astype(np.int32)
-        for i in range(out.size):
-            left = out[i - bpp] if i >= bpp else 0
-            out[i] = (out[i] + ((left + up[i]) >> 1)) & 0xFF
-    elif ftype == 4:
-        up = prev.astype(np.int32)
-        for i in range(out.size):
-            a = out[i - bpp] if i >= bpp else 0
-            b = up[i]
-            c = up[i - bpp] if i >= bpp else 0
-            p = a + b - c
-            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-            pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-            out[i] = (out[i] + pred) & 0xFF
-    else:
-        raise ValueError(f"unknown PNG filter type {ftype}")
-    return out.astype(np.uint8)
+def _unfilter(payload: np.ndarray, bpp: int) -> np.ndarray:
+    """Undo the PNG row filters of an (H, 1 + W * bpp) uint8 payload.
+
+    Returns the (H, W, bpp) uint8 image. Predictions are added to the bytes
+    in uint8, which wraps mod 256 exactly as the PNG filters do.
+    """
+    filters = payload[:, 0]
+    top = filters.max()
+    if top > 4:
+        raise ValueError(f"unknown PNG filter type {filters[filters > 4][0]}")
+    height = payload.shape[0]
+    data = payload[:, 1:].reshape(height, -1, bpp)
+    if top <= 2:
+        return _unfilter_rows(data, filters.tolist())
+    return _unfilter_wavefront(data, filters)
+
+
+def _unfilter_rows(data: np.ndarray, filters: list) -> np.ndarray:
+    """None, Sub and Up only: one vector operation per row."""
+    img = data.copy()
+    for y, ftype in enumerate(filters):
+        if ftype == 1:
+            np.cumsum(img[y], axis=0, dtype=np.uint8, out=img[y])
+        elif ftype == 2 and y > 0:
+            img[y] += img[y - 1]
+    return img
+
+
+def _predictor_table() -> np.ndarray:
+    """Filter f's prediction minus the up-left byte c, mod 256, as a flat
+    table indexed by (f - 1, u + 255, v + 255), where u = a - c and v = b - c
+    for the left byte a and the up byte b.
+
+    Sub predicts a = c + u, Up b = c + v, Avg floor((a + b) / 2) =
+    c + floor((u + v) / 2), and Paeth (Paeth 1991, as the PNG specification
+    gives it) whichever of a, b, c is nearest to a + b - c: the distances
+    are |v|, |u| and |u + v|, ties going to a, then b.
+    """
+    u = np.arange(-255, 256, dtype=np.int16)[:, None]
+    v = np.arange(-255, 256, dtype=np.int16)[None, :]
+    paeth = np.where((np.abs(v) <= np.abs(u)) & (np.abs(v) <= np.abs(u + v)), u,
+                     np.where(np.abs(u) <= np.abs(u + v), v, 0))
+    table = np.stack(np.broadcast_arrays(u, v, (u + v) >> 1, paeth))
+    return table.astype(np.uint8).reshape(-1)
+
+
+def _unfilter_wavefront(data: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Any mix of filters in W + H - 1 vector steps, one per anti-diagonal.
+
+    Pixel (y, x) depends only on (y, x - 1), (y - 1, x) and (y - 1, x - 1),
+    so all pixels with the same x + y decode together, each row with its
+    own filter. Each channel plane sits in a buffer with a zero row above
+    and a zero column to its left (the PNG edge rule); flattened, one
+    diagonal and each of its three neighbours are slices with step W.
+    """
+    height, width, bpp = data.shape
+    buf = np.zeros((bpp, height + 1, width + 1), dtype=np.uint8)
+    body = buf[:, 1:, 1:]
+    body[:] = data.transpose(2, 0, 1)
+    # a None row holds its own bytes, which Sub-filtering them again makes a
+    # Sub row, so every row's prediction is c + table[f, a - c, b - c]
+    none = filters == 0
+    body[:, none, 1:] = np.diff(body[:, none], axis=2)
+    filters = np.where(none, 1, filters)
+    # table index ((f - 1) * 511 + u + 255) * 511 + v + 255 = key + offset[y],
+    # with key = u * 511 + v computed per diagonal
+    side = 511
+    offset =((filters.astype(np.int32) - 1) * side + 255) * side + 255
+    table = _predictor_table()
+    flat = buf.reshape(bpp, -1)
+    for d in range(width + height - 1):
+        y0, y1 = max(0, d - width + 1), min(height, d + 1)
+        start = (y0 + 1) * (width + 1) + d - y0 + 1
+        span = (y1 - y0 - 1) * width + 1
+        out, a, b, c = (flat[:, i : i + span : width]
+                        for i in (start, start - 1, start - width - 1, start - width - 2))
+        key = np.subtract(a, c, dtype=np.int32)
+        key *= side
+        key += b
+        key -= c
+        key += offset[y0:y1]
+        out += c
+        out += table.take(key)
+    return body.transpose(1, 2, 0)

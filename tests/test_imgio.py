@@ -4,8 +4,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from luxprobe.imgio import read_hdr, read_pfm, read_png, write_pfm, write_png
+from luxprobe.imgio import _unfilter, read_hdr, read_pfm, read_png, write_pfm, write_png
 
 
 class TestPfm:
@@ -329,4 +331,103 @@ class TestPng:
         write_png(path, rng.random((4, 4, 3)))
         path.write_bytes(path.read_bytes()[:-30])
         with pytest.raises(ValueError, match="PNG"):
+            read_png(path)
+
+
+def unfilter_line(ftype, line, prev, bpp):
+    """The per-byte PNG unfilter that the wavefront one replaced (oracle)."""
+    if ftype == 0:
+        return line
+    if ftype == 2:
+        return line + prev
+    out = line.astype(np.int32)
+    if ftype == 1:
+        for i in range(bpp, out.size):
+            out[i] = (out[i] + out[i - bpp]) & 0xFF
+    elif ftype == 3:
+        up = prev.astype(np.int32)
+        for i in range(out.size):
+            left = out[i - bpp] if i >= bpp else 0
+            out[i] = (out[i] + ((left + up[i]) >> 1)) & 0xFF
+    elif ftype == 4:
+        up = prev.astype(np.int32)
+        for i in range(out.size):
+            a = out[i - bpp] if i >= bpp else 0
+            b = up[i]
+            c = up[i - bpp] if i >= bpp else 0
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            pred = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+            out[i] = (out[i] + pred) & 0xFF
+    else:
+        raise ValueError(f"unknown PNG filter type {ftype}")
+    return out.astype(np.uint8)
+
+
+def unfilter_by_rows(payload, bpp):
+    img = np.empty((payload.shape[0], payload.shape[1] - 1), dtype=np.uint8)
+    prev = np.zeros(payload.shape[1] - 1, dtype=np.uint8)
+    for y, row in enumerate(payload):
+        img[y] = prev = unfilter_line(row[0], row[1:].copy(), prev, bpp)
+    return img
+
+
+BPP = {0: 1, 2: 3, 6: 4}  # bytes per pixel of each PNG colour type read_png accepts
+
+
+def random_payload(rng, filters, width, bpp):
+    payload = rng.integers(0, 256, size=(len(filters), 1 + width * bpp), dtype=np.uint8)
+    payload[:, 0] = filters
+    return payload
+
+
+def assert_unfilter_parity(payload, bpp):
+    height = payload.shape[0]
+    got = _unfilter(payload, bpp)
+    assert got.dtype == np.uint8 and got.shape == (height, (payload.shape[1] - 1) // bpp, bpp)
+    np.testing.assert_array_equal(got.reshape(height, -1), unfilter_by_rows(payload, bpp))
+
+
+class TestUnfilterParity:
+    """The vectorized unfilter against the per-byte one, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), height=st.integers(1, 40), width=st.integers(1, 40),
+           color_type=st.sampled_from(sorted(BPP)), top=st.sampled_from([2, 4]))
+    def test_random_filters_and_bytes(self, data, height, width, color_type, top):
+        # top 2 draws None, Sub and Up only, the images decoded row by row
+        bpp = BPP[color_type]
+        filters = data.draw(st.lists(st.integers(0, top), min_size=height, max_size=height))
+        body = data.draw(st.binary(min_size=height * width * bpp,
+                                   max_size=height * width * bpp))
+        payload = np.empty((height, 1 + width * bpp), dtype=np.uint8)
+        payload[:, 0] = filters
+        payload[:, 1:] = np.frombuffer(body, dtype=np.uint8).reshape(height, -1)
+        assert_unfilter_parity(payload, bpp)
+
+    @pytest.mark.parametrize("bpp", sorted(BPP.values()))
+    @pytest.mark.parametrize("height, width", [(300, 1), (1, 300)], ids=["column", "row"])
+    def test_one_pixel_wide_or_high(self, rng, bpp, height, width):
+        assert_unfilter_parity(random_payload(rng, rng.integers(0, 5, height), width, bpp), bpp)
+
+    @pytest.mark.parametrize("bpp", sorted(BPP.values()))
+    @pytest.mark.parametrize("last", [3, 4], ids=["avg", "paeth"])
+    def test_avg_or_paeth_only_in_last_row(self, rng, bpp, last):
+        filters = [0, 1, 2, 1, 0, 2, 2, last]
+        assert_unfilter_parity(random_payload(rng, filters, 9, bpp), bpp)
+
+    @pytest.mark.parametrize("bpp", sorted(BPP.values()))
+    def test_five_filters_on_consecutive_rows(self, rng, bpp):
+        for shift in range(5):
+            filters = np.roll(np.arange(10) % 5, shift)
+            assert_unfilter_parity(random_payload(rng, filters, 11, bpp), bpp)
+
+    @pytest.mark.parametrize("ftype", [5, 255])
+    def test_unknown_filter_rejected(self, tmp_path, rng, ftype):
+        payload = random_payload(rng, [4, 1, ftype, 3], 5, 3)
+        with pytest.raises(ValueError, match="unknown PNG filter type"):
+            _unfilter(payload, 3)
+        path = tmp_path / "bad_filter.png"
+        TestPng._png(path, 5, 4, 2, zlib.compress(payload.tobytes()))
+        with pytest.raises(ValueError, match=f"unknown PNG filter type {ftype}"):
             read_png(path)
