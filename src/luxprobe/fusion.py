@@ -3,7 +3,10 @@
 The network is fixed at 5 affine layers (widths 6-64-64-64-64-3) with
 LeakyReLU(0.01) hidden activations and a softplus output, so predictions are
 strictly positive. Training minimizes mean Huber loss (delta = 1) against
-linear-radiance targets with Adam-style per-parameter step scaling.
+linear-radiance targets with Adam-style per-parameter step scaling. One
+forward pass, `_forward`, serves training, inference and the structured init;
+the last two run it over consecutive BLOCK_ROWS-row blocks, so their memory
+is a fixed number of block-sized arrays plus the input and output.
 
 Inputs are the six [0,1] values (ldr RGB, log RGB); see tonemap.inverse_rule
 for the analytic oracle the trained network is benchmarked against.
@@ -29,6 +32,7 @@ POOL_SIZE = 2_000_000  # synthetic pairs drawn for a training run
 INTENSITY_RANGE = (1e-3, 1e4)  # radiance range of the synthetic training pairs
 EXPOSURE_RANGE = (0.25, 4.0)
 TRAIN_DTYPE = np.float32
+BLOCK_ROWS = 2048  # rows per inference block: the default training batch
 
 # structured init: hinge kinks per input channel; the log channels carry the
 # exponential branch and get the denser basis
@@ -127,8 +131,11 @@ def init_structured(seed: int, dtype=np.float64, quantize: bool = True) -> Fusio
 
     design_rng = np.random.default_rng(seed + 101)
     ldr, log, hdr = sample_training_pairs(design_rng, 32768, quantize=quantize)
-    h = _hidden(weights[:-1], biases[:-1], np.concatenate([ldr, log], axis=1))
-    phi = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
+    x = np.concatenate([ldr, log], axis=1)
+    net = FusionNet(params)  # its head is still zero; the fit reads the last hidden layer
+    phi = np.ones((x.shape[0], WIDTHS[-2] + 1))
+    for i in range(0, x.shape[0], BLOCK_ROWS):
+        phi[i : i + BLOCK_ROWS, :-1] = _forward(net, x[i : i + BLOCK_ROWS])[1][-2]
     lam = 1e-3 * phi.shape[0]
     gram = phi.T @ phi + lam * np.eye(phi.shape[1])
     rhs = phi.T @ _softplus_inv(hdr)
@@ -151,15 +158,6 @@ def _forward(net: FusionNet, x: np.ndarray):
     return pre, acts
 
 
-def _hidden(weights, biases, h):
-    """The hidden layers for inference: only the current activation stays live."""
-    for w, b in zip(weights, biases):
-        h = h @ w
-        h += b
-        h = _leaky(h)
-    return h
-
-
 def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     """Predict HDR RGB from a dual-tonemapped pair; accepts (3,) or (N, 3)."""
     ldr = np.asarray(ldr_rgb, dtype=net.dtype)
@@ -168,8 +166,9 @@ def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     x = np.concatenate([np.atleast_2d(ldr), np.atleast_2d(log)], axis=1)
     if not ((x >= 0.0) & (x <= 1.0)).all():
         raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
-    h = _hidden(net.weights[:-1], net.biases[:-1], x)
-    out = _softplus(h @ net.weights[-1] + net.biases[-1])
+    out = np.empty((x.shape[0], WIDTHS[-1]), dtype=net.dtype)
+    for i in range(0, x.shape[0], BLOCK_ROWS):
+        out[i : i + BLOCK_ROWS] = _forward(net, x[i : i + BLOCK_ROWS])[1][-1]
     return out[0] if single else out
 
 

@@ -175,15 +175,11 @@ def write_png(path, image: np.ndarray, metadata: dict | None = None) -> None:
     metadata is stored as tEXt chunks (sorted by key for determinism).
     """
     arr = np.asarray(image)
-    if arr.ndim == 2:
-        arr = arr[..., None].repeat(3, axis=2)
-    if arr.ndim != 3 or arr.shape[2] not in (1, 3):
-        raise ValueError(f"PNG writer expects (H, W[, 3]) data, got {arr.shape}")
-    if arr.shape[2] == 1:
-        arr = arr.repeat(3, axis=2)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"PNG writer expects (H, W, 3) data, got {arr.shape}")
     if arr.dtype != np.uint8:
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("float PNG data must lie in [0, 1]")
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
+            raise ValueError("float PNG data must lie in [0, 1] (NaN is rejected)")
         arr = np.floor(arr.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
     height, width = arr.shape[:2]
     raw = np.concatenate(

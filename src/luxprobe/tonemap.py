@@ -187,6 +187,6 @@ def auto_expose(img, percentile: float = 0.99, target: float = 0.9):
 def quantize8(img):
     """Snap [0,1] values to the 8-bit grid (round half away from zero)."""
     img = np.asarray(img, dtype=np.float64)
-    if img.min() < 0.0 or img.max() > 1.0:
-        raise ValueError("quantize8 input must lie in [0, 1]")
+    if not ((img >= 0.0) & (img <= 1.0)).all():
+        raise ValueError("quantize8 input must lie in [0, 1] (NaN is rejected)")
     return np.floor(img * 255.0 + 0.5) / 255.0

@@ -5,13 +5,17 @@ import pytest
 
 from luxprobe.envmap import EnvironmentMap
 from luxprobe.fusion import (
+    BLOCK_ROWS,
     N_PARAMS,
     WIDTHS,
     FusionNet,
     TrainConfig,
     _backward,
     _forward,
+    _leaky,
     _sigmoid,
+    _softplus,
+    _softplus_inv,
     fuse_image,
     fusion_forward,
     huber_loss,
@@ -102,6 +106,103 @@ def sigmoid_by_masks(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def hidden_unblocked(weights, biases, h):
+    """The unblocked inference pass over the hidden layers that blocked
+    `_forward` replaced (oracle): only the current activation stays live."""
+    for w, b in zip(weights, biases):
+        h = h @ w
+        h += b
+        h = _leaky(h)
+    return h
+
+
+def head_error_bound(net, h):
+    """How far two summation orders of the 64-term head may differ.
+
+    Each order's pre-activation is within K * eps * (|h| @ |w| + |b|) of the
+    exact sum (K terms, the classic dot-product bound); softplus has slope
+    sigmoid(z) <= 1 and rounds its own result to a few ulps.
+    """
+    eps = np.finfo(net.dtype).eps
+    z = h @ net.weights[-1] + net.biases[-1]
+    spread = np.abs(h) @ np.abs(net.weights[-1]) + np.abs(net.biases[-1])
+    return 2 * h.shape[1] * eps * spread * _sigmoid(z) + 4 * eps * _softplus(z)
+
+
+class TestBlockedForward:
+    # an odd count that spans several blocks, and one that ends on a boundary
+    ROWS = [3 * BLOCK_ROWS + 5, 2 * BLOCK_ROWS]
+
+    def test_block_is_the_default_training_batch(self):
+        assert BLOCK_ROWS == TrainConfig().batch_size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", ROWS)
+    def test_hidden_layers_bit_identical_to_unblocked(self, rng, dtype, n):
+        net = init_structured(2, dtype=dtype)
+        ldr, log, _ = sample_training_pairs(rng, n)
+        x = np.concatenate([ldr, log], axis=1).astype(dtype)
+        blocked = np.concatenate([_forward(net, x[i : i + BLOCK_ROWS])[1][-2]
+                                  for i in range(0, n, BLOCK_ROWS)])
+        oracle = hidden_unblocked(net.weights[:-1], net.biases[:-1], x)
+        assert blocked.dtype == dtype and blocked.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", ROWS)
+    def test_output_is_forward_per_block(self, rng, dtype, n):
+        net = init_structured(2, dtype=dtype)
+        ldr, log, _ = sample_training_pairs(rng, n)
+        x = np.concatenate([ldr, log], axis=1).astype(dtype)
+        out = fusion_forward(net, ldr, log)
+        per_block = np.concatenate([_forward(net, x[i : i + BLOCK_ROWS])[1][-1]
+                                    for i in range(0, n, BLOCK_ROWS)])
+        assert out.dtype == dtype and out.tobytes() == per_block.tobytes()
+        # the unblocked head sums in another order once it is large enough
+        # for BLAS to leave its small-matrix kernel (about 5200 rows)
+        h = hidden_unblocked(net.weights[:-1], net.biases[:-1], x)
+        oracle = _softplus(h @ net.weights[-1] + net.biases[-1])
+        assert (np.abs(out - oracle) <= head_error_bound(net, h)).all()
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_structured_init_matches_unblocked_fit(self, seed, quantize):
+        # the oracle fits the head on the unblocked features of the same
+        # hidden layers
+        params = init_structured(seed, quantize=quantize).params
+        oracle = FusionNet(params.copy())
+        ldr, log, hdr = sample_training_pairs(np.random.default_rng(seed + 101), 32768,
+                                              quantize=quantize)
+        x = np.concatenate([ldr, log], axis=1)
+        h = hidden_unblocked(oracle.weights[:-1], oracle.biases[:-1], x)
+        phi = np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
+        lam = 1e-3 * phi.shape[0]
+        gram = phi.T @ phi + lam * np.eye(phi.shape[1])
+        sol = np.linalg.solve(gram, phi.T @ _softplus_inv(hdr))
+        oracle.weights[-1][:] = sol[:-1]
+        oracle.biases[-1][:] = sol[-1]
+        assert params.tobytes() == oracle.params.tobytes()
+        assert (init_structured(seed, dtype=np.float32, quantize=quantize).params.tobytes()
+                == oracle.params.astype(np.float32).tobytes())
+
+    def test_inference_memory_flat_in_map_size(self):
+        # 2**15 and 2**17 rows: beyond the (N, 6) input and the (N, 3) output,
+        # inference holds the same few block-sized arrays at both sizes
+        net = init_uniform(1, dtype=np.float32)
+        block = BLOCK_ROWS * WIDTHS[1] * 4  # bytes of one float32 hidden block
+        rng = np.random.default_rng(0)
+        for n in (2**15, 2**17):
+            ldr = rng.random((n, 3), dtype=np.float32)
+            log = rng.random((n, 3), dtype=np.float32)
+            tracemalloc.start()
+            try:
+                fusion_forward(net, ldr, log)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rest = peak - n * (6 + 3) * 4
+            assert rest < 12 * block, f"{n} rows: {rest / block:.2f} hidden blocks"
 
 
 class TestParams:
@@ -289,8 +390,8 @@ class TestFuseImage:
         assert (out.data == out.data[0, 0]).all()
 
     def test_peak_memory_keeps_no_activations(self):
-        # inference holds the current hidden activation and its temporaries,
-        # not the per-layer pre-activations and activations backprop needs
+        # inference keeps the activations of one BLOCK_ROWS-row block at a
+        # time, not the per-layer activations of every pixel
         net = init_uniform(1, dtype=np.float32)
         h, w = 64, 128
         maps = DualToneMaps(ldr=np.full((h, w, 3), 0.25), log=np.full((h, w, 3), 0.5))

@@ -191,6 +191,18 @@ class TestPng:
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             write_png(tmp_path / "f.png", np.full((2, 2, 3), 1.5))
 
+    def test_nan_rejected(self, tmp_path):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            write_png(tmp_path / "g.png", img)
+        assert not (tmp_path / "g.png").exists()
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 1), (2, 2, 4), (2, 2, 3, 1)])
+    def test_only_rgb_accepted(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="\\(H, W, 3\\)"):
+            write_png(tmp_path / "h.png", np.zeros(shape))
+
     def test_reads_all_filter_types(self, tmp_path, rng):
         # hand-encode one PNG per filter type and check exact decode
         img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)

@@ -187,3 +187,7 @@ class TestQuantize8:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             quantize8(np.array([1.5]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize8(np.array([0.5, np.nan]))
