@@ -151,7 +151,8 @@ def _forward(net: FusionNet, x: np.ndarray):
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         pre.append(z)
         h = _leaky(z) if i < last else _softplus(z)
         acts.append(h)
@@ -160,15 +161,24 @@ def _forward(net: FusionNet, x: np.ndarray):
 
 def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     """Predict HDR RGB from a dual-tonemapped pair; accepts (3,) or (N, 3)."""
-    ldr = np.asarray(ldr_rgb, dtype=net.dtype)
-    log = np.asarray(log_rgb, dtype=net.dtype)
+    ldr = np.asarray(ldr_rgb)
+    log = np.asarray(log_rgb)
+    if ldr.shape != log.shape or ldr.shape[-1:] != (3,) or ldr.ndim > 2:
+        raise ValueError(f"fusion inputs must be (3,) or (N, 3) arrays of one shape, "
+                         f"got {ldr.shape} and {log.shape}")
     single = ldr.ndim == 1
-    x = np.concatenate([np.atleast_2d(ldr), np.atleast_2d(log)], axis=1)
-    if not ((x >= 0.0) & (x <= 1.0)).all():
-        raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
-    out = np.empty((x.shape[0], WIDTHS[-1]), dtype=net.dtype)
-    for i in range(0, x.shape[0], BLOCK_ROWS):
-        out[i : i + BLOCK_ROWS] = _forward(net, x[i : i + BLOCK_ROWS])[1][-1]
+    ldr, log = np.atleast_2d(ldr), np.atleast_2d(log)
+    n = ldr.shape[0]
+    out = np.empty((n, WIDTHS[-1]), dtype=net.dtype)
+    # cast, concatenate and check one block at a time, so no (N, 6) input exists
+    x = np.empty((min(n, BLOCK_ROWS), WIDTHS[0]), dtype=net.dtype)
+    for i in range(0, n, BLOCK_ROWS):
+        xb = x[: min(BLOCK_ROWS, n - i)]
+        xb[:, :3] = ldr[i : i + BLOCK_ROWS]
+        xb[:, 3:] = log[i : i + BLOCK_ROWS]
+        if not ((xb >= 0.0) & (xb <= 1.0)).all():
+            raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
+        out[i : i + BLOCK_ROWS] = _forward(net, xb)[1][-1]
     return out[0] if single else out
 
 
@@ -182,8 +192,8 @@ def _gradient(net: FusionNet, pre, acts, dout) -> np.ndarray:
         np.sum(g, axis=0, out=grads_b[i])
         if i > 0:
             g = g @ net.weights[i].T
-            one, slope = pre[i - 1].dtype.type(1.0), pre[i - 1].dtype.type(LEAKY_SLOPE)
-            g *= np.where(pre[i - 1] > 0, one, slope)
+            # the LeakyReLU derivative: the mask True/False becomes 1.0/slope
+            g *= np.maximum(pre[i - 1] > 0, pre[i - 1].dtype.type(LEAKY_SLOPE))
     return grad
 
 
@@ -214,11 +224,15 @@ def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool =
         raise ValueError("count must be positive")
     lo, hi = intensity_range
     base = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
-    jitter = 2.0 ** rng.uniform(-1.0, 1.0, size=(count, 3))
+    jitter = rng.uniform(-1.0, 1.0, size=(count, 3))
     exposure = np.exp(
         rng.uniform(np.log(EXPOSURE_RANGE[0]), np.log(EXPOSURE_RANGE[1]), size=count)
     )
-    hdr = np.clip(base[:, None] * jitter * exposure[:, None], lo, hi)
+    # clip(base * 2**jitter * exposure) in place, in that order of operations
+    hdr = np.power(2.0, jitter, out=jitter)
+    hdr *= base[:, None]
+    hdr *= exposure[:, None]
+    np.clip(hdr, lo, hi, out=hdr)
     ldr = tonemap_ldr(hdr)
     log = tonemap_log(hdr)
     if quantize:
@@ -277,7 +291,9 @@ def train_fusion(cfg: TrainConfig, data=None):
         rng = np.random.default_rng(cfg.seed + 1)
         data = sample_training_pairs(rng, POOL_SIZE, quantize=cfg.quantize)
     ldr, log, hdr = data
-    x_pool = np.ascontiguousarray(np.concatenate([ldr, log], axis=1), dtype=dtype)
+    x_pool = np.empty((len(ldr), WIDTHS[0]), dtype=dtype)
+    x_pool[:, :3] = ldr
+    x_pool[:, 3:] = log
     y_pool = np.ascontiguousarray(hdr, dtype=dtype)
     pool = x_pool.shape[0]
     if pool < cfg.batch_size:

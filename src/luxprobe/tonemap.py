@@ -41,16 +41,30 @@ class DualToneMaps:
                 raise ValueError(f"{name} channel must lie in [0, 1] (NaN is rejected)")
 
 
+def _value(t: np.ndarray):
+    """`t`, or its value as a numpy scalar when 0-d: what an expression of
+    ufuncs returns for a 0-d input, which the in-place forms here keep."""
+    return t if t.ndim else t[()]
+
+
 def tonemap_ldr(e):
     """Extended Reinhard channel, clipped to [0,1]."""
     e = np.asarray(e, dtype=np.float64)
-    return np.clip(e / (1.0 + e) * (1.0 + e / (M_LDR * M_LDR)), 0.0, 1.0)
+    # e / (1 + e) * (1 + e / M_LDR**2) in place, in that order of operations
+    t = np.add(1.0, e, out=np.empty_like(e))
+    np.divide(e, t, out=t)
+    u = e / (M_LDR * M_LDR)
+    u += 1.0
+    t *= u
+    return _value(np.clip(t, 0.0, 1.0, out=t))
 
 
 def tonemap_log(e):
     """Normalized log-intensity channel, clipped to [0,1]."""
     e = np.asarray(e, dtype=np.float64)
-    return np.clip(np.log1p(e) / _LOG_DEN, 0.0, 1.0)
+    t = np.log1p(e, out=np.empty_like(e))
+    t /= _LOG_DEN
+    return _value(np.clip(t, 0.0, 1.0, out=t))
 
 
 def tonemap_dual(env: EnvironmentMap) -> DualToneMaps:
@@ -189,4 +203,9 @@ def quantize8(img):
     img = np.asarray(img, dtype=np.float64)
     if not ((img >= 0.0) & (img <= 1.0)).all():
         raise ValueError("quantize8 input must lie in [0, 1] (NaN is rejected)")
-    return np.floor(img * 255.0 + 0.5) / 255.0
+    # floor(img * 255 + 0.5) / 255 in place
+    t = np.multiply(img, 255.0, out=np.empty_like(img))
+    t += 0.5
+    np.floor(t, out=t)
+    t /= 255.0
+    return _value(t)

@@ -17,3 +17,20 @@ def hot_spot_env(height=64, row=None, col=None, value=100.0, base=0.01):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# the one-line tonemap expressions that the in-place forms replaced (oracles)
+
+def tonemap_ldr_expr(e):
+    e = np.asarray(e, dtype=np.float64)
+    return np.clip(e / (1.0 + e) * (1.0 + e / (16.0 * 16.0)), 0.0, 1.0)
+
+
+def tonemap_log_expr(e):
+    e = np.asarray(e, dtype=np.float64)
+    return np.clip(np.log1p(e) / np.log1p(10000.0), 0.0, 1.0)
+
+
+def quantize8_expr(img):
+    img = np.asarray(img, dtype=np.float64)
+    return np.floor(img * 255.0 + 0.5) / 255.0

@@ -3,15 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from luxprobe import fusion
 from luxprobe.envmap import EnvironmentMap
 from luxprobe.fusion import (
     BLOCK_ROWS,
+    EXPOSURE_RANGE,
+    INTENSITY_RANGE,
+    LEAKY_SLOPE,
     N_PARAMS,
     WIDTHS,
     FusionNet,
     TrainConfig,
     _backward,
     _forward,
+    _gradient,
     _leaky,
     _sigmoid,
     _softplus,
@@ -27,6 +32,8 @@ from luxprobe.fusion import (
     train_fusion,
 )
 from luxprobe.tonemap import DualToneMaps, inverse_rule, tonemap_dual
+
+from conftest import quantize8_expr, tonemap_ldr_expr, tonemap_log_expr
 
 
 def zero_net():
@@ -79,6 +86,29 @@ class TestForward:
         for bad in (1.5, np.nan):
             with pytest.raises(ValueError, match="\\[0, 1\\]"):
                 fusion_forward(init_uniform(0), np.full(3, bad), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [1.5, -1e-9, np.nan])
+    def test_rejects_out_of_range_in_a_later_block(self, bad):
+        ldr = np.full((2 * BLOCK_ROWS + 3, 3), 0.5)
+        log = ldr.copy()
+        log[-1, 2] = bad
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            fusion_forward(init_uniform(0, dtype=np.float32), ldr, log)
+
+    def test_checks_the_cast_values(self):
+        # 1 + 1e-9 rounds to 1.0 in float32, as the float32 net reads it
+        ok = np.full((2, 3), 1.0 + 1e-9)
+        assert fusion_forward(init_uniform(0, dtype=np.float32), ok, ok).shape == (2, 3)
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            fusion_forward(init_uniform(0), ok, ok)
+
+    @pytest.mark.parametrize("ldr_shape, log_shape", [
+        ((4, 3), (5, 3)), ((1, 3), (4, 3)), ((4, 2), (4, 4)), ((2, 2, 3), (2, 2, 3)),
+        ((3,), (1, 3)), ((), ()),
+    ])
+    def test_rejects_mismatched_shapes(self, ldr_shape, log_shape):
+        with pytest.raises(ValueError, match="arrays of one shape"):
+            fusion_forward(init_uniform(0), np.zeros(ldr_shape), np.zeros(log_shape))
 
     def test_rejects_nonfinite_params(self):
         net = init_uniform(0)
@@ -187,8 +217,9 @@ class TestBlockedForward:
                 == oracle.params.astype(np.float32).tobytes())
 
     def test_inference_memory_flat_in_map_size(self):
-        # 2**15 and 2**17 rows: beyond the (N, 6) input and the (N, 3) output,
-        # inference holds the same few block-sized arrays at both sizes
+        # 2**15 and 2**17 rows: beyond the (N, 3) inputs and the (N, 3) output,
+        # inference holds the same few block-sized arrays at both sizes; the
+        # inputs are cast, joined and checked a block at a time
         net = init_uniform(1, dtype=np.float32)
         block = BLOCK_ROWS * WIDTHS[1] * 4  # bytes of one float32 hidden block
         rng = np.random.default_rng(0)
@@ -201,8 +232,103 @@ class TestBlockedForward:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            rest = peak - n * (6 + 3) * 4
-            assert rest < 12 * block, f"{n} rows: {rest / block:.2f} hidden blocks"
+            rest = peak - n * 3 * 4
+            assert rest < 9 * block, f"{n} rows: {rest / block:.2f} hidden blocks"
+
+
+def forward_by_sum(net, x):
+    """The forward pass that adds the bias into a second array (oracle)."""
+    pre, acts = [], [x]
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = _leaky(z) if i < last else _softplus(z)
+        acts.append(h)
+    return pre, acts
+
+
+def gradient_by_where(net, pre, acts, dout):
+    """The gradient with the np.where LeakyReLU derivative (oracle)."""
+    grad = np.empty_like(net.params)
+    grads_w, grads_b = fusion._layer_views(grad)
+    g = dout * _sigmoid(pre[-1])
+    for i in range(len(grads_w) - 1, -1, -1):
+        np.matmul(acts[i].T, g, out=grads_w[i])
+        np.sum(g, axis=0, out=grads_b[i])
+        if i > 0:
+            g = g @ net.weights[i].T
+            one, slope = pre[i - 1].dtype.type(1.0), pre[i - 1].dtype.type(LEAKY_SLOPE)
+            g *= np.where(pre[i - 1] > 0, one, slope)
+    return grad
+
+
+def sample_pairs_expr(rng, count, quantize):
+    """The sampler as one expression per array, with the tonemap expressions (oracle)."""
+    lo, hi = INTENSITY_RANGE
+    base = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
+    jitter = 2.0 ** rng.uniform(-1.0, 1.0, size=(count, 3))
+    exposure = np.exp(
+        rng.uniform(np.log(EXPOSURE_RANGE[0]), np.log(EXPOSURE_RANGE[1]), size=count)
+    )
+    hdr = np.clip(base[:, None] * jitter * exposure[:, None], lo, hi)
+    ldr, log = tonemap_ldr_expr(hdr), tonemap_log_expr(hdr)
+    if quantize:
+        ldr, log = quantize8_expr(ldr), quantize8_expr(log)
+    return ldr, log, hdr
+
+
+class TestTrainerParity:
+    """The in-place trainer step and pool against the expressions they replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_matches_bias_sum(self, rng, dtype):
+        net = init_structured(2, dtype=dtype)
+        ldr, log, _ = sample_training_pairs(rng, 3000)
+        x = np.concatenate([ldr, log], axis=1).astype(dtype)
+        pre, acts = _forward(net, x)
+        pre_o, acts_o = forward_by_sum(net, x)
+        for got, want in zip(pre + acts, pre_o + acts_o):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_matches_where_derivative(self, rng, dtype):
+        net = init_structured(2, dtype=dtype)
+        ldr, log, hdr = sample_training_pairs(rng, 2048)
+        x = np.concatenate([ldr, log], axis=1).astype(dtype)
+        pre, acts = _forward(net, x)
+        for z in pre[:-1]:  # rows at exactly +0.0 and -0.0 take the slope
+            z[:100] = 0.0
+            z[100:200] = -0.0
+        err = acts[-1] - hdr.astype(dtype)
+        dout = np.clip(err, dtype(-1.0), dtype(1.0)) / dtype(err.size)
+        got = _gradient(net, pre, acts, dout)
+        want = gradient_by_where(net, pre, acts, dout)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sampler_matches_expression(self, seed, quantize):
+        got = sample_training_pairs(np.random.default_rng(seed), 20000, quantize=quantize)
+        want = sample_pairs_expr(np.random.default_rng(seed), 20000, quantize)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_pool_matches_concatenated_cast(self, monkeypatch):
+        # four 256-row steps read the 1024-pair pool once, in order
+        ldr, log, hdr = sample_training_pairs(np.random.default_rng(3), 1024, quantize=False)
+        seen = []
+
+        def recording(net, x):
+            seen.append(x.copy())
+            return _forward(net, x)
+
+        monkeypatch.setattr(fusion, "_forward", recording)
+        train_fusion(TrainConfig(steps=4, batch_size=256, init="uniform"), data=(ldr, log, hdr))
+        want = np.ascontiguousarray(np.concatenate([ldr, log], axis=1), dtype=fusion.TRAIN_DTYPE)
+        got = np.concatenate(seen)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestParams:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from luxprobe.envmap import EnvironmentMap
 from luxprobe.tonemap import (
@@ -17,6 +18,8 @@ from luxprobe.tonemap import (
     tonemap_ldr,
     tonemap_log,
 )
+
+from conftest import quantize8_expr, tonemap_ldr_expr, tonemap_log_expr
 
 
 class TestDualForward:
@@ -191,3 +194,46 @@ class TestQuantize8:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             quantize8(np.array([0.5, np.nan]))
+
+
+def assert_same_result(got, want):
+    """Same type, dtype, shape and bytes."""
+    assert type(got) is type(want) and got.dtype == want.dtype
+    assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
+
+
+class TestInPlaceParity:
+    """The in-place tonemap channels and quantize8 against their one-line expressions."""
+
+    CASES = [(tonemap_ldr, tonemap_ldr_expr), (tonemap_log, tonemap_log_expr)]
+
+    @pytest.mark.parametrize("fn, oracle", CASES, ids=["ldr", "log"])
+    @given(e=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                        elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @settings(max_examples=200, deadline=None)
+    def test_channels_bit_identical(self, fn, oracle, e):
+        with np.errstate(all="ignore"):
+            assert_same_result(fn(e), oracle(e))
+            assert_same_result(fn(e.T), oracle(e.T))
+
+    @given(img=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                          elements=st.floats(0.0, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_quantize8_bit_identical(self, img):
+        assert_same_result(quantize8(img), quantize8_expr(img))
+        assert_same_result(quantize8(img.T), quantize8_expr(img.T))
+
+    @pytest.mark.parametrize("fn, oracle", CASES + [(quantize8, quantize8_expr)],
+                             ids=["ldr", "log", "quantize8"])
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1, np.float64(0.25), np.float32(0.75),
+                                       np.asarray(1.0), np.asarray(0.0, dtype=np.float32),
+                                       [0.125], [[1.0, 0.0]]])
+    def test_scalars_and_0d_keep_their_return_type(self, fn, oracle, value):
+        assert_same_result(fn(value), oracle(value))
+
+    @pytest.mark.parametrize("fn", [tonemap_ldr, tonemap_log, quantize8])
+    def test_input_is_not_written(self, rng, fn):
+        x = rng.random((8, 16, 3))
+        before = x.copy()
+        fn(x)
+        assert x.tobytes() == before.tobytes()
