@@ -134,13 +134,15 @@ def luminance(rgb) -> np.ndarray:
     return np.asarray(rgb, dtype=np.float64) @ LUMA_WEIGHTS
 
 
-def sample_equirect(data: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Bilinear panorama lookup along unit directions (..., 3).
+def equirect_geometry(dirs: np.ndarray, height: int, width: int):
+    """The map-independent half of a bilinear lookup along directions (..., 3).
 
-    Wraps in azimuth and clamps rows at the poles. Lerps use the difference
-    form a + t*(b - a) so constant maps sample back bit-exactly.
+    Returns (texels, tc, tr): the flat texel indices (4, ...) of the
+    top-left, top-right, bottom-left and bottom-right neighbours in a
+    row-major height x width grid, and the column and row weights (..., 1).
+    Wraps in azimuth and clamps rows at the poles. One geometry serves every
+    map of that size (`apply_equirect`).
     """
-    height, width = data.shape[0], data.shape[1]
     col, row = _directions_to_pixels(dirs, width, height)
     c0f = np.floor(col)
     r0f = np.floor(row)
@@ -150,11 +152,33 @@ def sample_equirect(data: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     c1 = (c0 + 1) % width
     r0 = np.clip(r0f.astype(np.int64), 0, height - 1)
     r1 = np.clip(r0 + 1, 0, height - 1)
-    top = data[r0, c0]
-    top = top + tc * (data[r0, c1] - top)
-    bot = data[r1, c0]
-    bot = bot + tc * (data[r1, c1] - bot)
+    r0 *= width
+    r1 *= width
+    return np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1]), tc, tr
+
+
+def apply_equirect(data: np.ndarray, geometry) -> np.ndarray:
+    """Bilinear lookup of a (H, W, ...) map at an `equirect_geometry`.
+
+    Lerps use the difference form a + t*(b - a) so constant maps sample
+    back bit-exactly.
+    """
+    texels, tc, tr = geometry
+    flat = data.reshape(data.shape[0] * data.shape[1], *data.shape[2:])
+    top = flat.take(texels[0], axis=0)
+    top = top + tc * (flat.take(texels[1], axis=0) - top)
+    bot = flat.take(texels[2], axis=0)
+    bot = bot + tc * (flat.take(texels[3], axis=0) - bot)
     return top + tr * (bot - top)
+
+
+def sample_equirect(data: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Bilinear panorama lookup along unit directions (..., 3).
+
+    Wraps in azimuth and clamps rows at the poles. Lerps use the difference
+    form a + t*(b - a) so constant maps sample back bit-exactly.
+    """
+    return apply_equirect(data, equirect_geometry(dirs, data.shape[0], data.shape[1]))
 
 
 def rotate_env(env: EnvironmentMap, yaw_deg: float) -> EnvironmentMap:

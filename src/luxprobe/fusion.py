@@ -159,6 +159,23 @@ def _forward(net: FusionNet, x: np.ndarray):
     return pre, acts
 
 
+def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.ndarray):
+    """Inference on (N, 3) input pairs into `out` (N, 3), BLOCK_ROWS rows at a
+    time: each block is cast to `net.dtype`, joined and range-checked in one
+    reused (BLOCK_ROWS, 6) buffer, so no (N, 6) input exists, and its output
+    is stored into `out`, cast to out's dtype."""
+    n = ldr.shape[0]
+    x = np.empty((min(n, BLOCK_ROWS), WIDTHS[0]), dtype=net.dtype)
+    for i in range(0, n, BLOCK_ROWS):
+        xb = x[: min(BLOCK_ROWS, n - i)]
+        xb[:, :3] = ldr[i : i + BLOCK_ROWS]
+        xb[:, 3:] = log[i : i + BLOCK_ROWS]
+        if not ((xb >= 0.0) & (xb <= 1.0)).all():
+            raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
+        out[i : i + BLOCK_ROWS] = _forward(net, xb)[1][-1]
+    return out
+
+
 def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
     """Predict HDR RGB from a dual-tonemapped pair; accepts (3,) or (N, 3)."""
     ldr = np.asarray(ldr_rgb)
@@ -168,17 +185,7 @@ def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
                          f"got {ldr.shape} and {log.shape}")
     single = ldr.ndim == 1
     ldr, log = np.atleast_2d(ldr), np.atleast_2d(log)
-    n = ldr.shape[0]
-    out = np.empty((n, WIDTHS[-1]), dtype=net.dtype)
-    # cast, concatenate and check one block at a time, so no (N, 6) input exists
-    x = np.empty((min(n, BLOCK_ROWS), WIDTHS[0]), dtype=net.dtype)
-    for i in range(0, n, BLOCK_ROWS):
-        xb = x[: min(BLOCK_ROWS, n - i)]
-        xb[:, :3] = ldr[i : i + BLOCK_ROWS]
-        xb[:, 3:] = log[i : i + BLOCK_ROWS]
-        if not ((xb >= 0.0) & (xb <= 1.0)).all():
-            raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
-        out[i : i + BLOCK_ROWS] = _forward(net, xb)[1][-1]
+    out = _forward_blocks(net, ldr, log, np.empty((ldr.shape[0], WIDTHS[-1]), dtype=net.dtype))
     return out[0] if single else out
 
 
@@ -337,8 +344,9 @@ def fuse_image(net: FusionNet, maps: DualToneMaps) -> EnvironmentMap:
     h, w = maps.ldr.shape[:2]
     ldr = maps.ldr.reshape(-1, 3)
     log = maps.log.reshape(-1, 3)
-    out = fusion_forward(net, ldr, log)
-    return EnvironmentMap(out.reshape(h, w, 3).astype(np.float64))
+    # each block's output goes straight into the float64 map (an exact cast)
+    out = _forward_blocks(net, ldr, log, np.empty((h * w, WIDTHS[-1])))
+    return EnvironmentMap(out.reshape(h, w, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envmap import EnvironmentMap, great_circle_deg, peak_direction
-from .probes import STANDARD_MATERIALS, render_probe
+from .probes import STANDARD_MATERIALS, render_probe_pixels
 
 _ZERO_NORM_EPS = 1e-8
 
@@ -125,16 +125,20 @@ class MetricReport:
 
 def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
                            probe_size: int = 128) -> MetricReport:
-    """Score a predicted map against ground truth with the standard probes."""
+    """Score a predicted map against ground truth with the standard probes.
+
+    Each probe is rendered for both maps in one call, which shares the
+    map-independent work, and scored over its disc pixels: each (n, 3)
+    vector goes in as a (1, n, 3) image with no mask.
+    """
     materials = {}
     for name, material in STANDARD_MATERIALS.items():
-        pred_probe = render_probe(pred_env, material, probe_size)
-        gt_probe = render_probe(gt_env, material, probe_size)
-        mask = gt_probe.mask
+        _, (pred, gt) = render_probe_pixels([pred_env, gt_env], material, probe_size)
+        pred, gt = pred[None], gt[None]
         materials[name] = {
-            "si_rmse": si_rmse(pred_probe.pixels, gt_probe.pixels, mask),
-            "angular_deg": angular_error(pred_probe.pixels, gt_probe.pixels, mask),
-            "n_rmse": n_rmse(pred_probe.pixels, gt_probe.pixels, mask),
+            "si_rmse": si_rmse(pred, gt),
+            "angular_deg": angular_error(pred, gt),
+            "n_rmse": n_rmse(pred, gt),
         }
     return MetricReport(materials=materials, pae_deg=peak_angular_error(pred_env, gt_env))
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from luxprobe.envmap import (
     EnvironmentMap,
+    _directions_to_pixels,
     direction_to_pixel,
     great_circle_deg,
     grid_directions,
@@ -217,3 +219,68 @@ class TestSampleEquirect:
         dirs = grid_directions(16, 8)
         out = sample_equirect(data, dirs)
         np.testing.assert_allclose(out, data, atol=1e-12)
+
+
+def sample_by_fancy_index(data, dirs):
+    """The lookup before its split into geometry and apply steps (oracle):
+    four fancy-indexed reads of data[row, col]."""
+    height, width = data.shape[0], data.shape[1]
+    col, row = _directions_to_pixels(dirs, width, height)
+    c0f = np.floor(col)
+    r0f = np.floor(row)
+    tc = (col - c0f)[..., None]
+    tr = (row - r0f)[..., None]
+    c0 = c0f.astype(np.int64) % width
+    c1 = (c0 + 1) % width
+    r0 = np.clip(r0f.astype(np.int64), 0, height - 1)
+    r1 = np.clip(r0 + 1, 0, height - 1)
+    top = data[r0, c0]
+    top = top + tc * (data[r0, c1] - top)
+    bot = data[r1, c0]
+    bot = bot + tc * (data[r1, c1] - bot)
+    return top + tr * (bot - top)
+
+
+# components that land lookups on the wrap column (x = -0.0 or a tiny x with
+# z = 1 puts the azimuth at -pi or pi), on the pole rows (y = +-1) and on
+# exact-pole directions, where hypot(x, z) < 1e-12
+_SPECIAL_COMPONENTS = [0.0, -0.0, 1.0, -1.0, 1e-13, -1e-13, 1e-300, 0.5, -0.5]
+
+
+class TestLookupParity:
+    """sample_equirect (geometry, then apply) against the fancy-index lookup."""
+
+    @given(
+        height=st.integers(1, 40),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**32 - 1),
+        dirs=st.lists(st.integers(1, 6), max_size=2).flatmap(
+            lambda lead: arrays(
+                np.float64, (*lead, 3),
+                elements=st.sampled_from(_SPECIAL_COMPONENTS) | st.floats(-1.0, 1.0),
+            )
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, height, dtype, seed, dirs):
+        data = np.random.default_rng(seed).random((height, 2 * height, 3)).astype(dtype)
+        fast = sample_equirect(data, dirs)
+        oracle = sample_by_fancy_index(data, dirs)
+        assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
+        assert fast.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_wrap_column_poles_and_every_texel(self, dtype, rng):
+        # every pixel center of a 9x18 map and the centers of a twice finer
+        # grid (between texels, the top and bottom ones above and below the
+        # outer row centers), the two exact poles and both sides of the seam
+        height = 9
+        data = rng.random((height, 2 * height, 3)).astype(dtype)
+        centers = grid_directions(2 * height, height)
+        between = grid_directions(4 * height, 2 * height)
+        seam = np.array([[0.0, 0.0, 1.0], [-0.0, 0.3, 1.0], [1e-13, -0.2, 1.0],
+                         [-1e-13, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                         [1e-13, 1.0, -1e-13], [0.0, 1.0, 1e-300]])
+        for dirs in (centers, between, seam, seam[0]):
+            assert sample_equirect(data, dirs).tobytes() == sample_by_fancy_index(
+                data, dirs).tobytes()

@@ -3,6 +3,7 @@ import pytest
 
 from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.metrics import (
+    MetricReport,
     angular_error,
     evaluate_sequence,
     evaluate_three_spheres,
@@ -11,6 +12,7 @@ from luxprobe.metrics import (
     si_rmse,
     temporal_stats,
 )
+from luxprobe.probes import STANDARD_MATERIALS, render_probe
 from conftest import hot_spot_env
 
 
@@ -224,3 +226,39 @@ class TestEvaluateSequence:
         env = hot_spot_env(height=16)
         with pytest.raises(ValueError, match="equal length"):
             evaluate_sequence([env], [env, env])
+
+
+def evaluate_per_map(pred_env, gt_env, probe_size):
+    """The three-sphere driver that renders each map's probes on their own
+    and scores the probe images over the disc mask (oracle)."""
+    materials = {}
+    for name, material in STANDARD_MATERIALS.items():
+        pred_probe = render_probe(pred_env, material, probe_size)
+        gt_probe = render_probe(gt_env, material, probe_size)
+        mask = gt_probe.mask
+        materials[name] = {
+            "si_rmse": si_rmse(pred_probe.pixels, gt_probe.pixels, mask),
+            "angular_deg": angular_error(pred_probe.pixels, gt_probe.pixels, mask),
+            "n_rmse": n_rmse(pred_probe.pixels, gt_probe.pixels, mask),
+        }
+    return MetricReport(materials=materials, pae_deg=peak_angular_error(pred_env, gt_env))
+
+
+class TestThreeSpheresParity:
+    """evaluate_three_spheres, which renders both maps in one call, against
+    the per-map driver: the same report, bit for bit."""
+
+    @pytest.mark.parametrize("probe_size", [32, 57])
+    @pytest.mark.parametrize(
+        "pred_height, gt_height",
+        [(64, 64), (96, 96), (72, 72), (32, 64)],  # 96 and 72: several phase classes
+    )
+    def test_report_equals_per_map_driver(self, rng, pred_height, gt_height, probe_size):
+        def env(height):
+            data = rng.random((height, 2 * height, 3)) ** 3 + 0.01
+            data[rng.integers(height), rng.integers(2 * height)] = 300.0
+            return EnvironmentMap(data)
+
+        pred, gt = env(pred_height), env(gt_height)
+        fast = evaluate_three_spheres(pred, gt, probe_size=probe_size).to_dict()
+        assert fast == evaluate_per_map(pred, gt, probe_size).to_dict()

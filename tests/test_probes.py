@@ -16,6 +16,8 @@ from luxprobe.probes import (
     MATTE_SILVER,
     MIRROR_BALL,
     Material,
+    _glossy_maps,
+    _weighted_sums,
     prefilter_diffuse,
     prefilter_glossy,
     render_probe,
@@ -111,6 +113,30 @@ class TestPrefilterParity:
         finally:
             tracemalloc.stop()
         assert peak < 4 * env.data.nbytes
+
+    def test_memory_of_two_maps_stays_near_their_size(self, rng):
+        # the kernels and their spectra are shared, so a second map adds its
+        # own spectrum and numerator, not another set of kernel buffers
+        maps = [rng.random((512, 1024, 3)) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            _glossy_maps(maps, 64, rows=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sum(m.nbytes for m in maps)
+
+    @pytest.mark.parametrize(
+        "height, rows, exponent",
+        [(48, 48, 1), (48, 48, 64), (72, 64, 1), (72, 64, 64), (72, 64, 7.5), (16, 12, 7.5)],
+    )
+    def test_several_maps_match_one_map_calls(self, rng, height, rows, exponent):
+        maps = [_test_env(height, rng).data for _ in range(2)]
+        nums, den = _weighted_sums(maps, rows, exponent)
+        for data, num in zip(maps, nums):
+            (alone,), alone_den = _weighted_sums([data], rows, exponent)
+            assert num.tobytes() == alone.tobytes()
+            assert den.tobytes() == alone_den.tobytes()
 
 
 class TestMaterial:
