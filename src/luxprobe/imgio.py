@@ -5,10 +5,13 @@ with rows bottom-to-top; negative scale marks little-endian floats. In-memory
 arrays are top-row-first, so rows are flipped on both read and write.
 
 The PNG codec is deliberately minimal (8-bit gray/RGB/RGBA, no interlace).
-The writer is byte-deterministic: fixed filter choice and zlib level, plus an
-sRGB chunk. The reader undoes any mix of row filters exactly, in vector
-steps: one per row when no row uses Avg or Paeth, else one per anti-diagonal
-of the image (W + H - 1).
+The writer is byte-deterministic: every row uses the Up filter (type 2), the
+stream is deflated at zlib level 1, and an sRGB chunk is written. Up is one
+vector subtraction and level 1 is zlib's fast deflate; the writer never uses
+Avg or Paeth, so its own files take the reader's row-at-a-time path. The
+reader undoes any mix of row filters exactly, in vector steps: one per row
+when no row uses Avg or Paeth, else one per anti-diagonal of the image
+(W + H - 1).
 """
 
 import os
@@ -180,11 +183,18 @@ def write_png(path, image: np.ndarray, metadata: dict | None = None) -> None:
     if arr.dtype != np.uint8:
         if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValueError("float PNG data must lie in [0, 1] (NaN is rejected)")
-        arr = np.floor(arr.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
+        # floor(x * 255 + 0.5) in one float64 temporary, updated in place
+        scaled = np.multiply(arr, 255.0, dtype=np.float64)
+        scaled += 0.5
+        arr = np.floor(scaled, out=scaled).astype(np.uint8)
     height, width = arr.shape[:2]
-    raw = np.concatenate(
-        [np.zeros((height, 1), dtype=np.uint8), arr.reshape(height, width * 3)], axis=1
-    ).tobytes()  # filter byte 0 per row
+    rows = arr.reshape(height, width * 3)
+    # Up filter (type 2) on every row: each byte minus the one above it, mod
+    # 256; the row above row 0 counts as zero, so row 0 is stored as it is
+    raw = np.empty((height, 1 + width * 3), dtype=np.uint8)
+    raw[:, 0] = 2
+    raw[0, 1:] = rows[0]
+    np.subtract(rows[1:], rows[:-1], out=raw[1:, 1:])
     out = [
         _PNG_SIG,
         _chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)),
@@ -193,7 +203,7 @@ def write_png(path, image: np.ndarray, metadata: dict | None = None) -> None:
     for key in sorted(metadata or {}):
         text = f"{key}\x00{metadata[key]}".encode("latin-1")
         out.append(_chunk(b"tEXt", text))
-    out.append(_chunk(b"IDAT", zlib.compress(raw, 6)))
+    out.append(_chunk(b"IDAT", zlib.compress(raw, 1)))
     out.append(_chunk(b"IEND", b""))
     with open(path, "wb") as f:
         f.write(b"".join(out))

@@ -63,18 +63,27 @@ def angular_error(pred, gt, mask=None) -> float:
     qualify.
     """
     p, g = _masked_pair(pred, gt, mask)
-    pn = np.linalg.norm(p, axis=1)
-    gn = np.linalg.norm(g, axis=1)
+    pn = _row_norms(p)
+    gn = _row_norms(g)
     ok = (pn > _ZERO_NORM_EPS) & (gn > _ZERO_NORM_EPS)
-    if not ok.any():
-        raise ValueError("no pixels with nonzero color in both images")
-    u = p[ok] / pn[ok, None]
-    v = g[ok] / gn[ok, None]
+    if not ok.all():
+        if not ok.any():
+            raise ValueError("no pixels with nonzero color in both images")
+        p, pn, g, gn = p[ok], pn[ok], g[ok], gn[ok]
+    u = p / pn[:, None]
+    v = g / gn[:, None]
     # atan2 half-angle form: exact 0 for identical pixels, stable near 0/180
-    angles = 2.0 * np.arctan2(
-        np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1)
-    )
+    angles = 2.0 * np.arctan2(_row_norms(u - v), _row_norms(u + v))
     return float(np.degrees(angles).mean())
+
+
+def _row_norms(x):
+    """Euclidean norm of each row of a real (n, k) array.
+
+    The same sum and square root as `np.linalg.norm(x, axis=1)`, without the
+    `conj` copy that it makes of a real array.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def n_rmse(pred, gt, mask=None) -> float:

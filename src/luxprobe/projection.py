@@ -200,7 +200,8 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
     display tone curve plus auto-exposure (p99 luminance -> 0.9) before 8-bit
     quantization; LDR sources only get the auto-exposure. Targets are the
     dual tonemaps of the source panorama (ldr channel only for LDR sources,
-    whose [0,1] values are treated as linear radiance).
+    whose [0,1] values are treated as linear radiance). They are computed once
+    per source, and the samples of one source share them as read-only arrays.
     """
     if not panos:
         raise ValueError("no panoramas supplied")
@@ -211,6 +212,7 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
         for p in panos
     ]
     samples = []
+    targets = {}  # source index -> its (ldr, log) targets, shared read-only
     streams = rng.spawn(count)
     for i, child in enumerate(streams):
         src_idx = int(child.integers(0, len(sources)))
@@ -229,8 +231,11 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
             if src.hdr:
                 view = apply_display_tonemap(view, curve)
             crops.append(quantize8(np.clip(view, 0.0, 1.0)))
-        target_ldr = tonemap_ldr(src.data)
-        target_log = tonemap_log(src.data) if src.hdr else None
+        if src_idx not in targets:
+            targets[src_idx] = _read_only(tonemap_ldr(src.data)), (
+                _read_only(tonemap_log(src.data)) if src.hdr else None
+            )
+        target_ldr, target_log = targets[src_idx]
         samples.append(
             DatasetSample(
                 source_index=src_idx,
@@ -243,3 +248,8 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
             )
         )
     return samples
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from luxprobe.imgio import _unfilter, read_hdr, read_pfm, read_png, write_pfm, write_png
 
@@ -344,6 +345,71 @@ class TestPng:
         path.write_bytes(path.read_bytes()[:-30])
         with pytest.raises(ValueError, match="PNG"):
             read_png(path)
+
+
+def inflated_idat(path):
+    """The inflated payload of a PNG file's IDAT chunks, as (H, 1 + 3W) rows."""
+    blob = path.read_bytes()
+    width, height = struct.unpack_from(">II", blob, 16)
+    pos, idat = 8, b""
+    while pos < len(blob):
+        (length,) = struct.unpack_from(">I", blob, pos)
+        if blob[pos + 4 : pos + 8] == b"IDAT":
+            idat += blob[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+    raw = zlib.decompress(idat)
+    assert len(raw) == height * (1 + 3 * width)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + 3 * width)
+
+
+def assert_written_as_up_rows(path, expected):
+    """The file decodes to `expected` (uint8), every row is Up-filtered, and
+    the per-byte unfilter of the payload gives the same pixels."""
+    back, _ = read_png(path)
+    assert (np.round(back * 255).astype(np.uint8) == expected).all()
+    payload = inflated_idat(path)
+    assert (payload[:, 0] == 2).all()
+    height = expected.shape[0]
+    assert (unfilter_by_rows(payload, 3) == expected.reshape(height, -1)).all()
+
+
+_shapes = st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3))  # 1x1, 1xW, Hx1, odd W
+_float_images = st.sampled_from([32, 64]).flatmap(
+    lambda bits: arrays(f"f{bits // 8}", _shapes, elements=st.floats(0.0, 1.0, width=bits))
+)
+
+
+class TestPngWriter:
+    """Every row Up-filtered at any size; decoded pixels as written. File
+    bytes and sizes are not pinned: deflate output differs between zlib
+    builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(img=arrays(np.uint8, _shapes))
+    def test_uint8_round_trip(self, tmp_path_factory, img):
+        path = tmp_path_factory.mktemp("up") / "u.png"
+        write_png(path, img)
+        assert_written_as_up_rows(path, img)
+
+    @settings(max_examples=150, deadline=None)
+    @given(img=_float_images)
+    def test_float_round_trip(self, tmp_path_factory, img):
+        before = img.copy()
+        path = tmp_path_factory.mktemp("up") / "f.png"
+        write_png(path, img)
+        expected = np.floor(img.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
+        assert_written_as_up_rows(path, expected)
+        assert (img == before).all()  # the input is not scaled in place
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_quantization_on_grid_and_half_steps(self, tmp_path, dtype):
+        levels = np.concatenate([np.arange(256), np.arange(255) + 0.5]) / 255.0
+        img = np.repeat(levels.astype(dtype)[:, None, None], 3, axis=2)
+        path = tmp_path / "q.png"
+        write_png(path, img)
+        expected = np.floor(img.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
+        assert (expected[:256, 0, 0] == np.arange(256)).all()
+        assert_written_as_up_rows(path, expected)
 
 
 def unfilter_line(ftype, line, prev, bpp):

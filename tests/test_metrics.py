@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.metrics import (
+    _ZERO_NORM_EPS,
     MetricReport,
+    _masked_pair,
     angular_error,
     evaluate_sequence,
     evaluate_three_spheres,
@@ -92,6 +96,77 @@ class TestAngularError:
     def test_all_zero_raises(self):
         with pytest.raises(ValueError, match="nonzero"):
             angular_error(np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
+
+
+def angular_error_by_linalg_norm(pred, gt, mask=None):
+    """angular_error with `np.linalg.norm` and the `[ok]` selection always
+    taken, as it was written before the row norms (oracle)."""
+    p, g = _masked_pair(pred, gt, mask)
+    pn = np.linalg.norm(p, axis=1)
+    gn = np.linalg.norm(g, axis=1)
+    ok = (pn > _ZERO_NORM_EPS) & (gn > _ZERO_NORM_EPS)
+    if not ok.any():
+        raise ValueError("no pixels with nonzero color in both images")
+    u = p[ok] / pn[ok, None]
+    v = g[ok] / gn[ok, None]
+    angles = 2.0 * np.arctan2(
+        np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1)
+    )
+    return float(np.degrees(angles).mean())
+
+
+_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, 5e-9, 1e-300]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def pixel_pairs(draw):
+    """(n, 3) pred and gt whose rows are independent, identical, opposite,
+    scaled or zero in either image."""
+    n = draw(st.integers(1, 12))
+    pred = np.array(draw(st.lists(st.tuples(_component, _component, _component),
+                                  min_size=n, max_size=n)), dtype=np.float64)
+    gt = np.empty_like(pred)
+    for i in range(n):
+        kind = draw(st.sampled_from(["free", "same", "opposite", "scaled", "zero", "pred zero"]))
+        if kind == "free":
+            gt[i] = draw(st.tuples(_component, _component, _component))
+        elif kind == "same":
+            gt[i] = pred[i]
+        elif kind == "opposite":
+            gt[i] = -pred[i]
+        elif kind == "scaled":
+            gt[i] = pred[i] * draw(st.floats(1e-3, 1e3))
+        elif kind == "zero":
+            gt[i] = 0.0
+        else:
+            gt[i] = pred[i]
+            pred[i] = 0.0
+    return pred, gt
+
+
+class TestAngularErrorParity:
+    @settings(max_examples=300, deadline=None)
+    @given(pixel_pairs())
+    def test_equals_linalg_norm_form(self, pair):
+        pred, gt = pair
+        try:
+            expected = angular_error_by_linalg_norm(pred, gt)
+        except ValueError:
+            with pytest.raises(ValueError, match="no pixels"):
+                angular_error(pred, gt)
+            return
+        assert angular_error(pred, gt) == expected
+
+    def test_equals_linalg_norm_form_on_a_probe(self):
+        # every disc pixel qualifies, so no `[ok]` selection is taken
+        env = hot_spot_env(height=32)
+        probe = render_probe(env, STANDARD_MATERIALS["matte"], 48)
+        other = render_probe(rotate_env(env, 40.0), STANDARD_MATERIALS["matte"], 48)
+        got = angular_error(probe.pixels, other.pixels, probe.mask)
+        assert got == angular_error_by_linalg_norm(probe.pixels, other.pixels, probe.mask)
 
 
 class TestNRmse:

@@ -13,7 +13,7 @@ from luxprobe.projection import (
     project_perspective,
     sample_camera,
 )
-from luxprobe.tonemap import TONE_CURVES
+from luxprobe.tonemap import TONE_CURVES, tonemap_ldr, tonemap_log
 
 
 def smooth_pano(height=64):
@@ -176,6 +176,23 @@ class TestDatasetGen:
         for s in samples:
             assert s.target_log is None
             assert s.tone_curve == "none"
+
+    def test_targets_are_the_dual_tonemaps_of_each_source(self):
+        hdr = smooth_pano(16)
+        ldr = PanoramaSource(np.clip(smooth_pano(16).data / 3.0, 0, 1), hdr=False)
+        samples = dataset_gen([hdr, ldr], np.random.default_rng(6), 5,
+                              crop_width=12, crop_height=8)
+        assert {s.source_index for s in samples} == {0, 1}
+        for s in samples:
+            data = (hdr.data, ldr.data)[s.source_index]
+            assert s.target_ldr.tobytes() == tonemap_ldr(data).tobytes()
+            if s.source_index == 0:
+                assert s.target_log.tobytes() == tonemap_log(data).tobytes()
+            else:
+                assert s.target_log is None
+            # the samples of a source share its targets: an edit must fail
+            with pytest.raises(ValueError, match="read-only"):
+                s.target_ldr[0, 0, 0] = 0.5
 
     def test_crops_on_8bit_grid(self):
         env = smooth_pano(32)
