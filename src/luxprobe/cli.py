@@ -1,11 +1,12 @@
 """Command-line surface: reproducible pipelines over the library modules.
 
-Every output-producing command writes a JSON manifest next to its primary
-output (path + ".manifest.json") recording the command, tool version, seed,
-inputs, parameters, and the SHA-256 of each emitted file. Exit codes are
-stable: 0 success, 1 data error ("ERROR DATA: <message>" on stderr), 2 usage
-error. Flags take no abbreviations. LUXPROBE_THREADS sizes the eval-video
-frame pool (0 = one thread per CPU); BLAS threads follow
+Each command registers every file it writes, in write order, with one
+output recorder. `main` then writes the command's JSON manifest next to its
+primary output (path + ".manifest.json"), recording the command, tool
+version, seed, inputs, parameters, and the SHA-256 of each output. Exit
+codes are stable: 0 success, 1 data error ("ERROR DATA: <message>" on
+stderr), 2 usage error. Flags take no abbreviations. LUXPROBE_THREADS sizes
+the eval-video frame pool (0 = one thread per CPU); BLAS threads follow
 OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
 """
 
@@ -47,27 +48,39 @@ def _sha256(path) -> str:
 
 
 def _json_text(obj, indent=None) -> str:
-    """JSON for an output file; a NaN or infinity raises ValueError before any file opens."""
-    return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False)
+    """JSON for an output file, newline-terminated; a NaN or infinity raises
+    ValueError before any file opens."""
+    return json.dumps(obj, sort_keys=True, indent=indent, allow_nan=False) + "\n"
 
 
-def _write_json(path, obj) -> None:
-    text = _json_text(obj, indent=2) + "\n"
-    with open(path, "w") as f:
-        f.write(text)
+class _Recorder:
+    """The files one command writes, and the only code here that opens one.
 
+    A command registers each output with `path` just before writing it;
+    `main` then hashes every registered file into the command's manifest.
+    """
 
-def _write_manifest(command: str, primary_out, seed: int, inputs: dict,
-                    parameters: dict, outputs) -> None:
-    _write_json(str(primary_out) + ".manifest.json", {
-        "command": command,
-        "tool_version": __version__,
-        "seed": int(seed),
-        "inputs": {k: str(v) for k, v in inputs.items()},
-        "parameters": parameters,
-        "outputs": {str(p): _sha256(p) for p in outputs},
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    })
+    def __init__(self):
+        self.paths = []
+
+    def path(self, p) -> str:
+        """Register `p` as the command's next output; returns the path to write to."""
+        self.paths.append(str(p))
+        return str(p)
+
+    def text(self, p, text: str) -> None:
+        self._write(self.path(p), text)
+
+    def manifest(self, primary, record: dict) -> None:
+        """Write `record` plus the SHA-256 of every output to <primary>.manifest.json."""
+        outputs = {p: _sha256(p) for p in self.paths}
+        self._write(str(primary) + ".manifest.json",
+                    _json_text({**record, "outputs": outputs}, indent=2))
+
+    @staticmethod
+    def _write(path, text: str) -> None:
+        with open(path, "w") as f:
+            f.write(text)
 
 
 # The one suffix -> decoder table for every CLI image input. Entries look the
@@ -106,25 +119,25 @@ def _load_channel(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # command implementations
 
-def _cmd_crop(args):
+def _cmd_crop(args, out):
     env = _load_env(args.pano)
     cam = projection.CameraSpec(
         azimuth=args.az, elevation=args.el, fov=args.fov,
         width=args.w, height=args.h,
     )
     view = projection.project_perspective(env, cam)
-    out = str(args.out)
-    if out.endswith(".png"):
+    path = out.path(args.out)
+    if path.endswith(".png"):
         ldr = tonemap.apply_display_tonemap(view, args.tonemap)
-        write_png(out, ldr, metadata={"tonecurve": args.tonemap})
+        write_png(path, ldr, metadata={"tonecurve": args.tonemap})
     else:
-        write_pfm(out, view)
+        write_pfm(path, view)
     params = {"az": args.az, "el": args.el, "fov": args.fov, "w": args.w,
               "h": args.h, "tonemap": args.tonemap}
-    _write_manifest("crop", out, args.seed, {"pano": args.pano}, params, [out])
+    return path, {"pano": args.pano}, params
 
 
-def _cmd_dataset_gen(args):
+def _cmd_dataset_gen(args, out):
     src_dir = Path(args.panos_dir)
     sources = []
     names = []
@@ -137,32 +150,25 @@ def _cmd_dataset_gen(args):
         names.append(p.name)
     if not sources:
         raise ValueError(f"no panoramas (*.pfm, *.hdr, *.png) in {src_dir}")
-    rng = np.random.default_rng(args.seed)
     samples = projection.dataset_gen(
-        sources, rng, args.count, frame_count=args.video_frames,
-        crop_width=args.w, crop_height=args.h,
+        sources, np.random.default_rng(args.seed), args.count,
+        frame_count=args.video_frames, crop_width=args.w, crop_height=args.h,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     records = []
-    for i, sample in enumerate(samples):
+    for i, sample in enumerate(samples):  # each sample is written before the next is drawn
         sdir = out_dir / f"sample_{i:04d}"
-        sdir.mkdir(exist_ok=True)
-        crop_paths = []
+        sdir.mkdir(parents=True, exist_ok=True)
+        crops = []
         for k, crop in enumerate(sample.crops):
-            cp = sdir / f"crop_{k:03d}.png"
-            write_png(cp, crop, metadata={"tonecurve": sample.tone_curve})
-            crop_paths.append(str(cp))
-        ldr_path = sdir / "target_ldr.pfm"
-        write_pfm(ldr_path, sample.target_ldr)
-        paths = crop_paths + [str(ldr_path)]
-        log_path = None
+            crops.append(out.path(sdir / f"crop_{k:03d}.png"))
+            write_png(crops[-1], crop, metadata={"tonecurve": sample.tone_curve})
+        target_ldr = out.path(sdir / "target_ldr.pfm")
+        write_pfm(target_ldr, sample.target_ldr)
+        target_log = None
         if sample.target_log is not None:
-            log_path = sdir / "target_log.pfm"
-            write_pfm(log_path, sample.target_log)
-            paths.append(str(log_path))
-        outputs.extend(paths)
+            target_log = out.path(sdir / "target_log.pfm")
+            write_pfm(target_log, sample.target_log)
         records.append({
             "index": i,
             "source": names[sample.source_index],
@@ -173,90 +179,72 @@ def _cmd_dataset_gen(args):
             ],
             "tone_curve": sample.tone_curve,
             "exposure_scale": sample.exposure_scale,
-            "crops": crop_paths,
-            "target_ldr": str(ldr_path),
-            "target_log": str(log_path) if log_path else None,
+            "crops": crops,
+            "target_ldr": target_ldr,
+            "target_log": target_log,
         })
     listing = out_dir / "dataset.jsonl"
-    text = "".join(_json_text(rec) + "\n" for rec in records)
-    with open(listing, "w") as f:
-        f.write(text)
-    outputs.append(str(listing))
+    out.text(listing, "".join(_json_text(rec) for rec in records))
     params = {"count": args.count, "video_frames": args.video_frames,
               "w": args.w, "h": args.h}
-    _write_manifest("dataset-gen", listing, args.seed,
-                    {"panos_dir": str(src_dir)}, params, outputs)
+    return listing, {"panos_dir": str(src_dir)}, params
 
 
-def _cmd_tonemap(args):
-    env = _load_env(args.infile)
-    maps = tonemap.tonemap_dual(env)
-    write_png(args.out_ldr, maps.ldr, metadata={"tonecurve": "dual-reinhard16"})
-    write_png(args.out_log, maps.log, metadata={"tonecurve": "dual-log10000"})
-    _write_manifest("tonemap", args.out_ldr, args.seed, {"in": args.infile}, {},
-                    [args.out_ldr, args.out_log])
+def _cmd_tonemap(args, out):
+    maps = tonemap.tonemap_dual(_load_env(args.infile))
+    write_png(out.path(args.out_ldr), maps.ldr, metadata={"tonecurve": "dual-reinhard16"})
+    write_png(out.path(args.out_log), maps.log, metadata={"tonecurve": "dual-log10000"})
+    return args.out_ldr, {"in": args.infile}, {}
 
 
-def _decode_dual(ldr_path, log_path, net_path) -> np.ndarray:
-    """HDR from a dual pair: the fusion net if one is given, else the analytic rule."""
-    maps = tonemap.DualToneMaps(ldr=_load_channel(ldr_path), log=_load_channel(log_path))
-    if net_path is None:
-        return tonemap.inverse_rule(maps.ldr, maps.log)
-    return fusion.fuse_image(fusion.load_fusion_net(net_path), maps).data
+def _cmd_decode(args, out):
+    """inverse and fuse-apply: HDR from a dual pair, by the fusion net if one
+    is given, else by the analytic rule."""
+    maps = tonemap.DualToneMaps(ldr=_load_channel(args.ldr), log=_load_channel(args.log))
+    if args.net is None:
+        hdr = tonemap.inverse_rule(maps.ldr, maps.log)
+    else:
+        hdr = fusion.fuse_image(fusion.load_fusion_net(args.net), maps).data
+    write_pfm(out.path(args.out), hdr)
+    inputs = {"ldr": args.ldr, "log": args.log}
+    if args.command == "fuse-apply":
+        return args.out, {"net": args.net, **inputs}, {}
+    return args.out, inputs, {"net": args.net}
 
 
-def _cmd_inverse(args):
-    write_pfm(args.out, _decode_dual(args.ldr, args.log, args.net))
-    params = {"net": str(args.net) if args.net else None}
-    _write_manifest("inverse", args.out, args.seed,
-                    {"ldr": args.ldr, "log": args.log}, params, [args.out])
-
-
-def _cmd_fuse_train(args):
+def _cmd_fuse_train(args, out):
     cfg = fusion.TrainConfig(
         seed=args.seed, steps=args.steps, batch_size=args.batch,
         learning_rate=args.lr, quantize=not args.no_quantize, init=args.init,
     )
     with np.errstate(over="ignore", invalid="ignore"):  # divergence raises on its own
         net, loss = fusion.train_fusion(cfg)
-    fusion.save_fusion_net(net, args.out)
+    fusion.save_fusion_net(net, out.path(args.out))
+    print("final loss", "none (no step ran)" if loss is None else f"{loss:.6f}")
     params = {"steps": cfg.steps, "batch": cfg.batch_size, "lr": cfg.learning_rate,
               "quantize": cfg.quantize, "init": cfg.init,
               "final_loss": loss}
-    _write_manifest("fuse-train", args.out, args.seed, {}, params, [args.out])
-    print("final loss", "none (no step ran)" if loss is None else f"{loss:.6f}")
+    return args.out, {}, params
 
 
-def _cmd_fuse_apply(args):
-    write_pfm(args.out, _decode_dual(args.ldr, args.log, args.net))
-    _write_manifest("fuse-apply", args.out, args.seed,
-                    {"net": args.net, "ldr": args.ldr, "log": args.log}, {}, [args.out])
-
-
-def _cmd_render_probes(args):
+def _cmd_render_probes(args, out):
     env = _load_env(args.env)
-    outputs = []
     for name, material in probes.STANDARD_MATERIALS.items():
         probe = probes.render_probe(env, material, args.size)
-        pfm_path = f"{args.out_prefix}{name}.pfm"
-        write_pfm(pfm_path, probe.pixels)
+        write_pfm(out.path(f"{args.out_prefix}{name}.pfm"), probe.pixels)
         preview = tonemap.apply_display_tonemap(probe.pixels, "gamma24")
-        png_path = f"{args.out_prefix}{name}.png"
-        write_png(png_path, preview, metadata={"tonecurve": "gamma24"})
-        outputs.extend([pfm_path, png_path])
+        write_png(out.path(f"{args.out_prefix}{name}.png"), preview,
+                  metadata={"tonecurve": "gamma24"})
     params = {"size": args.size, "out_prefix": args.out_prefix}
-    _write_manifest("render-probes", outputs[0], args.seed,
-                    {"env": args.env}, params, outputs)
+    return out.paths[0], {"env": args.env}, params
 
 
-def _cmd_eval(args):
+def _cmd_eval(args, out):
     pred = _load_env(args.pred)
     gt = _load_env(args.gt)
     report = metrics.evaluate_three_spheres(pred, gt, probe_size=args.probe_size)
-    _write_json(args.out, report.to_dict())
-    params = {"probe_size": args.probe_size}
-    _write_manifest("eval", args.out, args.seed,
-                    {"pred": args.pred, "gt": args.gt}, params, [args.out])
+    out.text(args.out, _json_text(report.to_dict(), indent=2))
+    return args.out, {"pred": args.pred, "gt": args.gt}, {"probe_size": args.probe_size}
 
 
 def _list_frames(directory) -> list:
@@ -267,42 +255,39 @@ def _list_frames(directory) -> list:
     return frames
 
 
-def _cmd_eval_video(args):
+def _cmd_eval_video(args, out):
     pred_frames = _list_frames(args.pred_dir)
     gt_frames = _list_frames(args.gt_dir)
     if len(pred_frames) != len(gt_frames):
         raise ValueError(
             f"frame count mismatch: {len(pred_frames)} pred vs {len(gt_frames)} gt"
         )
+
+    def score(pred, gt):  # a task holds one frame pair, so memory is flat in frame count
+        return metrics.evaluate_three_spheres(_load_env(pred), _load_env(gt),
+                                              probe_size=args.probe_size)
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=thread_limit()) as pool:
-        pred_envs = list(pool.map(_load_env, pred_frames))
-        gt_envs = list(pool.map(_load_env, gt_frames))
-        report = metrics.evaluate_sequence(pred_envs, gt_envs, args.probe_size, map=pool.map)
-    _write_json(args.out, report.to_dict())
+        report = metrics.sequence_report(list(pool.map(score, pred_frames, gt_frames)))
+    out.text(args.out, _json_text(report.to_dict(), indent=2))
     params = {"probe_size": args.probe_size, "frames": len(pred_frames)}
-    _write_manifest("eval-video", args.out, args.seed,
-                    {"pred_dir": args.pred_dir, "gt_dir": args.gt_dir}, params, [args.out])
+    return args.out, {"pred_dir": args.pred_dir, "gt_dir": args.gt_dir}, params
 
 
-def _cmd_peak(args):
-    env = _load_env(args.env)
-    direction = peak_direction(env, percentile=args.percentile)
-    result = {"direction": [float(v) for v in direction]}
-    text = _json_text(result)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-        _write_manifest("peak", args.out, args.seed, {"env": args.env},
-                        {"percentile": args.percentile}, [args.out])
-    print(text)
+def _cmd_peak(args, out):
+    direction = peak_direction(_load_env(args.env), percentile=args.percentile)
+    text = _json_text({"direction": [float(v) for v in direction]})
+    written = None  # no --out: nothing written, no manifest
+    if args.out is not None:
+        out.text(args.out, text)
+        written = args.out, {"env": args.env}, {"percentile": args.percentile}
+    print(text, end="")
+    return written
 
 
-def _cmd_rotate(args):
-    env = _load_env(args.env)
-    rotated = rotate_env(env, args.yaw)
-    write_pfm(args.out, rotated.data)
-    _write_manifest("rotate", args.out, args.seed, {"env": args.env},
-                    {"yaw": args.yaw}, [args.out])
+def _cmd_rotate(args, out):
+    write_pfm(out.path(args.out), rotate_env(_load_env(args.env), args.yaw).data)
+    return args.out, {"env": args.env}, {"yaw": args.yaw}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-ldr", required=True)
     p.add_argument("--out-log", required=True)
 
-    p = add("inverse", _cmd_inverse, help="reconstruct HDR from the dual pair")
+    p = add("inverse", _cmd_decode, help="reconstruct HDR from the dual pair")
     p.add_argument("--ldr", required=True)
     p.add_argument("--log", required=True)
     p.add_argument("--net", default=None, help="fusion net file (default: rule-based)")
@@ -361,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=("structured", "uniform"), default="structured")
     p.add_argument("--out", required=True)
 
-    p = add("fuse-apply", _cmd_fuse_apply, help="apply a trained fusion net")
+    p = add("fuse-apply", _cmd_decode, help="apply a trained fusion net")
     p.add_argument("--net", required=True)
     p.add_argument("--ldr", required=True)
     p.add_argument("--log", required=True)
@@ -446,7 +431,18 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(_with_config(parser, argv))
         thread_limit()  # validate the env var before any work
-        args.func(args)
+        out = _Recorder()
+        written = args.func(args, out)
+        if written is not None:
+            primary, inputs, parameters = written
+            out.manifest(primary, {
+                "command": args.command,
+                "tool_version": __version__,
+                "seed": args.seed,
+                "inputs": {k: str(v) for k, v in inputs.items()},
+                "parameters": parameters,
+                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            })
         return 0
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)

@@ -134,6 +134,16 @@ def luminance(rgb) -> np.ndarray:
     return np.asarray(rgb, dtype=np.float64) @ LUMA_WEIGHTS
 
 
+def vector_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the trailing axis of a real (..., 3) array.
+
+    The same sum, in the same order, and square root as
+    `np.linalg.norm(x, axis=-1)`, without the `conj` copy it makes of a real array.
+    """
+    sq = x * x
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+
 def equirect_geometry(dirs: np.ndarray, height: int, width: int):
     """The map-independent half of a bilinear lookup along directions (..., 3).
 

@@ -1,97 +1,75 @@
 """Lighting-estimation metrics and the three-sphere evaluation driver.
 
-All image metrics operate on linear-radiance renders (not display-tonemapped)
-over an optional pixel mask. The three-sphere driver renders mirror, matte,
-and diffuse probes from predicted and ground-truth environment maps and
-scores each with si-RMSE, mean angular error (degrees), and normalized RMSE,
-plus the peak angular error between the raw maps.
+All image metrics score linear-radiance pixels (not display-tonemapped):
+pred and gt are (..., 3) RGB arrays of one shape. The three-sphere driver
+renders mirror, matte, and diffuse probes from predicted and ground-truth
+environment maps and scores the disc pixels of each with si-RMSE, mean
+angular error (degrees), and normalized RMSE, plus the peak angular error
+between the raw maps.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, great_circle_deg, peak_direction
+from .envmap import EnvironmentMap, great_circle_deg, peak_direction, vector_norms
 from .probes import STANDARD_MATERIALS, render_probe_pixels
 
 _ZERO_NORM_EPS = 1e-8
 
 
-def _masked(img, mask):
-    img = np.asarray(img, dtype=np.float64)
-    if mask is None:
-        return img.reshape(-1, img.shape[-1]) if img.ndim == 3 else img.reshape(-1, 1)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != img.shape[:2]:
-        raise ValueError("mask shape must match image height/width")
-    sel = img[mask]
-    return sel if sel.ndim == 2 else sel[:, None]
-
-
-def _masked_pair(pred, gt, mask):
-    """Both images flattened to (pixels, channels) over the mask.
-
-    Raises if the two selections differ in shape or select nothing.
-    """
-    p = _masked(pred, mask)
-    g = _masked(gt, mask)
+def _pair(pred, gt):
+    """Both inputs as float64 arrays; raises if their shapes differ or they are empty."""
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError("pred and gt must share dimensions")
     if p.size == 0:
-        raise ValueError("empty mask")
+        raise ValueError("empty input")
     return p, g
 
 
-def si_rmse(pred, gt, mask=None) -> float:
+def si_rmse(pred, gt) -> float:
     """Scale-invariant RMSE: best single positive scale on pred, then RMSE.
 
-    alpha = sum(pred*gt) / sum(pred^2) over masked pixels and channels
-    jointly; raises for an all-zero prediction under the mask.
+    alpha = sum(pred*gt) / sum(pred^2) over all pixels and channels jointly;
+    raises for an all-zero prediction.
     """
-    p, g = _masked_pair(pred, gt, mask)
+    p, g = _pair(pred, gt)
     denom = float((p * p).sum())
     if denom == 0.0:
-        raise ValueError("degenerate prediction: all-zero under mask")
+        raise ValueError("degenerate prediction: all-zero")
     alpha = float((p * g).sum()) / denom
     return float(np.sqrt(np.mean((alpha * p - g) ** 2)))
 
 
-def angular_error(pred, gt, mask=None) -> float:
+def angular_error(pred, gt) -> float:
     """Mean per-pixel angle (degrees) between RGB vectors treated as 3-vectors.
 
     Pixels where either norm is below 1e-8 are excluded; raises if none
     qualify.
     """
-    p, g = _masked_pair(pred, gt, mask)
-    pn = _row_norms(p)
-    gn = _row_norms(g)
+    p, g = _pair(pred, gt)
+    pn = vector_norms(p)
+    gn = vector_norms(g)
     ok = (pn > _ZERO_NORM_EPS) & (gn > _ZERO_NORM_EPS)
     if not ok.all():
         if not ok.any():
             raise ValueError("no pixels with nonzero color in both images")
         p, pn, g, gn = p[ok], pn[ok], g[ok], gn[ok]
-    u = p / pn[:, None]
-    v = g / gn[:, None]
+    u = p / pn[..., None]
+    v = g / gn[..., None]
     # atan2 half-angle form: exact 0 for identical pixels, stable near 0/180
-    angles = 2.0 * np.arctan2(_row_norms(u - v), _row_norms(u + v))
+    angles = 2.0 * np.arctan2(vector_norms(u - v), vector_norms(u + v))
     return float(np.degrees(angles).mean())
 
 
-def _row_norms(x):
-    """Euclidean norm of each row of a real (n, k) array.
-
-    The same sum and square root as `np.linalg.norm(x, axis=1)`, without the
-    `conj` copy that it makes of a real array.
-    """
-    return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
-def n_rmse(pred, gt, mask=None) -> float:
-    """RMSE after normalizing each image to unit mean intensity over the mask."""
-    p, g = _masked_pair(pred, gt, mask)
+def n_rmse(pred, gt) -> float:
+    """RMSE after normalizing each image to unit mean intensity."""
+    p, g = _pair(pred, gt)
     pm, gm = p.mean(), g.mean()
     if pm <= 0.0 or gm <= 0.0:
-        raise ValueError("images must have positive mean under the mask")
+        raise ValueError("images must have positive mean")
     return float(np.sqrt(np.mean((p / pm - g / gm) ** 2)))
 
 
@@ -137,13 +115,11 @@ def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
     """Score a predicted map against ground truth with the standard probes.
 
     Each probe is rendered for both maps in one call, which shares the
-    map-independent work, and scored over its disc pixels: each (n, 3)
-    vector goes in as a (1, n, 3) image with no mask.
+    map-independent work, and scored over its (n, 3) disc pixels.
     """
     materials = {}
     for name, material in STANDARD_MATERIALS.items():
         _, (pred, gt) = render_probe_pixels([pred_env, gt_env], material, probe_size)
-        pred, gt = pred[None], gt[None]
         materials[name] = {
             "si_rmse": si_rmse(pred, gt),
             "angular_deg": angular_error(pred, gt),
@@ -152,22 +128,13 @@ def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
     return MetricReport(materials=materials, pae_deg=peak_angular_error(pred_env, gt_env))
 
 
-def evaluate_sequence(pred_envs, gt_envs, probe_size: int = 128,
-                      map=map) -> MetricReport:
-    """Per-frame three-sphere metrics plus temporal mean/std per metric.
+def sequence_report(frames) -> MetricReport:
+    """The report of a sequence from its per-frame three-sphere reports.
 
-    The temporal table keys are "<material>.<metric>" and "pae_deg", each
-    holding the mean and population std of the per-frame values. `map` runs
-    the per-frame evaluations (a thread pool's map evaluates frames in
-    parallel); results are taken in frame order, so the report does not
-    depend on it.
+    Each metric is the mean over the frames, in frame order. The temporal
+    table keys are "<material>.<metric>" and "pae_deg", each holding the mean
+    and population std of the per-frame values. Raises for no frames.
     """
-    if len(pred_envs) != len(gt_envs) or not pred_envs:
-        raise ValueError("sequences must be non-empty and equal length")
-    frames = list(map(
-        lambda p, g: evaluate_three_spheres(p, g, probe_size=probe_size),
-        pred_envs, gt_envs,
-    ))
     materials = {}
     temporal = {}
     for mat in STANDARD_MATERIALS:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, great_circle_deg, sample_equirect
+from .envmap import EnvironmentMap, great_circle_deg, sample_equirect, vector_norms
 from .tonemap import apply_display_tonemap, auto_expose, quantize8, tonemap_ldr, tonemap_log, TONE_CURVES
 
 DEFAULT_CROP_WIDTH = 720
@@ -77,7 +77,7 @@ def pixel_ray(cam: CameraSpec, col, row) -> np.ndarray:
     v = (1.0 - 2.0 * row / cam.height) * half * cam.height / cam.width
     u, v = np.broadcast_arrays(u, v)
     rays = np.stack([u, v, -np.ones_like(u)], axis=-1) @ _rotation(cam).T
-    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+    return rays / vector_norms(rays)[..., None]
 
 
 def camera_rays(cam: CameraSpec) -> np.ndarray:
@@ -195,26 +195,33 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
                 crop_width: int = DEFAULT_CROP_WIDTH, crop_height: int = DEFAULT_CROP_HEIGHT):
     """Generate `count` >= 1 supervised samples of `frame_count` >= 1 crops each.
 
-    Each sample draws its own RNG stream spawned from `rng`, so sample i is
-    reproducible independent of processing order. HDR sources get a random
-    display tone curve plus auto-exposure (p99 luminance -> 0.9) before 8-bit
-    quantization; LDR sources only get the auto-exposure. Targets are the
-    dual tonemaps of the source panorama (ldr channel only for LDR sources,
-    whose [0,1] values are treated as linear radiance). They are computed once
-    per source, and the samples of one source share them as read-only arrays.
+    The arguments are checked, and each sample's RNG stream is spawned from
+    `rng`, when this is called; the returned iterator then draws one sample at
+    a time, so sample i is reproducible independent of processing order. HDR
+    sources get a random display tone curve plus auto-exposure (p99 luminance
+    -> 0.9) before 8-bit quantization; LDR sources only get the auto-exposure.
+    Targets are the dual tonemaps of the source panorama (ldr channel only for
+    LDR sources, whose [0,1] values are treated as linear radiance). They are
+    computed once per source, and the samples of one source share them as
+    read-only arrays.
     """
     if not panos:
         raise ValueError("no panoramas supplied")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if frame_count < 1:
+        raise ValueError("frame_count must be >= 1")
     sources = [
         p if isinstance(p, PanoramaSource) else PanoramaSource(np.asarray(p.data), hdr=True)
         for p in panos
     ]
-    samples = []
+    return _samples(sources, rng.spawn(count), frame_count, crop_width, crop_height)
+
+
+def _samples(sources, streams, frame_count, crop_width, crop_height):
+    """The samples of `dataset_gen`, one per RNG stream, drawn as they are asked for."""
     targets = {}  # source index -> its (ldr, log) targets, shared read-only
-    streams = rng.spawn(count)
-    for i, child in enumerate(streams):
+    for child in streams:
         src_idx = int(child.integers(0, len(sources)))
         src = sources[src_idx]
         start = sample_camera(child, width=crop_width, height=crop_height)
@@ -222,7 +229,7 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
         curve = _CURVE_NAMES[int(child.integers(0, len(_CURVE_NAMES)))] if src.hdr else "none"
         raw = [sample_equirect(src.data, camera_rays(c)) for c in cams]
         try:
-            scale, _ = auto_expose(raw[0], percentile=0.99, target=0.9)
+            scale = auto_expose(raw[0], percentile=0.99, target=0.9)
         except ValueError:
             scale = 1.0  # black or near-black first frame: leave exposure alone
         crops = []
@@ -236,18 +243,15 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
                 _read_only(tonemap_log(src.data)) if src.hdr else None
             )
         target_ldr, target_log = targets[src_idx]
-        samples.append(
-            DatasetSample(
-                source_index=src_idx,
-                cameras=cams,
-                tone_curve=curve,
-                exposure_scale=float(scale),
-                crops=crops,
-                target_ldr=target_ldr,
-                target_log=target_log,
-            )
+        yield DatasetSample(
+            source_index=src_idx,
+            cameras=cams,
+            tone_curve=curve,
+            exposure_scale=float(scale),
+            crops=crops,
+            target_ldr=target_ldr,
+            target_log=target_log,
         )
-    return samples
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -186,16 +186,14 @@ def percentile_nearest_rank(values, fraction: float) -> float:
 
 
 def auto_expose(img, percentile: float = 0.99, target: float = 0.9):
-    """Scale an HDR image so a luminance percentile hits the target.
+    """The scale that takes a luminance percentile of an HDR image to the target.
 
-    Returns (scale, scaled image). Raises if the percentile luminance is 0.
+    Raises if the percentile luminance is 0.
     """
-    img = np.asarray(img, dtype=np.float64)
     ref = percentile_nearest_rank(luminance(img), percentile)
     if ref <= 0.0:
         raise ValueError("degenerate exposure: percentile luminance is zero")
-    scale = target / ref
-    return scale, img * scale
+    return target / ref
 
 
 def quantize8(img):

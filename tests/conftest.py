@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from luxprobe.envmap import EnvironmentMap
+from luxprobe.metrics import evaluate_three_spheres, sequence_report
 
 
 def hot_spot_env(height=64, row=None, col=None, value=100.0, base=0.01):
@@ -12,6 +13,14 @@ def hot_spot_env(height=64, row=None, col=None, value=100.0, base=0.01):
     c = width // 2 if col is None else col
     data[r, c] = value
     return EnvironmentMap(data)
+
+
+def evaluate_sequence(pred_envs, gt_envs, probe_size):
+    """The report `eval-video` writes: each frame pair scored on its own, then
+    the sequence report of the frames in order."""
+    assert len(pred_envs) == len(gt_envs)
+    return sequence_report([evaluate_three_spheres(p, g, probe_size=probe_size)
+                            for p, g in zip(pred_envs, gt_envs)])
 
 
 @pytest.fixture

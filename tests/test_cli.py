@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.fusion import init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
-from luxprobe.metrics import evaluate_sequence
-from conftest import hot_spot_env
+from conftest import evaluate_sequence, hot_spot_env
+from test_acceptance import _determinism_commands
 
 
 def smooth_env(height=32, top=400.0):
@@ -39,6 +40,16 @@ def env_file(tmp_path):
 def manifest_of(path):
     with open(str(path) + ".manifest.json") as f:
         return json.load(f)
+
+
+def traced_peak(argv) -> int:
+    """Peak bytes that `main(argv)` allocates, by tracemalloc; the command must succeed."""
+    tracemalloc.start()
+    try:
+        assert main([str(a) for a in argv]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTonemapInverse:
@@ -127,6 +138,26 @@ class TestEval:
         report = json.loads(out.read_text())
         assert report == expected.to_dict()
         assert report["temporal"]["mirror.si_rmse"]["std"] > 0.0
+
+    def test_eval_video_memory_flat_in_frame_count(self, tmp_path, monkeypatch):
+        # each pool task loads and scores its own frame pair, so one thread
+        # holds one pair however many frames there are
+        monkeypatch.setenv("LUXPROBE_THREADS", "1")
+        rng = np.random.default_rng(0)
+        frame_bytes = 64 * 128 * 3 * 8  # one float64 frame
+
+        def run(frames):
+            d = tmp_path / f"n{frames}"
+            for sub in ("pred", "gt"):
+                (d / sub).mkdir(parents=True)
+                for i in range(frames):
+                    write_pfm(d / sub / f"f{i}.pfm", rng.random((64, 128, 3)) + 0.1)
+            return traced_peak(["eval-video", "--pred-dir", d / "pred", "--gt-dir", d / "gt",
+                                "--probe-size", "16", "--out", d / "r.json"])
+
+        run(1)  # warm up: first-call allocations stay out of the comparison
+        few, many = run(2), run(8)
+        assert many - few < frame_bytes, f"{(many - few) / frame_bytes:.2f} frames more"
 
     def test_frame_count_mismatch_is_data_error(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
@@ -241,6 +272,44 @@ class TestDatasetGen:
                      "--w", "40", "--h", "30", "--out-dir", str(out_dir)]) == 0
         rec = json.loads((out_dir / "dataset.jsonl").read_text().strip())
         assert rec["target_log"] is None
+
+    def test_memory_flat_in_count(self, tmp_path):
+        # each sample is written before the next one is drawn
+        src = tmp_path / "panos"
+        src.mkdir()
+        write_pfm(src / "a.pfm", smooth_env(32).data)
+        crop_bytes = 120 * 160 * 3 * 8  # one float64 crop
+
+        def run(count):
+            return traced_peak(["dataset-gen", "--panos-dir", src, "--count", count,
+                                "--w", "160", "--h", "120", "--out-dir", tmp_path / f"n{count}"])
+
+        run(1)  # warm up: first-call allocations stay out of the comparison
+        few, many = run(2), run(8)
+        assert many - few < crop_bytes, f"{(many - few) / crop_bytes:.2f} crops more"
+
+
+class TestManifest:
+    def test_lists_exactly_the_files_written(self, tmp_path):
+        # each command of criterion 10, once, in a fresh directory: the files it
+        # creates or rewrites, apart from its manifest, are the manifest's outputs
+        root = tmp_path / "work"
+        commands = _determinism_commands(root)
+
+        def stamps():
+            return {str(p): p.stat().st_mtime_ns for p in root.rglob("*") if p.is_file()}
+
+        for name, argv, primary in commands:
+            before = stamps()
+            assert main(argv) == 0, name
+            after = stamps()
+            written = {p for p, t in after.items() if before.get(p) != t}
+            manifest_path = primary + ".manifest.json"
+            assert manifest_path in written, name
+            m = manifest_of(primary)
+            assert m["command"] == argv[0], name
+            assert set(m["outputs"]) == written - {manifest_path}, name
+            assert primary in m["outputs"], name
 
 
 class TestCliContract:

@@ -15,6 +15,7 @@ from luxprobe.envmap import (
     rotate_env,
     sample_equirect,
     solid_angle_rows,
+    vector_norms,
 )
 from conftest import hot_spot_env
 
@@ -171,6 +172,33 @@ class TestLuminance:
 
     def test_red(self):
         assert luminance([1.0, 0.0, 0.0]) == pytest.approx(0.2126, abs=1e-12)
+
+
+# zero, subnormal, ordinary and overflowing components (a square of 1e155 or
+# more is infinite), of either sign
+_norm_component = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-160, 1e155, -1e200, 1.7e308]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestVectorNorms:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.sampled_from([(3,), (1, 3), (7, 3), (2, 5, 3)]),
+                  elements=_norm_component))
+    def test_equals_linalg_norm(self, x):
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.linalg.norm(x, axis=-1)
+            got = vector_norms(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows(self):
+        x = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [5e-324, 0.0, 0.0]])
+        with np.errstate(over="ignore", under="ignore"):
+            got = vector_norms(x)
+        assert got[0] == 5.0 and got[1] == 0.0 and got[2] == np.inf and got[3] == 0.0
 
 
 class TestPeakDirection:

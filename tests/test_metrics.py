@@ -7,17 +7,16 @@ from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.metrics import (
     _ZERO_NORM_EPS,
     MetricReport,
-    _masked_pair,
     angular_error,
-    evaluate_sequence,
     evaluate_three_spheres,
     n_rmse,
     peak_angular_error,
+    sequence_report,
     si_rmse,
     temporal_stats,
 )
 from luxprobe.probes import STANDARD_MATERIALS, render_probe
-from conftest import hot_spot_env
+from conftest import evaluate_sequence, hot_spot_env
 
 
 def img(*pixels):
@@ -49,14 +48,6 @@ class TestSiRmse:
     def test_degenerate_prediction(self):
         with pytest.raises(ValueError, match="degenerate"):
             si_rmse(np.zeros((4, 4, 3)), np.ones((4, 4, 3)))
-
-    def test_mask_restricts_support(self, rng):
-        pred = rng.random((4, 4, 3))
-        gt = pred.copy()
-        gt[0, 0] = 99.0  # excluded by the mask
-        mask = np.ones((4, 4), dtype=bool)
-        mask[0, 0] = False
-        assert si_rmse(pred, gt, mask) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAngularError:
@@ -98,10 +89,11 @@ class TestAngularError:
             angular_error(np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
 
 
-def angular_error_by_linalg_norm(pred, gt, mask=None):
+def angular_error_by_linalg_norm(pred, gt):
     """angular_error with `np.linalg.norm` and the `[ok]` selection always
     taken, as it was written before the row norms (oracle)."""
-    p, g = _masked_pair(pred, gt, mask)
+    p = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
+    g = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     pn = np.linalg.norm(p, axis=1)
     gn = np.linalg.norm(g, axis=1)
     ok = (pn > _ZERO_NORM_EPS) & (gn > _ZERO_NORM_EPS)
@@ -165,8 +157,8 @@ class TestAngularErrorParity:
         env = hot_spot_env(height=32)
         probe = render_probe(env, STANDARD_MATERIALS["matte"], 48)
         other = render_probe(rotate_env(env, 40.0), STANDARD_MATERIALS["matte"], 48)
-        got = angular_error(probe.pixels, other.pixels, probe.mask)
-        assert got == angular_error_by_linalg_norm(probe.pixels, other.pixels, probe.mask)
+        pred, gt = probe.pixels[probe.mask], other.pixels[probe.mask]
+        assert angular_error(pred, gt) == angular_error_by_linalg_norm(pred, gt)
 
 
 class TestNRmse:
@@ -188,9 +180,14 @@ class TestNRmse:
         with pytest.raises(ValueError, match="positive mean"):
             n_rmse(np.zeros((2, 2, 3)), np.ones((2, 2, 3)))
 
-    def test_empty_mask_raises(self):
-        with pytest.raises(ValueError, match="empty mask"):
-            n_rmse(np.ones((2, 2, 3)), np.ones((2, 2, 3)), np.zeros((2, 2), dtype=bool))
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError, match="empty input"):
+            n_rmse(np.ones((0, 3)), np.ones((0, 3)))
+
+    @pytest.mark.parametrize("metric", [si_rmse, angular_error, n_rmse])
+    def test_shape_mismatch_raises(self, metric):
+        with pytest.raises(ValueError, match="share dimensions"):
+            metric(np.ones((4, 3)), np.ones((1, 4, 3)))
 
 
 class TestPeakAngularError:
@@ -297,24 +294,23 @@ class TestEvaluateSequence:
         assert report.temporal["pae_deg"]["std"] > 0.0
         assert report.pae_deg == report.temporal["pae_deg"]["mean"]
 
-    def test_length_mismatch(self):
-        env = hot_spot_env(height=16)
-        with pytest.raises(ValueError, match="equal length"):
-            evaluate_sequence([env], [env, env])
+    def test_no_frames_raises(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            sequence_report([])
 
 
 def evaluate_per_map(pred_env, gt_env, probe_size):
     """The three-sphere driver that renders each map's probes on their own
-    and scores the probe images over the disc mask (oracle)."""
+    and scores the disc pixels of the probe images (oracle)."""
     materials = {}
     for name, material in STANDARD_MATERIALS.items():
         pred_probe = render_probe(pred_env, material, probe_size)
         gt_probe = render_probe(gt_env, material, probe_size)
-        mask = gt_probe.mask
+        pred, gt = pred_probe.pixels[gt_probe.mask], gt_probe.pixels[gt_probe.mask]
         materials[name] = {
-            "si_rmse": si_rmse(pred_probe.pixels, gt_probe.pixels, mask),
-            "angular_deg": angular_error(pred_probe.pixels, gt_probe.pixels, mask),
-            "n_rmse": n_rmse(pred_probe.pixels, gt_probe.pixels, mask),
+            "si_rmse": si_rmse(pred, gt),
+            "angular_deg": angular_error(pred, gt),
+            "n_rmse": n_rmse(pred, gt),
         }
     return MetricReport(materials=materials, pae_deg=peak_angular_error(pred_env, gt_env))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from luxprobe.envmap import EnvironmentMap, great_circle_deg, rotate_env
 from luxprobe.projection import (
@@ -10,6 +11,7 @@ from luxprobe.projection import (
     dataset_gen,
     gen_trajectory,
     pixel_ray,
+    _rotation,
     project_perspective,
     sample_camera,
 )
@@ -72,6 +74,34 @@ class TestRays:
             [0, np.sin(np.radians(30)), -np.cos(np.radians(30))],
             atol=1e-12,
         )
+
+
+def pixel_ray_by_linalg_norm(cam, col, row):
+    """pixel_ray normalised by `np.linalg.norm`, as it was written before
+    `vector_norms` (oracle)."""
+    half = np.tan(np.deg2rad(cam.fov) / 2.0)
+    u = (2.0 * col / cam.width - 1.0) * half
+    v = (1.0 - 2.0 * row / cam.height) * half * cam.height / cam.width
+    u, v = np.broadcast_arrays(u, v)
+    rays = np.stack([u, v, -np.ones_like(u)], axis=-1) @ _rotation(cam).T
+    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+
+
+class TestRayParity:
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-720.0, 720.0), st.floats(-89.9, 89.9), st.floats(1.0, 179.0),
+           st.integers(1, 40), st.integers(1, 30))
+    def test_camera_rays_equal_linalg_norm_form(self, az, el, fov, width, height):
+        cam = CameraSpec(azimuth=az, elevation=el, fov=fov, width=width, height=height)
+        want = pixel_ray_by_linalg_norm(cam, np.arange(width) + 0.5,
+                                        (np.arange(height) + 0.5)[:, None])
+        assert camera_rays(cam).tobytes() == want.tobytes()
+
+    def test_scalar_ray_equals_linalg_norm_form(self):
+        cam = CameraSpec(azimuth=33.0, elevation=-5.0, fov=70.0, width=90, height=60)
+        got = pixel_ray(cam, 12.25, 40.5)
+        assert got.shape == (3,)
+        assert got.tobytes() == pixel_ray_by_linalg_norm(cam, 12.25, 40.5).tobytes()
 
 
 class TestProjection:
@@ -180,8 +210,8 @@ class TestDatasetGen:
     def test_targets_are_the_dual_tonemaps_of_each_source(self):
         hdr = smooth_pano(16)
         ldr = PanoramaSource(np.clip(smooth_pano(16).data / 3.0, 0, 1), hdr=False)
-        samples = dataset_gen([hdr, ldr], np.random.default_rng(6), 5,
-                              crop_width=12, crop_height=8)
+        samples = list(dataset_gen([hdr, ldr], np.random.default_rng(6), 5,
+                                   crop_width=12, crop_height=8))
         assert {s.source_index for s in samples} == {0, 1}
         for s in samples:
             data = (hdr.data, ldr.data)[s.source_index]
@@ -205,8 +235,8 @@ class TestDatasetGen:
 
     def test_video_mode_emits_trajectory(self):
         env = smooth_pano(32)
-        samples = dataset_gen([env], np.random.default_rng(2), 1, frame_count=7,
-                              crop_width=40, crop_height=30)
+        samples = list(dataset_gen([env], np.random.default_rng(2), 1, frame_count=7,
+                                   crop_width=40, crop_height=30))
         assert len(samples[0].cameras) == 7
         assert len(samples[0].crops) == 7
 
@@ -220,6 +250,22 @@ class TestDatasetGen:
             assert sa.exposure_scale == sb.exposure_scale
             for ca, cb in zip(sa.crops, sb.crops):
                 assert (ca == cb).all()
+
+    def test_draws_each_sample_on_demand(self):
+        # the streams are spawned at the call, so a later spawn from the same
+        # generator does not reach the samples drawn after it
+        env = smooth_pano(16)
+        rng = np.random.default_rng(3)
+        lazy = dataset_gen([env], rng, 3, crop_width=12, crop_height=8)
+        rng.spawn(2)
+        eager = list(dataset_gen([env], np.random.default_rng(3), 3,
+                                 crop_width=12, crop_height=8))
+        assert iter(lazy) is lazy
+        got = list(lazy)
+        assert len(got) == len(eager) == 3
+        for a, b in zip(got, eager):
+            assert a.cameras == b.cameras and a.exposure_scale == b.exposure_scale
+            assert all(ca.tobytes() == cb.tobytes() for ca, cb in zip(a.crops, b.crops))
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, count):
