@@ -12,6 +12,7 @@ OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -104,6 +105,15 @@ def _read_image(path, suffixes) -> np.ndarray:
     return data
 
 
+def _output_suffix(path, suffixes) -> str:
+    """The suffix of image output `path`, which must be one of `suffixes`: the
+    formats the command writes there. Commands check it before any read."""
+    suffix = Path(path).suffix
+    if suffix not in suffixes:
+        raise ValueError(f"unsupported output format (not {'/'.join(suffixes)}): {path}")
+    return suffix
+
+
 def _load_env(path) -> EnvironmentMap:
     """HDR radiance from PFM or Radiance HDR; negatives clip to 0."""
     data = _read_image(path, (".pfm", ".hdr")).astype(np.float64)
@@ -120,6 +130,7 @@ def _load_channel(path) -> np.ndarray:
 # command implementations
 
 def _cmd_crop(args, out):
+    suffix = _output_suffix(args.out, (".png", ".pfm"))
     env = _load_env(args.pano)
     cam = projection.CameraSpec(
         azimuth=args.az, elevation=args.el, fov=args.fov,
@@ -127,7 +138,7 @@ def _cmd_crop(args, out):
     )
     view = projection.project_perspective(env, cam)
     path = out.path(args.out)
-    if path.endswith(".png"):
+    if suffix == ".png":
         ldr = tonemap.apply_display_tonemap(view, args.tonemap)
         write_png(path, ldr, metadata={"tonecurve": args.tonemap})
     else:
@@ -172,11 +183,7 @@ def _cmd_dataset_gen(args, out):
         records.append({
             "index": i,
             "source": names[sample.source_index],
-            "cameras": [
-                {"azimuth": c.azimuth, "elevation": c.elevation, "fov": c.fov,
-                 "width": c.width, "height": c.height}
-                for c in sample.cameras
-            ],
+            "cameras": [dataclasses.asdict(c) for c in sample.cameras],
             "tone_curve": sample.tone_curve,
             "exposure_scale": sample.exposure_scale,
             "crops": crops,
@@ -191,6 +198,8 @@ def _cmd_dataset_gen(args, out):
 
 
 def _cmd_tonemap(args, out):
+    for path in (args.out_ldr, args.out_log):
+        _output_suffix(path, (".png",))
     maps = tonemap.tonemap_dual(_load_env(args.infile))
     write_png(out.path(args.out_ldr), maps.ldr, metadata={"tonecurve": "dual-reinhard16"})
     write_png(out.path(args.out_log), maps.log, metadata={"tonecurve": "dual-log10000"})
@@ -200,6 +209,7 @@ def _cmd_tonemap(args, out):
 def _cmd_decode(args, out):
     """inverse and fuse-apply: HDR from a dual pair, by the fusion net if one
     is given, else by the analytic rule."""
+    _output_suffix(args.out, (".pfm",))
     maps = tonemap.DualToneMaps(ldr=_load_channel(args.ldr), log=_load_channel(args.log))
     if args.net is None:
         hdr = tonemap.inverse_rule(maps.ldr, maps.log)
@@ -286,6 +296,7 @@ def _cmd_peak(args, out):
 
 
 def _cmd_rotate(args, out):
+    _output_suffix(args.out, (".pfm",))
     write_pfm(out.path(args.out), rotate_env(_load_env(args.env), args.yaw).data)
     return args.out, {"env": args.env}, {"yaw": args.yaw}
 

@@ -52,8 +52,12 @@ class EnvironmentMap:
         return cls(data)
 
 
-def _dirs_from_angles(theta, phi):
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=np.float64), phi)
+def _pixel_centres(col, row, width: int, height: int) -> np.ndarray:
+    """Unit directions (..., 3) of the pixel centres at (col, row); the
+    integer indices broadcast, so scalars give one (3,) direction."""
+    phi = 2.0 * np.pi * (np.asarray(col, dtype=np.float64) + 0.5) / width - np.pi
+    theta = np.pi * (np.asarray(row, dtype=np.float64) + 0.5) / height
+    theta, phi = np.broadcast_arrays(theta, phi)
     sin_t = np.sin(theta)
     return np.stack(
         [sin_t * np.sin(phi), np.cos(theta), -sin_t * np.cos(phi)], axis=-1
@@ -66,18 +70,12 @@ def pixel_to_direction(col: int, row: int, width: int, height: int) -> np.ndarra
         raise ValueError("width must equal 2*height")
     if not (0 <= col < width and 0 <= row < height):
         raise ValueError(f"pixel ({col}, {row}) outside {width}x{height} map")
-    phi = 2.0 * np.pi * (col + 0.5) / width - np.pi
-    theta = np.pi * (row + 0.5) / height
-    return _dirs_from_angles(np.float64(theta), np.float64(phi))
+    return _pixel_centres(col, row, width, height)
 
 
 def grid_directions(width: int, height: int) -> np.ndarray:
     """(H, W, 3) array of pixel-center directions."""
-    cols = np.arange(width, dtype=np.float64)
-    rows = np.arange(height, dtype=np.float64)
-    phi = 2.0 * np.pi * (cols + 0.5) / width - np.pi
-    theta = np.pi * (rows + 0.5) / height
-    return _dirs_from_angles(theta[:, None], phi[None, :])
+    return _pixel_centres(np.arange(width), np.arange(height)[:, None], width, height)
 
 
 def direction_to_pixel(direction, width: int, height: int):
@@ -227,17 +225,16 @@ def peak_direction(env: EnvironmentMap, percentile: float = 0.999) -> np.ndarray
     lum = luminance(env.data)
     if lum.max() <= 0.0:
         raise ValueError("no peak: environment map has no positive luminance")
-    sa = np.broadcast_to(solid_angle_rows(env.width, env.height)[:, None], lum.shape)
+    sa = solid_angle_rows(env.width, env.height)
     flat_lum = lum.ravel()
-    flat_sa = sa.ravel()
     order = np.argsort(flat_lum, kind="stable")
-    cum = np.cumsum(flat_sa[order])
+    cum = np.cumsum(sa[order // env.width])
     idx = np.searchsorted(cum, percentile * cum[-1], side="left")
     threshold = flat_lum[order[min(idx, flat_lum.size - 1)]]
-    mask = flat_lum >= threshold
-    dirs = grid_directions(env.width, env.height).reshape(-1, 3)
-    weights = flat_lum[mask] * flat_sa[mask]
-    centroid = (weights[:, None] * dirs[mask]).sum(axis=0)
+    del order, cum  # directions are built for the selected pixels alone
+    rows, cols = np.divmod(np.flatnonzero(flat_lum >= threshold), env.width)
+    weights = lum[rows, cols] * sa[rows]
+    centroid = (weights[:, None] * _pixel_centres(cols, rows, env.width, env.height)).sum(axis=0)
     norm = np.linalg.norm(centroid)
     if norm < 1e-12 * weights.sum():
         raise ValueError("no peak: luminance distribution is directionless")

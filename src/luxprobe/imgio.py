@@ -171,22 +171,29 @@ def _chunk(tag: bytes, body: bytes) -> bytes:
     )
 
 
+def codes8(values) -> np.ndarray:
+    """The 8-bit codes floor(x * 255 + 0.5) of [0,1] values, as float64: the
+    package's one 8-bit rounding, shared with `tonemap.quantize8`. NaN or a
+    value outside [0, 1] raises ValueError."""
+    arr = np.asarray(values)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise ValueError("8-bit data must lie in [0, 1] (NaN is rejected)")
+    codes = np.multiply(arr, 255.0, out=np.empty(arr.shape), dtype=np.float64)
+    codes += 0.5
+    return np.floor(codes, out=codes)
+
+
 def write_png(path, image: np.ndarray, metadata: dict | None = None) -> None:
     """Write [0,1] float or uint8 data as an sRGB-tagged 8-bit RGB PNG.
 
-    Float inputs are quantized with round-half-away-from-zero. Optional
-    metadata is stored as tEXt chunks (sorted by key for determinism).
+    Float inputs are stored as their `codes8`. Optional metadata is stored
+    as tEXt chunks (sorted by key for determinism).
     """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"PNG writer expects (H, W, 3) data, got {arr.shape}")
     if arr.dtype != np.uint8:
-        if not ((arr >= 0.0) & (arr <= 1.0)).all():
-            raise ValueError("float PNG data must lie in [0, 1] (NaN is rejected)")
-        # floor(x * 255 + 0.5) in one float64 temporary, updated in place
-        scaled = np.multiply(arr, 255.0, dtype=np.float64)
-        scaled += 0.5
-        arr = np.floor(scaled, out=scaled).astype(np.uint8)
+        arr = codes8(arr).astype(np.uint8)
     height, width = arr.shape[:2]
     rows = arr.reshape(height, width * 3)
     # Up filter (type 2) on every row: each byte minus the one above it, mod

@@ -95,6 +95,12 @@ def temporal_stats(values) -> dict:
     return {"mean": float(arr.mean()), "std": float(arr.std())}
 
 
+# report key -> probe metric, looked up at call time so a rebound name (bench/tracer.py) is called
+_PROBE_METRICS = {"si_rmse": lambda p, g: si_rmse(p, g),
+                  "angular_deg": lambda p, g: angular_error(p, g),
+                  "n_rmse": lambda p, g: n_rmse(p, g)}
+
+
 @dataclass
 class MetricReport:
     """Per-material metric table, PAE, and optional temporal statistics."""
@@ -120,11 +126,7 @@ def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
     materials = {}
     for name, material in STANDARD_MATERIALS.items():
         _, (pred, gt) = render_probe_pixels([pred_env, gt_env], material, probe_size)
-        materials[name] = {
-            "si_rmse": si_rmse(pred, gt),
-            "angular_deg": angular_error(pred, gt),
-            "n_rmse": n_rmse(pred, gt),
-        }
+        materials[name] = {key: metric(pred, gt) for key, metric in _PROBE_METRICS.items()}
     return MetricReport(materials=materials, pae_deg=peak_angular_error(pred_env, gt_env))
 
 
@@ -139,7 +141,7 @@ def sequence_report(frames) -> MetricReport:
     temporal = {}
     for mat in STANDARD_MATERIALS:
         materials[mat] = {}
-        for metric in ("si_rmse", "angular_deg", "n_rmse"):
+        for metric in _PROBE_METRICS:
             series = [f.materials[mat][metric] for f in frames]
             stats = temporal_stats(series)
             materials[mat][metric] = stats["mean"]

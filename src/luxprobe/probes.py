@@ -75,12 +75,13 @@ def _pow_int(base: np.ndarray, exponent: int) -> np.ndarray:
         np.multiply(base, base, out=base)
 
 
-def _weighted_sums(maps, rows: int, exponent):
+def _weighted_sums(maps, out_height: int, exponent):
     """Sums of radiance*dOmega (and dOmega) against clamped-cosine^n kernels.
 
     `maps` is a sequence of (H, W, 3) arrays of one shape. The output grid is
-    the (rows, 2*rows) pixel-center grid. Returns (one numerator
-    (rows, 2*rows, 3) per map, the shared denominator (rows, 2*rows)).
+    the (rows, 2*rows) pixel-center grid, rows = min(out_height, H,
+    PREFILTER_MAX_ROWS). Returns (one numerator (rows, 2*rows, 3) per map,
+    the shared denominator (rows, 2*rows)).
 
     In units of input columns, output column i lies at azimuth q + t, where
     q, r = divmod(i*W, Wo) and t = (2r + W - Wo) / (2*Wo) depends only on
@@ -92,6 +93,7 @@ def _weighted_sums(maps, rows: int, exponent):
     once and applied to every map.
     """
     height, width = maps[0].shape[:2]
+    rows = min(out_height, height, PREFILTER_MAX_ROWS)
     out_width = 2 * rows
     theta_in = np.pi * (np.arange(height) + 0.5) / height
     theta_out = np.pi * (np.arange(rows) + 0.5) / rows
@@ -130,30 +132,18 @@ def _weighted_sums(maps, rows: int, exponent):
     return nums, den
 
 
-def _out_rows(env: EnvironmentMap, out_height: int) -> int:
-    return min(out_height, env.height, PREFILTER_MAX_ROWS)
-
-
-def _diffuse_maps(maps, rows: int) -> list:
-    nums, _ = _weighted_sums(maps, rows, exponent=1)
-    return [EnvironmentMap(num) for num in nums]
-
-
-def _glossy_maps(maps, exponent: float, rows: int) -> list:
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    nums, den = _weighted_sums(maps, rows, exponent=exponent)
-    return [EnvironmentMap(num / den[..., None]) for num in nums]
-
-
 def prefilter_diffuse(env: EnvironmentMap, out_height: int) -> EnvironmentMap:
     """Cosine-convolved irradiance map (steradian-integrated, not averaged)."""
-    return _diffuse_maps([env.data], _out_rows(env, out_height))[0]
+    (num,), _ = _weighted_sums([env.data], out_height, exponent=1)
+    return EnvironmentMap(num)
 
 
 def prefilter_glossy(env: EnvironmentMap, exponent: float, out_height: int) -> EnvironmentMap:
     """Normalized Phong-lobe-weighted mean radiance per direction."""
-    return _glossy_maps([env.data], exponent, _out_rows(env, out_height))[0]
+    if exponent <= 0:
+        raise ValueError("exponent must be positive")
+    (num,), den = _weighted_sums([env.data], out_height, exponent)
+    return EnvironmentMap(num / den[..., None])
 
 
 def _disc_geometry(size: int):
@@ -189,13 +179,13 @@ def render_probe_pixels(envs, material: Material, size: int):
     for i, env in enumerate(envs):
         by_shape.setdefault(env.data.shape, []).append(i)
     pixels = [None] * len(envs)
-    for (height, _, _), group in by_shape.items():
+    for group in by_shape.values():
         maps = [envs[i].data for i in group]
-        rows = min(height, PREFILTER_MAX_ROWS)
         if material.kind == "diffuse":
-            maps = [e.data for e in _diffuse_maps(maps, rows)]
+            maps, _ = _weighted_sums(maps, PREFILTER_MAX_ROWS, exponent=1)
         elif material.kind == "matte":
-            maps = [e.data for e in _glossy_maps(maps, material.exponent, rows)]
+            nums, den = _weighted_sums(maps, PREFILTER_MAX_ROWS, material.exponent)
+            maps = [num / den[..., None] for num in nums]
         geometry = equirect_geometry(dirs, *maps[0].shape[:2])
         for i, data in zip(group, maps):
             pixels[i] = weight * apply_equirect(data, geometry)

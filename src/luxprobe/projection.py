@@ -236,8 +236,10 @@ def _samples(sources, streams, frame_count, crop_width, crop_height):
         for view in raw:
             view = view * scale
             if src.hdr:
-                view = apply_display_tonemap(view, curve)
-            crops.append(quantize8(np.clip(view, 0.0, 1.0)))
+                view = apply_display_tonemap(view, curve)  # every curve returns [0, 1]
+            else:
+                np.clip(view, 0.0, 1.0, out=view)
+            crops.append(quantize8(view))
         if src_idx not in targets:
             targets[src_idx] = _read_only(tonemap_ldr(src.data)), (
                 _read_only(tonemap_log(src.data)) if src.hdr else None

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envmap import EnvironmentMap, luminance
+from .imgio import codes8
 
 M_LDR = 16.0
 M_LOG = 10000.0
@@ -164,13 +165,13 @@ TONE_CURVES = {
 
 
 def apply_display_tonemap(img, curve: str) -> np.ndarray:
-    """Apply a named display curve per channel; output clipped to [0,1]."""
+    """Apply a named display curve per channel; every curve returns values in [0,1]."""
     if curve not in TONE_CURVES:
         raise ValueError(f"unknown tone curve {curve!r}, expected one of {sorted(TONE_CURVES)}")
     img = np.asarray(img, dtype=np.float64)
     if img.min() < 0.0 or not np.isfinite(img).all():
         raise ValueError("display tonemap input must be finite and >= 0")
-    return np.clip(TONE_CURVES[curve](img), 0.0, 1.0)
+    return TONE_CURVES[curve](img)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +198,7 @@ def auto_expose(img, percentile: float = 0.99, target: float = 0.9):
 
 
 def quantize8(img):
-    """Snap [0,1] values to the 8-bit grid (round half away from zero)."""
-    img = np.asarray(img, dtype=np.float64)
-    if not ((img >= 0.0) & (img <= 1.0)).all():
-        raise ValueError("quantize8 input must lie in [0, 1] (NaN is rejected)")
-    # floor(img * 255 + 0.5) / 255 in place
-    t = np.multiply(img, 255.0, out=np.empty_like(img))
-    t += 0.5
-    np.floor(t, out=t)
+    """Snap [0,1] values to the 8-bit grid: the PNG codes (`imgio.codes8`) / 255."""
+    t = codes8(img)
     t /= 255.0
     return _value(t)

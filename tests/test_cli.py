@@ -441,10 +441,21 @@ def _assert_rejected(argv, out, capsys):
     assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), captured.err
     assert captured.out == ""
     assert list(out.iterdir()) == []  # no output and no manifest
+    return lines[0]
 
 
 FILE_COMMANDS = ["crop", "dataset-gen", "tonemap", "inverse", "fuse-apply",
                  "render-probes", "eval", "eval-video", "peak", "rotate"]
+
+
+# (command, output flag, file name): an image output whose suffix is not that of
+# the format the command writes there
+OUTPUT_SUFFIX_CASES = [
+    ("crop", "--out", "c.jpg"), ("crop", "--out", "c.hdr"), ("crop", "--out", "c"),
+    ("tonemap", "--out-ldr", "l.pfm"), ("tonemap", "--out-log", "g.pfm"),
+    ("inverse", "--out", "r.png"), ("fuse-apply", "--out", "f.png"),
+    ("rotate", "--out", "o.png"), ("rotate", "--out", "o.PFM"),
+]
 
 
 def _valid_map():
@@ -494,6 +505,14 @@ class TestInputRule:
         _assert_rejected(["crop", "--pano", good, f"--az={az}", "--w", "8", "--h", "6",
                           "--out", out / "c.pfm"], out, capsys)
 
+    @pytest.mark.parametrize("command, flag, name", OUTPUT_SUFFIX_CASES)
+    def test_output_suffix_must_match_format(self, tmp_path, capsys, inputs, command, flag, name):
+        good, net, out = inputs
+        missing = tmp_path / "missing" / "x.pfm"  # the suffix is checked before any read
+        argv = _argv(command, missing, good, net, out)
+        argv[argv.index(flag) + 1] = out / name
+        assert "unsupported output format" in _assert_rejected(argv, out, capsys)
+
     @pytest.mark.parametrize("suffix", [".pfm", ".png"])
     def test_dataset_gen_rejects_non_2to1_panorama(self, tmp_path, capsys, suffix):
         pano = tmp_path / "panos" / f"x{suffix}"
@@ -526,6 +545,10 @@ def _boundary_base(command, good, out) -> dict:
     """Small valid arguments for `command`, flag -> value."""
     return {
         "crop": {"--pano": good, "--w": 8, "--h": 6, "--out": out / "c.pfm"},
+        "tonemap": {"--in": good, "--out-ldr": out / "l.png", "--out-log": out / "g.png"},
+        "inverse": {"--ldr": good, "--log": good, "--out": out / "r.pfm"},
+        "fuse-apply": {"--net": good.parent.parent / "net.bin", "--ldr": good, "--log": good,
+                       "--out": out / "f.pfm"},
         "dataset-gen": {"--panos-dir": good.parent, "--count": 1, "--w": 8, "--h": 6,
                         "--out-dir": out / "ds"},
         "fuse-train": {"--steps": 2, "--batch": 8, "--out": out / "n.bin"},
@@ -593,13 +616,16 @@ def boundary_dir(tmp_path_factory):
     good = root / "maps" / "x.pfm"
     good.parent.mkdir()
     write_pfm(good, hot_spot_env(height=16, value=20.0, base=0.2).data)
+    save_fusion_net(init_uniform(0, dtype=np.float32), root / "net.bin")
     return root, good
 
 
 class TestArgumentBoundary:
-    # 140 cases; hypothesis stops once it has tried each of them (about 10 s)
+    # 149 cases, each numeric flag at each edge value and each output whose suffix
+    # names another format; hypothesis stops once it has tried each (about 10 s)
     @settings(max_examples=200, deadline=None)
-    @given(case=st.sampled_from([(*c, v) for c in NUMERIC_FLAGS for v in EDGE_VALUES]))
+    @given(case=st.sampled_from([(*c, v) for c in NUMERIC_FLAGS for v in EDGE_VALUES]
+                                + OUTPUT_SUFFIX_CASES))
     def test_flag_and_config_agree(self, boundary_dir, case):
         root, good = boundary_dir
         command, flag, value = case
@@ -611,16 +637,19 @@ class TestArgumentBoundary:
             base = _boundary_base(command, good, out)
             base.pop(flag, None)
             argv = [command, *(tok for item in base.items() for tok in item)]
+            token, config = ((value, EDGE_VALUES[value]) if value in EDGE_VALUES
+                             else (out / value, str(out / value)))
             if route == "flag":
-                argv.insert(1, f"{flag}={value}")
+                argv.insert(1, f"{flag}={token}")
             else:
                 cfg = work / "cfg.json"
-                cfg.write_text(json.dumps({flag[2:]: EDGE_VALUES[value]}))
+                cfg.write_text(json.dumps({flag[2:]: config}))
                 argv[1:1] = ["--config", cfg]
             code, _, err = _run(argv)
             _check_outcome(code, err, out)
             codes.append(code)
         assert codes[0] == codes[1], f"{command} {flag}={value}: flag {codes[0]}, config {codes[1]}"
+        assert value in EDGE_VALUES or codes == [1, 1], f"{command} {flag}={value}: {codes}"
 
     @pytest.mark.parametrize("command, config", [
         ("crop", {"w": 8.5}),

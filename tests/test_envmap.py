@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,74 @@ class TestPeakDirection:
         assert great_circle_deg(peak_direction(env), expected) < np.degrees(
             2 * np.pi / 128
         )
+
+
+def peak_direction_grid(env: EnvironmentMap, percentile: float) -> np.ndarray:
+    """The whole-grid form of peak_direction (oracle): directions of every
+    pixel centre built first, then the selected ones taken from them."""
+    lum = luminance(env.data)
+    if lum.max() <= 0.0:
+        raise ValueError("no peak: environment map has no positive luminance")
+    sa = np.broadcast_to(solid_angle_rows(env.width, env.height)[:, None], lum.shape)
+    flat_lum = lum.ravel()
+    flat_sa = sa.ravel()
+    order = np.argsort(flat_lum, kind="stable")
+    cum = np.cumsum(flat_sa[order])
+    idx = np.searchsorted(cum, percentile * cum[-1], side="left")
+    mask = flat_lum >= flat_lum[order[min(idx, flat_lum.size - 1)]]
+    dirs = grid_directions(env.width, env.height).reshape(-1, 3)
+    weights = flat_lum[mask] * flat_sa[mask]
+    centroid = (weights[:, None] * dirs[mask]).sum(axis=0)
+    norm = np.linalg.norm(centroid)
+    if norm < 1e-12 * weights.sum():
+        raise ValueError("no peak: luminance distribution is directionless")
+    return centroid / norm
+
+
+def _peak_or_error(fn, env, percentile):
+    try:
+        return fn(env, percentile).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+_percentiles = st.one_of(st.sampled_from([1e-9, 0.5, 0.9, 0.999, 1.0]),
+                         st.floats(1e-6, 1.0, exclude_min=True))
+
+
+class TestPeakDirectionParity:
+    """peak_direction builds directions for the selected pixels only; its bits
+    are those of the whole-grid form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.integers(1, 12).flatmap(lambda h: arrays(
+               np.float64, (h, 2 * h, 3),
+               elements=st.one_of(st.just(0.0), st.floats(0.0, 1e3)))),
+           percentile=_percentiles)
+    def test_hypothesis_maps(self, data, percentile):
+        env = EnvironmentMap(data)
+        with np.errstate(divide="ignore", invalid="ignore"):  # subnormal-only maps
+            assert (_peak_or_error(peak_direction, env, percentile)
+                    == _peak_or_error(peak_direction_grid, env, percentile))
+
+    @pytest.mark.parametrize("height", [16, 100, 512])
+    @pytest.mark.parametrize("percentile", [0.5, 0.9, 0.999, 1.0])
+    def test_random_maps(self, rng, height, percentile):
+        env = hot_spot_env(height=height, row=height // 3, col=height // 5, value=50.0)
+        env = EnvironmentMap(env.data * rng.random(env.data.shape))
+        assert (peak_direction(env, percentile).tobytes()
+                == peak_direction_grid(env, percentile).tobytes())
+
+    def test_memory_below_twice_the_map(self, rng):
+        # the whole (H, W, 3) direction grid and its temporaries took about 3.5x
+        env = EnvironmentMap(rng.random((512, 1024, 3)))
+        tracemalloc.start()
+        try:
+            peak_direction(env)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * env.data.nbytes, peak / env.data.nbytes
 
 
 class TestSampleEquirect:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from luxprobe.imgio import _unfilter, read_hdr, read_pfm, read_png, write_pfm, write_png
+from luxprobe.tonemap import quantize8
 
 
 class TestPfm:
@@ -374,8 +375,11 @@ def assert_written_as_up_rows(path, expected):
 
 
 _shapes = st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3))  # 1x1, 1xW, Hx1, odd W
-_float_images = st.sampled_from([32, 64]).flatmap(
-    lambda bits: arrays(f"f{bits // 8}", _shapes, elements=st.floats(0.0, 1.0, width=bits))
+# any [0, 1] value, the ends of the 8-bit grid and its exact half steps (k + 0.5)/255
+_levels = st.one_of(st.floats(0.0, 1.0),
+                    st.sampled_from([0.0, 1.0] + [(k + 0.5) / 255.0 for k in range(255)]))
+_float_images = st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dtype: arrays(dtype, _shapes, elements=_levels.map(dtype))
 )
 
 
@@ -400,6 +404,8 @@ class TestPngWriter:
         expected = np.floor(img.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
         assert_written_as_up_rows(path, expected)
         assert (img == before).all()  # the input is not scaled in place
+        # one 8-bit rounding: the decoded file is quantize8 of the input, bit for bit
+        assert read_png(path)[0].tobytes() == quantize8(img).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_float_quantization_on_grid_and_half_steps(self, tmp_path, dtype):

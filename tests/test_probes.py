@@ -16,7 +16,6 @@ from luxprobe.probes import (
     MATTE_SILVER,
     MIRROR_BALL,
     Material,
-    _glossy_maps,
     _weighted_sums,
     prefilter_diffuse,
     prefilter_glossy,
@@ -120,11 +119,24 @@ class TestPrefilterParity:
         maps = [rng.random((512, 1024, 3)) for _ in range(2)]
         tracemalloc.start()
         try:
-            _glossy_maps(maps, 64, rows=64)
+            _weighted_sums(maps, 64, exponent=64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * sum(m.nbytes for m in maps)
+
+    @pytest.mark.parametrize(
+        "height, out_height, exponent",
+        [(48, 48, 1), (48, 200, 64), (72, 72, 1), (72, 72, 7.5), (128, 96, 64), (16, 12, 7.5)],
+    )
+    def test_public_prefilters_are_one_map_weighted_sums(self, rng, height, out_height, exponent):
+        env = _test_env(height, rng)
+        (num,), den = _weighted_sums([env.data], out_height, exponent)
+        assert num.shape[0] == min(height, out_height, 64)
+        glossy = prefilter_glossy(env, exponent, out_height).data
+        assert glossy.tobytes() == (num / den[..., None]).tobytes()
+        if exponent == 1:
+            assert prefilter_diffuse(env, out_height).data.tobytes() == num.tobytes()
 
     @pytest.mark.parametrize(
         "height, rows, exponent",
