@@ -218,7 +218,8 @@ def peak_direction(env: EnvironmentMap, percentile: float = 0.999) -> np.ndarray
 
     Takes all pixels at or above the solid-angle-weighted luminance
     percentile and returns the normalized direction centroid weighted by
-    luminance * solid angle. Raises if the map has no positive luminance.
+    luminance * solid angle. Raises if the map has no positive luminance, or
+    if the centroid cancels or underflows.
     """
     if not 0.0 < percentile <= 1.0:
         raise ValueError("percentile must be in (0, 1]")
@@ -236,7 +237,8 @@ def peak_direction(env: EnvironmentMap, percentile: float = 0.999) -> np.ndarray
     weights = lum[rows, cols] * sa[rows]
     centroid = (weights[:, None] * _pixel_centres(cols, rows, env.width, env.height)).sum(axis=0)
     norm = np.linalg.norm(centroid)
-    if norm < 1e-12 * weights.sum():
+    # a squared norm below the smallest normal float has lost its bits to underflow
+    if norm * norm < np.finfo(np.float64).tiny or norm < 1e-12 * weights.sum():
         raise ValueError("no peak: luminance distribution is directionless")
     return centroid / norm
 

@@ -60,15 +60,16 @@ def read_pfm(path) -> np.ndarray:
 
 def write_pfm(path, image: np.ndarray) -> None:
     """Write (H, W, 3) float data as little-endian RGB PFM."""
-    arr = np.asarray(image, dtype=np.float32)
+    arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"PFM writer expects (H, W, 3), got {arr.shape}")
     height, width = arr.shape[:2]
+    rows = np.ascontiguousarray(arr[::-1], dtype="<f4")  # bottom row first, one copy
     with open(path, "wb") as f:
         f.write(b"PF\n")
         f.write(f"{width} {height}\n".encode("ascii"))
         f.write(b"-1.0\n")
-        f.write(arr[::-1].astype("<f4").tobytes())
+        f.write(rows)
 
 
 # ---------------------------------------------------------------------------

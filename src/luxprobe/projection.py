@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envmap import EnvironmentMap, great_circle_deg, sample_equirect, vector_norms
-from .tonemap import apply_display_tonemap, auto_expose, quantize8, tonemap_ldr, tonemap_log, TONE_CURVES
+from .imgio import codes8
+from .tonemap import apply_display_tonemap, auto_expose, tonemap_ldr, tonemap_log, TONE_CURVES
 
 DEFAULT_CROP_WIDTH = 720
 DEFAULT_CROP_HEIGHT = 480
@@ -44,12 +45,8 @@ class CameraSpec:
             raise ValueError("output size must be positive")
 
     def forward(self) -> np.ndarray:
-        """World-space unit view direction."""
-        az = np.deg2rad(self.azimuth)
-        el = np.deg2rad(self.elevation)
-        return np.array(
-            [np.sin(az) * np.cos(el), np.sin(el), -np.cos(az) * np.cos(el)]
-        )
+        """World-space unit view direction: the camera's -z axis."""
+        return _rotation(self) @ (0.0, 0.0, -1.0)
 
 
 def _rotation(cam: CameraSpec) -> np.ndarray:
@@ -174,9 +171,9 @@ class PanoramaSource:
 
 @dataclass
 class DatasetSample:
-    """One supervised sample: LDR crop(s) plus the dual-tonemap target.
-
-    target_log is None for LDR panorama sources (no log-space intensity).
+    """One supervised sample: LDR crop(s), each the (H, W, 3) uint8 8-bit codes
+    a PNG stores, plus the dual-tonemap target. target_log is None for LDR
+    panorama sources (no log-space intensity).
     """
 
     source_index: int
@@ -198,12 +195,12 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
     The arguments are checked, and each sample's RNG stream is spawned from
     `rng`, when this is called; the returned iterator then draws one sample at
     a time, so sample i is reproducible independent of processing order. HDR
-    sources get a random display tone curve plus auto-exposure (p99 luminance
-    -> 0.9) before 8-bit quantization; LDR sources only get the auto-exposure.
-    Targets are the dual tonemaps of the source panorama (ldr channel only for
-    LDR sources, whose [0,1] values are treated as linear radiance). They are
-    computed once per source, and the samples of one source share them as
-    read-only arrays.
+    sources get a random display tone curve plus auto-exposure (frame 0's p99
+    luminance -> 0.9) before 8-bit coding; LDR sources only get the exposure.
+    Each frame is coded before the next one is rendered. Targets are the dual
+    tonemaps of the source panorama (ldr channel only for LDR sources, whose
+    [0,1] values are treated as linear radiance). They are computed once per
+    source, and the samples of one source share them as read-only arrays.
     """
     if not panos:
         raise ValueError("no panoramas supplied")
@@ -227,19 +224,20 @@ def _samples(sources, streams, frame_count, crop_width, crop_height):
         start = sample_camera(child, width=crop_width, height=crop_height)
         cams = gen_trajectory(child, frame_count, start=start).frames
         curve = _CURVE_NAMES[int(child.integers(0, len(_CURVE_NAMES)))] if src.hdr else "none"
-        raw = [sample_equirect(src.data, camera_rays(c)) for c in cams]
-        try:
-            scale = auto_expose(raw[0], percentile=0.99, target=0.9)
-        except ValueError:
-            scale = 1.0  # black or near-black first frame: leave exposure alone
         crops = []
-        for view in raw:
-            view = view * scale
+        for cam in cams:
+            view = sample_equirect(src.data, camera_rays(cam))
+            if not crops:  # frame 0 sets the exposure of every frame
+                try:
+                    scale = auto_expose(view, percentile=0.99, target=0.9)
+                except ValueError:
+                    scale = 1.0  # black or near-black first frame: leave exposure alone
+            view *= scale
             if src.hdr:
                 view = apply_display_tonemap(view, curve)  # every curve returns [0, 1]
             else:
                 np.clip(view, 0.0, 1.0, out=view)
-            crops.append(quantize8(view))
+            crops.append(codes8(view).astype(np.uint8))
         if src_idx not in targets:
             targets[src_idx] = _read_only(tonemap_ldr(src.data)), (
                 _read_only(tonemap_log(src.data)) if src.hdr else None

@@ -254,7 +254,8 @@ def peak_direction_grid(env: EnvironmentMap, percentile: float) -> np.ndarray:
     weights = flat_lum[mask] * flat_sa[mask]
     centroid = (weights[:, None] * dirs[mask]).sum(axis=0)
     norm = np.linalg.norm(centroid)
-    if norm < 1e-12 * weights.sum():
+    # a squared norm below the smallest normal float has lost its bits to underflow
+    if norm * norm < np.finfo(np.float64).tiny or norm < 1e-12 * weights.sum():
         raise ValueError("no peak: luminance distribution is directionless")
     return centroid / norm
 
@@ -281,9 +282,8 @@ class TestPeakDirectionParity:
            percentile=_percentiles)
     def test_hypothesis_maps(self, data, percentile):
         env = EnvironmentMap(data)
-        with np.errstate(divide="ignore", invalid="ignore"):  # subnormal-only maps
-            assert (_peak_or_error(peak_direction, env, percentile)
-                    == _peak_or_error(peak_direction_grid, env, percentile))
+        assert (_peak_or_error(peak_direction, env, percentile)
+                == _peak_or_error(peak_direction_grid, env, percentile))
 
     @pytest.mark.parametrize("height", [16, 100, 512])
     @pytest.mark.parametrize("percentile", [0.5, 0.9, 0.999, 1.0])
@@ -292,6 +292,17 @@ class TestPeakDirectionParity:
         env = EnvironmentMap(env.data * rng.random(env.data.shape))
         assert (peak_direction(env, percentile).tobytes()
                 == peak_direction_grid(env, percentile).tobytes())
+
+    @pytest.mark.parametrize("peak", [peak_direction, peak_direction_grid])
+    @pytest.mark.parametrize("value", [1e-320, 1e-160])
+    def test_underflowing_centroid_rejected(self, peak, value):
+        # one texel: at 1e-320 a zero norm divided into infinities; at 1e-160
+        # the squared norm is subnormal and the direction came back 2e-4 too long
+        data = np.zeros((4, 8, 3))
+        data[1, 2] = value
+        with np.errstate(divide="raise", invalid="raise"):
+            with pytest.raises(ValueError, match="no peak"):
+                peak(EnvironmentMap(data), 0.999)
 
     def test_memory_below_twice_the_map(self, rng):
         # the whole (H, W, 3) direction grid and its temporaries took about 3.5x

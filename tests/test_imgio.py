@@ -75,6 +75,26 @@ class TestPfm:
         with pytest.raises(ValueError):
             write_pfm(tmp_path / "b.pfm", np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_payload_is_the_reversed_float32_rows(self, tmp_path, rng, dtype):
+        img = (rng.random((5, 10, 3)) * 1e3).astype(dtype)
+        path = tmp_path / "p.pfm"
+        write_pfm(path, img)
+        expected = np.asarray(img, dtype=np.float32)[::-1].astype("<f4").tobytes()
+        assert path.read_bytes() == b"PF\n10 5\n-1.0\n" + expected
+
+    def test_one_copy_of_the_payload(self, tmp_path, rng):
+        # a float32 copy, its reversed astype and tobytes made three
+        img = rng.random((512, 1024, 3))
+        payload = img.size * 4
+        tracemalloc.start()
+        try:
+            write_pfm(tmp_path / "m.pfm", img)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload, peak / payload
+
 
 def rgbe_bytes(r, g, b, e):
     return bytes([r, g, b, e])

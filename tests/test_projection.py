@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luxprobe.envmap import EnvironmentMap, great_circle_deg, rotate_env
+from luxprobe.envmap import EnvironmentMap, great_circle_deg, rotate_env, sample_equirect
+from luxprobe.imgio import codes8
 from luxprobe.projection import (
     CameraSpec,
     PanoramaSource,
@@ -15,7 +18,14 @@ from luxprobe.projection import (
     project_perspective,
     sample_camera,
 )
-from luxprobe.tonemap import TONE_CURVES, tonemap_ldr, tonemap_log
+from luxprobe.tonemap import (
+    TONE_CURVES,
+    apply_display_tonemap,
+    auto_expose,
+    quantize8,
+    tonemap_ldr,
+    tonemap_log,
+)
 
 
 def smooth_pano(height=64):
@@ -27,6 +37,13 @@ def smooth_pano(height=64):
         np.pi * (rows + 0.5) / height
     )
     return EnvironmentMap(data)
+
+
+def forward_closed_form(cam):
+    """The view direction written out in the camera angles (oracle)."""
+    az = np.deg2rad(cam.azimuth)
+    el = np.deg2rad(cam.elevation)
+    return np.array([np.sin(az) * np.cos(el), np.sin(el), -np.cos(az) * np.cos(el)])
 
 
 class TestCameraSpec:
@@ -47,6 +64,15 @@ class TestCameraSpec:
         np.testing.assert_allclose(cam.forward(), [0, 0, -1], atol=1e-12)
         cam = CameraSpec(azimuth=90, elevation=0, fov=60)
         np.testing.assert_allclose(cam.forward(), [1, 0, 0], atol=1e-12)
+
+    def test_forward_is_the_closed_form_bitwise(self):
+        rng = np.random.default_rng(8)
+        cams = [CameraSpec(azimuth=az, elevation=el, fov=60)
+                for az, el in zip(rng.uniform(0, 360, 2000), rng.uniform(-89, 89, 2000))]
+        cams += [CameraSpec(azimuth=az, elevation=el, fov=60)
+                 for az in (0.0, 90.0, 180.0, 270.0) for el in (0.0, 45.0, -89.0)]
+        for cam in cams:
+            assert cam.forward().tobytes() == forward_closed_form(cam).tobytes(), cam
 
 
 class TestRays:
@@ -189,6 +215,29 @@ class TestTrajectory:
             Trajectory([good, bad], cone_limit=15.0)
 
 
+def crops_by_two_passes(sources, rng, count, frame_count, width, height):
+    """The crops of `dataset_gen` made the two-pass way (oracle): every float
+    frame rendered first and exposed by frame 0, snapped to the 8-bit grid
+    with `quantize8`, then coded again as `write_png` codes float data."""
+    curves = sorted(TONE_CURVES)
+    samples = []
+    for child in rng.spawn(count):
+        src = sources[int(child.integers(0, len(sources)))]
+        start = sample_camera(child, width=width, height=height)
+        cams = gen_trajectory(child, frame_count, start=start).frames
+        curve = curves[int(child.integers(0, len(curves)))] if src.hdr else None
+        raw = [sample_equirect(src.data, camera_rays(c)) for c in cams]
+        try:
+            scale = auto_expose(raw[0], percentile=0.99, target=0.9)
+        except ValueError:
+            scale = 1.0
+        views = [view * scale for view in raw]
+        views = [apply_display_tonemap(v, curve) if src.hdr else np.clip(v, 0.0, 1.0)
+                 for v in views]
+        samples.append([codes8(quantize8(v)).astype(np.uint8) for v in views])
+    return samples
+
+
 class TestDatasetGen:
     def test_hdr_source_has_both_targets(self):
         env = smooth_pano(32)
@@ -224,14 +273,39 @@ class TestDatasetGen:
             with pytest.raises(ValueError, match="read-only"):
                 s.target_ldr[0, 0, 0] = 0.5
 
-    def test_crops_on_8bit_grid(self):
-        env = smooth_pano(32)
-        samples = dataset_gen([env], np.random.default_rng(1), 2,
-                              crop_width=40, crop_height=30)
-        for s in samples:
-            for crop in s.crops:
-                assert crop.min() >= 0 and crop.max() <= 1
-                assert np.allclose(crop * 255, np.round(crop * 255), atol=1e-9)
+    @pytest.mark.parametrize("source, frames", [
+        pytest.param(PanoramaSource(smooth_pano(32).data), 1, id="hdr"),
+        pytest.param(PanoramaSource(np.clip(smooth_pano(32).data / 2.0, 0, 1), hdr=False), 1,
+                     id="ldr"),
+        pytest.param(PanoramaSource(smooth_pano(32).data), 7, id="hdr-video"),
+        pytest.param(PanoramaSource(np.zeros((32, 64, 3))), 2, id="black"),  # exposure left alone
+    ])
+    def test_crops_are_the_codes_of_the_two_pass_pipeline(self, source, frames):
+        got = list(dataset_gen([source], np.random.default_rng(1), 2, frame_count=frames,
+                               crop_width=40, crop_height=30))
+        expected = crops_by_two_passes([source], np.random.default_rng(1), 2, frames, 40, 30)
+        for sample, crops in zip(got, expected, strict=True):
+            assert len(sample.crops) == frames
+            for crop, want in zip(sample.crops, crops, strict=True):
+                assert crop.dtype == np.uint8 and crop.shape == (30, 40, 3)
+                assert crop.tobytes() == want.tobytes()
+
+    def test_memory_does_not_grow_with_frames(self):
+        # every float frame was kept, and a quantized float copy of each
+        source = PanoramaSource(smooth_pano(32).data)
+
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                list(dataset_gen([source], np.random.default_rng(0), 1, frame_count=frames,
+                                 crop_width=160, crop_height=120))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        crop = 120 * 160 * 3 * 8  # one float64 crop
+        growth = peak(8) - peak(2)
+        assert growth < 2 * crop, growth / crop
 
     def test_video_mode_emits_trajectory(self):
         env = smooth_pano(32)
