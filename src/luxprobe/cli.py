@@ -238,9 +238,10 @@ def _cmd_fuse_train(args, out):
 
 
 def _cmd_render_probes(args, out):
-    env = _load_env(args.env)
-    for name, material in probes.STANDARD_MATERIALS.items():
-        probe = probes.render_probe(env, material, args.size)
+    materials = probes.STANDARD_MATERIALS
+    rendered = probes.render_probe_pixels([_load_env(args.env)], materials.values(), args.size)
+    for name, (mask, (disc,)) in zip(materials, rendered):
+        probe = probes.ProbeImage.from_disc(mask, disc)
         write_pfm(out.path(f"{args.out_prefix}{name}.pfm"), probe.pixels)
         preview = tonemap.apply_display_tonemap(probe.pixels, "gamma24")
         write_png(out.path(f"{args.out_prefix}{name}.png"), preview,

@@ -85,22 +85,33 @@ def direction_to_pixel(direction, width: int, height: int):
     [0, height-1] (pole clamp for bilinear lookups); at the exact poles the
     azimuth is undefined and col is fixed to width/2.
     """
-    d = np.asarray(direction, dtype=np.float64)
-    col, row = _directions_to_pixels(d[None, :], width, height)
-    return float(col[0]), float(row[0])
+    col, row = _directions_to_pixels(np.asarray(direction, dtype=np.float64), width, height)
+    return float(col), float(row)
 
 
 def _directions_to_pixels(dirs, width, height):
-    """Vectorized direction_to_pixel over (..., 3) arrays."""
-    x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
-    theta = np.arccos(np.clip(y, -1.0, 1.0))
-    phi = np.arctan2(x, -z)
-    col = (phi + np.pi) * width / (2.0 * np.pi) - 0.5
-    row = theta * height / np.pi - 0.5
-    at_pole = np.hypot(x, z) < 1e-12
-    col = np.where(at_pole, width / 2.0, col)
-    row = np.clip(row, 0.0, height - 1.0)
-    return col, row
+    """Vectorized direction_to_pixel over (..., 3) arrays.
+
+    Works in place on flat copies, in the operation order of the formulas,
+    such as (theta * height) / pi, so the bits are those of the expressions
+    written out.
+    """
+    shape = np.shape(dirs)[:-1]
+    dirs = np.reshape(dirs, (-1, 3))
+    x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    row = np.clip(y, -1.0, 1.0)
+    np.arccos(row, out=row)  # theta
+    row *= height
+    row /= np.pi
+    row -= 0.5
+    col = np.arctan2(x, -z)  # phi
+    col += np.pi
+    col *= width
+    col /= 2.0 * np.pi
+    col -= 0.5
+    col[np.hypot(x, z) < 1e-12] = width / 2.0  # at the poles
+    np.clip(row, 0.0, height - 1.0, out=row)
+    return col.reshape(shape), row.reshape(shape)
 
 
 def _polar_cosines(height: int) -> np.ndarray:
@@ -151,33 +162,53 @@ def equirect_geometry(dirs: np.ndarray, height: int, width: int):
     Wraps in azimuth and clamps rows at the poles. One geometry serves every
     map of that size (`apply_equirect`).
     """
-    col, row = _directions_to_pixels(dirs, width, height)
-    c0f = np.floor(col)
-    r0f = np.floor(row)
-    tc = (col - c0f)[..., None]
-    tr = (row - r0f)[..., None]
-    c0 = c0f.astype(np.int64) % width
-    c1 = (c0 + 1) % width
-    r0 = np.clip(r0f.astype(np.int64), 0, height - 1)
-    r1 = np.clip(r0 + 1, 0, height - 1)
+    shape = np.shape(dirs)[:-1]
+    col, row = _directions_to_pixels(np.reshape(dirs, (-1, 3)), width, height)  # flat, for in-place work
+    c0 = np.floor(col)
+    col -= c0  # tc
+    c0 = c0.astype(np.int64)
+    c0 %= width
+    r0 = np.floor(row)
+    row -= r0  # tr
+    r0 = r0.astype(np.int64)
+    np.clip(r0, 0, height - 1, out=r0)
+    r1 = r0 + 1
+    np.clip(r1, 0, height - 1, out=r1)
     r0 *= width
     r1 *= width
-    return np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1]), tc, tr
+    texels = np.empty((4, col.size), dtype=np.int64)
+    np.add(r0, c0, out=texels[0])
+    np.add(r1, c0, out=texels[2])
+    c0 += 1
+    c0 %= width  # c1
+    np.add(r0, c0, out=texels[1])
+    np.add(r1, c0, out=texels[3])
+    return texels.reshape(4, *shape), col.reshape(*shape, 1), row.reshape(*shape, 1)
 
 
 def apply_equirect(data: np.ndarray, geometry) -> np.ndarray:
     """Bilinear lookup of a (H, W, ...) map at an `equirect_geometry`.
 
     Lerps use the difference form a + t*(b - a) so constant maps sample
-    back bit-exactly.
+    back bit-exactly; the weighted difference is formed in the weights'
+    float64 and `a` added to it, which gives the same bits.
     """
     texels, tc, tr = geometry
     flat = data.reshape(data.shape[0] * data.shape[1], *data.shape[2:])
-    top = flat.take(texels[0], axis=0)
-    top = top + tc * (flat.take(texels[1], axis=0) - top)
-    bot = flat.take(texels[2], axis=0)
-    bot = bot + tc * (flat.take(texels[3], axis=0) - bot)
-    return top + tr * (bot - top)
+    a = flat.take(texels[0], axis=0)
+    b = flat.take(texels[1], axis=0)
+    b -= a
+    top = tc * b
+    top += a
+    flat.take(texels[2], axis=0, out=a)
+    flat.take(texels[3], axis=0, out=b)
+    b -= a
+    bot = tc * b
+    bot += a
+    bot -= top
+    bot *= tr
+    bot += top
+    return bot
 
 
 def sample_equirect(data: np.ndarray, dirs: np.ndarray) -> np.ndarray:

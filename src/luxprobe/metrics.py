@@ -101,6 +101,11 @@ _PROBE_METRICS = {"si_rmse": lambda p, g: si_rmse(p, g),
                   "n_rmse": lambda p, g: n_rmse(p, g)}
 
 
+def _probe_scores(pred, gt) -> dict:
+    """Every probe metric of one material's (n, 3) disc pixels."""
+    return {key: metric(pred, gt) for key, metric in _PROBE_METRICS.items()}
+
+
 @dataclass
 class MetricReport:
     """Per-material metric table, PAE, and optional temporal statistics."""
@@ -120,13 +125,13 @@ def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
                            probe_size: int = 128) -> MetricReport:
     """Score a predicted map against ground truth with the standard probes.
 
-    Each probe is rendered for both maps in one call, which shares the
-    map-independent work, and scored over its (n, 3) disc pixels.
+    The three probes of both maps come from one pass, which shares the
+    map-independent work, and each probe is scored over its (n, 3) disc
+    pixels as it arrives, before the next one is rendered.
     """
-    materials = {}
-    for name, material in STANDARD_MATERIALS.items():
-        _, (pred, gt) = render_probe_pixels([pred_env, gt_env], material, probe_size)
-        materials[name] = {key: metric(pred, gt) for key, metric in _PROBE_METRICS.items()}
+    rendered = render_probe_pixels([pred_env, gt_env], STANDARD_MATERIALS.values(), probe_size)
+    # no name outlives a probe's scoring, so its pixels are freed before the next is rendered
+    materials = {name: _probe_scores(*next(rendered)[1]) for name in STANDARD_MATERIALS}
     return MetricReport(materials=materials, pae_deg=peak_angular_error(pred_env, gt_env))
 
 

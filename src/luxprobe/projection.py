@@ -74,7 +74,8 @@ def pixel_ray(cam: CameraSpec, col, row) -> np.ndarray:
     v = (1.0 - 2.0 * row / cam.height) * half * cam.height / cam.width
     u, v = np.broadcast_arrays(u, v)
     rays = np.stack([u, v, -np.ones_like(u)], axis=-1) @ _rotation(cam).T
-    return rays / vector_norms(rays)[..., None]
+    rays /= vector_norms(rays)[..., None]
+    return rays
 
 
 def camera_rays(cam: CameraSpec) -> np.ndarray:

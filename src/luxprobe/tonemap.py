@@ -104,14 +104,27 @@ def gamma24_srgb(x):
     return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0) ** (1.0 / 2.4)
 
 
+def _at_limit(x, y):
+    """`y`, with the limit 1 of a rational curve where its x * x overflowed.
+
+    Past x ~ 1e154 both quadratics overflow to inf and inf/inf is NaN; the
+    ACES and Hable curves tend to values above 1 there, which clip to 1.
+    """
+    overflowed = np.isnan(y)
+    if overflowed.any():
+        y = np.where(overflowed & ~np.isnan(x), 1.0, y)
+    return y
+
+
 def aces_approx(x):
     """Rational ACES filmic fit (Narkowicz 2015), gamma-encoded.
 
     a=2.51, b=0.03, c=2.43, d=0.59, e=0.14.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = (x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14)
-    return np.clip(y, 0.0, 1.0) ** (1.0 / 2.4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14)
+    return np.clip(_at_limit(x, y), 0.0, 1.0) ** (1.0 / 2.4)
 
 
 _HABLE = dict(A=0.15, B=0.50, C=0.10, D=0.20, E=0.02, F=0.30)
@@ -127,8 +140,9 @@ def _hable(x):
 def filmic_approx(x):
     """Hable/Uncharted-2 filmic curve, white-normalized and gamma-encoded."""
     x = np.asarray(x, dtype=np.float64)
-    y = _hable(_HABLE_EXPOSURE * x) / _hable(_HABLE_WHITE)
-    return np.clip(y, 0.0, 1.0) ** (1.0 / 2.4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _hable(_HABLE_EXPOSURE * x) / _hable(_HABLE_WHITE)
+    return np.clip(_at_limit(x, y), 0.0, 1.0) ** (1.0 / 2.4)
 
 
 # AgX sigmoid fit (Wrensch's 6th-order approximation of the Blender AgX

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from luxprobe.metrics import (
     si_rmse,
     temporal_stats,
 )
-from luxprobe.probes import STANDARD_MATERIALS, render_probe
+from luxprobe.probes import STANDARD_MATERIALS, _disc_geometry, render_probe
 from conftest import evaluate_sequence, hot_spot_env
 
 
@@ -333,3 +335,23 @@ class TestThreeSpheresParity:
         pred, gt = env(pred_height), env(gt_height)
         fast = evaluate_three_spheres(pred, gt, probe_size=probe_size).to_dict()
         assert fast == evaluate_per_map(pred, gt, probe_size).to_dict()
+
+    def test_memory_of_one_pass_stays_at_one_probe(self, rng):
+        # the three probes come from one pass, but each material's pixels are
+        # scored before the next are rendered; holding all three at once, or
+        # the geometry no later material reads, peaks above rendering each probe on its own
+        def env():
+            data = rng.random((64, 128, 3)) ** 3 + 0.01
+            data[rng.integers(64), rng.integers(128)] = 300.0
+            return EnvironmentMap(data)
+
+        pred, gt = env(), env()
+        evaluate_three_spheres(pred, gt, probe_size=256)  # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            evaluate_three_spheres(pred, gt, probe_size=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        disc = _disc_geometry(256)[1].nbytes  # one map's (n, 3) float64 disc pixels
+        assert peak <= 11.9 * disc, peak / disc

@@ -15,7 +15,10 @@ from luxprobe.probes import (
     GRAY_DIFFUSE,
     MATTE_SILVER,
     MIRROR_BALL,
+    PREFILTER_MAX_ROWS,
     Material,
+    _centre_cos_sin,
+    _pow_int,
     _weighted_sums,
     prefilter_diffuse,
     prefilter_glossy,
@@ -47,6 +50,67 @@ def dense_weighted_sums(env: EnvironmentMap, rows: int, exponent):
         num += w @ radiance[sl]
         den += w.sum(axis=1)
     return num.reshape(out_dirs.shape), den.reshape(out_dirs.shape[:-1])
+
+
+def one_sided_weighted_sums(maps, out_height: int, exponent):
+    """`_weighted_sums` for one exponent as it was before the mirror-symmetric
+    rows (oracle): one kernel, one spectrum and one product per output row,
+    each map's radiance spectrum taken once per exponent.
+
+    Sums of radiance*dOmega (and dOmega) against clamped-cosine^n kernels.
+
+    `maps` is a sequence of (H, W, 3) arrays of one shape. The output grid is
+    the (rows, 2*rows) pixel-center grid, rows = min(out_height, H,
+    PREFILTER_MAX_ROWS). Returns (one numerator (rows, 2*rows, 3) per map,
+    the shared denominator (rows, 2*rows)).
+
+    In units of input columns, output column i lies at azimuth q + t, where
+    q, r = divmod(i*W, Wo) and t = (2r + W - Wo) / (2*Wo) depends only on
+    the phase r. Each phase class therefore has one kernel per output row,
+    sampled at azimuth differences m + t for m = 0..W-1, and its columns
+    read the circular convolution of kernel and radiance at q. When Wo
+    divides W (every power-of-two map) there is a single phase class. The
+    kernel and its spectrum do not depend on the radiance, so each is built
+    once and applied to every map.
+    """
+    height, width = maps[0].shape[:2]
+    rows = min(out_height, height, PREFILTER_MAX_ROWS)
+    out_width = 2 * rows
+    theta_in = np.pi * (np.arange(height) + 0.5) / height
+    theta_out = np.pi * (np.arange(rows) + 0.5) / rows
+    omega = solid_angle_rows(width, height)[:, None]
+    q, r = np.divmod(np.arange(out_width) * width, out_width)
+    phases, phase_of_col = np.unique(r, return_inverse=True)
+    shifts = (2 * phases + width - out_width) / (2 * out_width)
+    cos_dphi = np.cos(2.0 * np.pi * (np.arange(width) + shifts[:, None]) / width)
+    # (frequency, input row, channel), so each frequency is one small matmul
+    radiance_hats = [np.ascontiguousarray(np.fft.rfft(data, axis=1).transpose(1, 0, 2))
+                     for data in maps]
+    nums = [np.empty((rows, out_width, 3)) for _ in maps]
+    den = np.empty((rows, out_width))
+    for a in range(rows):
+        sin_sin = (np.sin(theta_out[a]) * np.sin(theta_in))[:, None]
+        cos_cos = (np.cos(theta_out[a]) * np.cos(theta_in))[:, None]
+        for p, cos_row in enumerate(cos_dphi):
+            kernel = sin_sin * cos_row + cos_cos
+            np.maximum(kernel, 0.0, out=kernel)
+            if exponent != 1:
+                if float(exponent).is_integer():
+                    kernel = _pow_int(kernel, int(exponent))
+                else:
+                    kernel = kernel ** exponent
+            kernel *= omega
+            cols = phase_of_col == p
+            den[a, cols] = kernel.sum()
+            kernel_hat = np.fft.rfft(kernel, axis=1).T[:, None, :]
+            for num, radiance_hat in zip(nums, radiance_hats):
+                spectrum = kernel_hat @ radiance_hat
+                num[a, cols] = np.fft.irfft(spectrum[:, 0], n=width, axis=0)[q[cols]]
+    # kernel and radiance are non-negative, so the exact sum is too; the
+    # clamp removes FFT round-off (~-1e-17) where the true value is zero
+    for num in nums:
+        np.maximum(num, 0.0, out=num)
+    return nums, den
 
 
 def assert_parity(fast, dense, rel=1e-12):
@@ -119,7 +183,7 @@ class TestPrefilterParity:
         maps = [rng.random((512, 1024, 3)) for _ in range(2)]
         tracemalloc.start()
         try:
-            _weighted_sums(maps, 64, exponent=64)
+            _weighted_sums(maps, 64, [64])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -131,7 +195,7 @@ class TestPrefilterParity:
     )
     def test_public_prefilters_are_one_map_weighted_sums(self, rng, height, out_height, exponent):
         env = _test_env(height, rng)
-        (num,), den = _weighted_sums([env.data], out_height, exponent)
+        [((num,), den)] = _weighted_sums([env.data], out_height, [exponent])
         assert num.shape[0] == min(height, out_height, 64)
         glossy = prefilter_glossy(env, exponent, out_height).data
         assert glossy.tobytes() == (num / den[..., None]).tobytes()
@@ -144,11 +208,92 @@ class TestPrefilterParity:
     )
     def test_several_maps_match_one_map_calls(self, rng, height, rows, exponent):
         maps = [_test_env(height, rng).data for _ in range(2)]
-        nums, den = _weighted_sums(maps, rows, exponent)
+        [(nums, den)] = _weighted_sums(maps, rows, [exponent])
         for data, num in zip(maps, nums):
-            (alone,), alone_den = _weighted_sums([data], rows, exponent)
+            [((alone,), alone_den)] = _weighted_sums([data], rows, [exponent])
             assert num.tobytes() == alone.tobytes()
             assert den.tobytes() == alone_den.tobytes()
+
+
+def assert_rows_close(got, want, rel=1e-13):
+    """|got - want| <= rel * (the output row's max |want|), per row and channel."""
+    assert got.shape == want.shape
+    err = np.abs(got - want).max(axis=1)  # over the columns of each row
+    scale = np.abs(want).max(axis=1)
+    assert (err <= rel * scale).all(), (err / scale).max()
+
+
+class TestSymmetricRows:
+    """Mirror-symmetric rows and one lobe base against the one-sided oracle."""
+
+    EXPONENTS = (1, 64, 7.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 64, 1024])
+    def test_polar_angles_are_mirror_exact(self, n):
+        c, s = _centre_cos_sin(n)
+        assert (c[::-1] == -c).all() and (s[::-1] == s).all()
+        if n % 2:
+            assert c[n // 2] == 0.0
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        half = (n + 1) // 2
+        assert (c[: n // 2] == np.cos(theta[: n // 2])).all()
+        assert (s[:half] == np.sin(theta[:half])).all()
+        np.testing.assert_allclose(c, np.cos(theta), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s, np.sin(theta), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "height, out_height",
+        [(64, 64), (128, 128), (96, 96), (72, 72), (16, 12), (48, 200),
+         (17, 17), (33, 33), (33, 15), (17, 15)],  # odd row counts in and out
+    )
+    def test_matches_one_sided_oracle(self, rng, height, out_height):
+        maps = [_test_env(height, rng).data for _ in range(2)]
+        sums = _weighted_sums(maps, out_height, self.EXPONENTS)
+        for exponent, (nums, den) in zip(self.EXPONENTS, sums):
+            want_nums, want_den = one_sided_weighted_sums(maps, out_height, exponent)
+            assert_rows_close(den, want_den)
+            for num, want in zip(nums, want_nums):
+                assert_rows_close(num, want)
+
+    @pytest.mark.parametrize("height, out_height", [(64, 64), (33, 33), (72, 15), (17, 17)])
+    def test_row_flipped_map_gives_row_flipped_output(self, rng, height, out_height):
+        # to round-off only: row a's slot-1 product rounds unlike row rows-1-a's slot 0
+        data = _test_env(height, rng).data
+        sums = _weighted_sums([data], out_height, self.EXPONENTS)
+        flipped = _weighted_sums([data[::-1]], out_height, self.EXPONENTS)
+        for ((num,), den), ((flip_num,), flip_den) in zip(sums, flipped):
+            assert (flip_den == den[::-1]).all()
+            assert_rows_close(flip_num, num[::-1])
+
+    @pytest.mark.parametrize("height, out_height", [(64, 64), (33, 15), (72, 72)])
+    def test_several_exponents_match_one_exponent_calls(self, rng, height, out_height):
+        maps = [_test_env(height, rng).data for _ in range(2)]
+        sums = _weighted_sums(maps, out_height, self.EXPONENTS)
+        for exponent, (nums, den) in zip(self.EXPONENTS, sums):
+            [(alone_nums, alone_den)] = _weighted_sums(maps, out_height, [exponent])
+            assert den.tobytes() == alone_den.tobytes()
+            for num, alone in zip(nums, alone_nums):
+                assert num.tobytes() == alone.tobytes()
+
+
+class TestBoundary:
+    """Lobe exponents and output heights that cannot make a prefilter."""
+
+    @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_exponent_must_be_positive_and_finite(self, exponent):
+        env = EnvironmentMap.constant(1.0, 8)
+        with pytest.raises(ValueError, match="exponent"):
+            Material("matte", exponent=exponent)
+        with pytest.raises(ValueError, match="exponent"):
+            prefilter_glossy(env, exponent, 4)
+
+    @pytest.mark.parametrize("out_height", [0, -3])
+    def test_out_height_must_be_positive(self, out_height):
+        env = EnvironmentMap.constant(1.0, 8)
+        with pytest.raises(ValueError, match="out_height"):
+            prefilter_diffuse(env, out_height)
+        with pytest.raises(ValueError, match="out_height"):
+            prefilter_glossy(env, 64, out_height)
 
 
 class TestMaterial:

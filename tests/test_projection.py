@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luxprobe.envmap import EnvironmentMap, great_circle_deg, rotate_env, sample_equirect
+from luxprobe.envmap import (
+    EnvironmentMap,
+    equirect_geometry,
+    great_circle_deg,
+    rotate_env,
+    sample_equirect,
+)
 from luxprobe.imgio import codes8
 from luxprobe.projection import (
     CameraSpec,
@@ -154,6 +160,21 @@ class TestProjection:
         direct = project_perspective(env, cam_b)
         rel = np.abs(via_rotation - direct) / direct
         assert rel.max() < 0.01
+
+
+    def test_lookup_geometry_without_full_size_temporaries(self):
+        # the float indices, weights and four index planes were each a new
+        # (H, W) array, and np.stack copied the index planes once more
+        cam = CameraSpec(azimuth=30, elevation=5, fov=60, width=160, height=120)
+        rays = camera_rays(cam)
+        tracemalloc.start()
+        try:
+            equirect_geometry(rays, 32, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        crop = 120 * 160 * 3 * 8  # one float64 crop
+        assert peak < 4 * crop, peak / crop
 
 
 class TestSampleCamera:

@@ -134,6 +134,16 @@ class TestDisplayCurves:
         with pytest.raises(ValueError, match="unknown tone curve"):
             apply_display_tonemap(np.zeros((2, 2, 3)), "linear")
 
+    @pytest.mark.parametrize("name", ["aces", "filmic"])
+    def test_overflowing_input_gives_the_limit(self, name):
+        # x * x overflows past ~1e154; inf/inf gave NaN where the curve's limit, 1, belongs
+        xs = np.array([1e154, 1e200, 1e308, np.finfo(np.float64).max])
+        with np.errstate(all="raise"):
+            assert (TONE_CURVES[name](xs) == 1.0).all()
+            assert TONE_CURVES[name](np.float64(1e300)) == 1.0
+            assert (apply_display_tonemap(np.full((2, 2, 3), 1e300), name) == 1.0).all()
+        assert np.isnan(TONE_CURVES[name](np.array([np.nan]))).all()
+
     def test_apply_rejects_negative(self):
         with pytest.raises(ValueError, match="finite"):
             apply_display_tonemap(np.full((2, 2, 3), -1.0), "gamma24")
