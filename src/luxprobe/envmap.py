@@ -163,7 +163,9 @@ def equirect_geometry(dirs: np.ndarray, height: int, width: int):
     map of that size (`apply_equirect`).
     """
     shape = np.shape(dirs)[:-1]
-    col, row = _directions_to_pixels(np.reshape(dirs, (-1, 3)), width, height)  # flat, for in-place work
+    # flat: for a single (3,) direction, np.floor would return scalars, which
+    # the in-place clips and the texel rows below cannot take
+    col, row = _directions_to_pixels(np.reshape(dirs, (-1, 3)), width, height)
     c0 = np.floor(col)
     col -= c0  # tc
     c0 = c0.astype(np.int64)
@@ -200,8 +202,9 @@ def apply_equirect(data: np.ndarray, geometry) -> np.ndarray:
     b -= a
     top = tc * b
     top += a
-    flat.take(texels[2], axis=0, out=a)
-    flat.take(texels[3], axis=0, out=b)
+    # the texels are in range by construction; mode "raise" would copy `out` first
+    flat.take(texels[2], axis=0, out=a, mode="wrap")
+    flat.take(texels[3], axis=0, out=b, mode="wrap")
     b -= a
     bot = tc * b
     bot += a

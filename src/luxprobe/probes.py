@@ -34,6 +34,12 @@ from .envmap import EnvironmentMap, apply_equirect, equirect_geometry, solid_ang
 PREFILTER_MAX_ROWS = 64
 
 
+def _check_exponent(exponent) -> None:
+    """Raise ValueError unless the lobe exponent is positive and finite (NaN is not)."""
+    if not 0.0 < exponent < np.inf:
+        raise ValueError(f"lobe exponent must be positive and finite, got {exponent}")
+
+
 @dataclass
 class Material:
     """Probe material: 'mirror', 'matte' (Phong lobe), or 'diffuse'."""
@@ -47,8 +53,7 @@ class Material:
             raise ValueError(f"unknown material kind {self.kind!r}")
         if any(not 0.0 <= a <= 1.0 for a in self.albedo):
             raise ValueError("albedo components must lie in [0, 1]")
-        if not 0.0 < self.exponent < np.inf:
-            raise ValueError(f"glossy exponent must be positive and finite, got {self.exponent}")
+        _check_exponent(self.exponent)
 
 
 MIRROR_BALL = Material("mirror", albedo=(1.0, 1.0, 1.0))
@@ -148,8 +153,7 @@ def _weighted_sums(maps, out_height: int, exponents):
     if out_height < 1:
         raise ValueError(f"prefilter out_height must be at least 1, got {out_height}")
     for exponent in exponents:
-        if not 0.0 < exponent < np.inf:
-            raise ValueError(f"lobe exponent must be positive and finite, got {exponent}")
+        _check_exponent(exponent)
     height, width = maps[0].shape[:2]
     rows = min(out_height, height, PREFILTER_MAX_ROWS)
     out_width = 2 * rows
@@ -182,7 +186,7 @@ def _weighted_sums(maps, out_height: int, exponents):
                 kernel = _lobe(base if j == len(exponents) - 1 else base.copy(), exponent)
                 kernel *= omega
                 den[at] = kernel.sum()
-                np.fft.rfft(kernel, axis=1, out=kernel_hats[:, 0].T)
+                kernel_hats[:, 0] = np.fft.rfft(kernel, axis=1).T
                 kernel_hats[:, 1] = kernel_hats[:, 0, ::-1]
                 for num, radiance_hat in zip(nums, radiance_hats):
                     conv = np.fft.irfft(pair @ radiance_hat, n=width, axis=0)
