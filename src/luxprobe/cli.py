@@ -93,25 +93,31 @@ _READERS = {
 }
 
 
+def _suffix(path, suffixes, what) -> str:
+    """The suffix of `path`, which must be one of `suffixes`; `what` ("image" or
+    "output") names the path in the error. Commands check outputs before any read."""
+    suffix = Path(path).suffix
+    if suffix not in suffixes:
+        raise ValueError(f"unsupported {what} format (not {'/'.join(suffixes)}): {path}")
+    return suffix
+
+
+def _list_images(directory, suffixes, what) -> list:
+    """The files of `directory` with one of `suffixes`, sorted; there must be one."""
+    d = Path(directory)
+    found = sorted(p for p in d.iterdir() if p.suffix in suffixes)
+    if not found:
+        raise ValueError(f"no {what} ({', '.join('*' + s for s in suffixes)}) in {d}")
+    return found
+
+
 def _read_image(path, suffixes) -> np.ndarray:
     """Decode `path` by its suffix (one of `suffixes`); reject non-finite values
     before any caller clips them. A missing file raises FileNotFoundError."""
-    suffix = Path(path).suffix
-    if suffix not in suffixes:
-        raise ValueError(f"unsupported image format (not {'/'.join(suffixes)}): {path}")
-    data = _READERS[suffix](path)
+    data = _READERS[_suffix(path, suffixes, "image")](path)
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite value in {path}")
     return data
-
-
-def _output_suffix(path, suffixes) -> str:
-    """The suffix of image output `path`, which must be one of `suffixes`: the
-    formats the command writes there. Commands check it before any read."""
-    suffix = Path(path).suffix
-    if suffix not in suffixes:
-        raise ValueError(f"unsupported output format (not {'/'.join(suffixes)}): {path}")
-    return suffix
 
 
 def _load_env(path) -> EnvironmentMap:
@@ -130,7 +136,7 @@ def _load_channel(path) -> np.ndarray:
 # command implementations
 
 def _cmd_crop(args, out):
-    suffix = _output_suffix(args.out, (".png", ".pfm"))
+    suffix = _suffix(args.out, (".png", ".pfm"), "output")
     env = _load_env(args.pano)
     cam = projection.CameraSpec(
         azimuth=args.az, elevation=args.el, fov=args.fov,
@@ -150,17 +156,10 @@ def _cmd_crop(args, out):
 
 def _cmd_dataset_gen(args, out):
     src_dir = Path(args.panos_dir)
-    sources = []
-    names = []
-    for p in sorted(src_dir.iterdir()):
-        if p.suffix not in _READERS:
-            continue
-        hdr = p.suffix != ".png"  # PNG is display-referred LDR; EnvironmentMap checks its 2:1
-        env = _load_env(p) if hdr else EnvironmentMap(_load_channel(p))
-        sources.append(projection.PanoramaSource(env.data, hdr=hdr))
-        names.append(p.name)
-    if not sources:
-        raise ValueError(f"no panoramas (*.pfm, *.hdr, *.png) in {src_dir}")
+    paths = _list_images(src_dir, tuple(_READERS), "panoramas")
+    # PNG is display-referred LDR
+    sources = [projection.PanoramaSource(_load_channel(p), hdr=False) if p.suffix == ".png"
+               else projection.PanoramaSource(_load_env(p).data) for p in paths]
     samples = projection.dataset_gen(
         sources, np.random.default_rng(args.seed), args.count,
         frame_count=args.video_frames, crop_width=args.w, crop_height=args.h,
@@ -182,7 +181,7 @@ def _cmd_dataset_gen(args, out):
             write_pfm(target_log, sample.target_log)
         records.append({
             "index": i,
-            "source": names[sample.source_index],
+            "source": paths[sample.source_index].name,
             "cameras": [dataclasses.asdict(c) for c in sample.cameras],
             "tone_curve": sample.tone_curve,
             "exposure_scale": sample.exposure_scale,
@@ -199,7 +198,9 @@ def _cmd_dataset_gen(args, out):
 
 def _cmd_tonemap(args, out):
     for path in (args.out_ldr, args.out_log):
-        _output_suffix(path, (".png",))
+        _suffix(path, (".png",), "output")
+    if Path(args.out_ldr).resolve() == Path(args.out_log).resolve():
+        raise ValueError(f"--out-ldr and --out-log name one file: {args.out_log}")
     maps = tonemap.tonemap_dual(_load_env(args.infile))
     write_png(out.path(args.out_ldr), maps.ldr, metadata={"tonecurve": "dual-reinhard16"})
     write_png(out.path(args.out_log), maps.log, metadata={"tonecurve": "dual-log10000"})
@@ -209,7 +210,7 @@ def _cmd_tonemap(args, out):
 def _cmd_decode(args, out):
     """inverse and fuse-apply: HDR from a dual pair, by the fusion net if one
     is given, else by the analytic rule."""
-    _output_suffix(args.out, (".pfm",))
+    _suffix(args.out, (".pfm",), "output")
     maps = tonemap.DualToneMaps(ldr=_load_channel(args.ldr), log=_load_channel(args.log))
     if args.net is None:
         hdr = tonemap.inverse_rule(maps.ldr, maps.log)
@@ -258,17 +259,9 @@ def _cmd_eval(args, out):
     return args.out, {"pred": args.pred, "gt": args.gt}, {"probe_size": args.probe_size}
 
 
-def _list_frames(directory) -> list:
-    d = Path(directory)
-    frames = sorted(p for p in d.iterdir() if p.suffix == ".pfm")
-    if not frames:
-        raise ValueError(f"no *.pfm frames in {d}")
-    return frames
-
-
 def _cmd_eval_video(args, out):
-    pred_frames = _list_frames(args.pred_dir)
-    gt_frames = _list_frames(args.gt_dir)
+    pred_frames = _list_images(args.pred_dir, (".pfm",), "frames")
+    gt_frames = _list_images(args.gt_dir, (".pfm",), "frames")
     if len(pred_frames) != len(gt_frames):
         raise ValueError(
             f"frame count mismatch: {len(pred_frames)} pred vs {len(gt_frames)} gt"
@@ -297,7 +290,7 @@ def _cmd_peak(args, out):
 
 
 def _cmd_rotate(args, out):
-    _output_suffix(args.out, (".pfm",))
+    _suffix(args.out, (".pfm",), "output")
     write_pfm(out.path(args.out), rotate_env(_load_env(args.env), args.yaw).data)
     return args.out, {"env": args.env}, {"yaw": args.yaw}
 

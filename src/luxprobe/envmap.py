@@ -18,6 +18,21 @@ import numpy as np
 LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722])
 
 
+def check_panorama(shape) -> None:
+    """Raise ValueError unless `shape` is a panorama's: (H, W, 3), H >= 1, W == 2*H."""
+    if len(shape) != 3 or shape[2] != 3 or shape[0] < 1:
+        raise ValueError(f"environment map must be (H, W, 3) with H >= 1, got {shape}")
+    if shape[1] != 2 * shape[0]:
+        raise ValueError(f"width must equal 2*height, got {shape[1]}x{shape[0]}")
+
+
+def check_radiance(values: np.ndarray, what: str) -> None:
+    """Raise ValueError unless `values` are finite and non-negative: NaN, -inf
+    and negatives show in the minimum, +inf in the maximum."""
+    if not (values.min() >= 0.0 and np.isfinite(values.max())):
+        raise ValueError(f"{what} must be finite and non-negative")
+
+
 @dataclass
 class EnvironmentMap:
     """Equirectangular grid of linear RGB radiance (relative units)."""
@@ -26,14 +41,8 @@ class EnvironmentMap:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"environment map must be (H, W, 3), got {arr.shape}")
-        if arr.shape[1] != 2 * arr.shape[0]:
-            raise ValueError(f"width must equal 2*height, got {arr.shape[1]}x{arr.shape[0]}")
-        if not np.isfinite(arr).all():
-            raise ValueError("environment map contains non-finite values")
-        if (arr < 0).any():
-            raise ValueError("environment map contains negative radiance")
+        check_panorama(arr.shape)
+        check_radiance(arr, "environment map")
         self.data = arr
 
     @property
@@ -66,8 +75,7 @@ def _pixel_centres(col, row, width: int, height: int) -> np.ndarray:
 
 def pixel_to_direction(col: int, row: int, width: int, height: int) -> np.ndarray:
     """Unit direction of the pixel center at (col, row)."""
-    if width != 2 * height:
-        raise ValueError("width must equal 2*height")
+    check_panorama((height, width, 3))
     if not (0 <= col < width and 0 <= row < height):
         raise ValueError(f"pixel ({col}, {row}) outside {width}x{height} map")
     return _pixel_centres(col, row, width, height)
@@ -114,27 +122,27 @@ def _directions_to_pixels(dirs, width, height):
     return col.reshape(shape), row.reshape(shape)
 
 
-def _polar_cosines(height: int) -> np.ndarray:
-    """cos(pi*k/height) for k = 0..height, mirror-symmetric by construction.
-
-    Built so that c[k] == -c[height-k] bit-exactly, which makes solid angles
-    symmetric about the equator and the total solid angle telescope to 4*pi.
-    """
-    c = np.empty(height + 1, dtype=np.float64)
-    half = height // 2
-    k = np.arange(half + 1)
-    c[: half + 1] = np.cos(np.pi * k / height)
-    c[height - half :] = -c[: half + 1][::-1]
-    if height % 2 == 0:
+def polar_cos_sin(steps: int):
+    """cos and sin of the polar angles pi*k/steps, k = 0..steps, mirror-exact:
+    c[steps-k] == -c[k] and s[steps-k] == s[k] bit for bit, and c == 0 at the
+    equator. The row edges of an n-row map are the entries at steps = n, its
+    pixel centres the odd entries at steps = 2n."""
+    half = steps // 2
+    theta = np.pi * np.arange(half + 1) / steps
+    c = np.empty(steps + 1)
+    s = np.empty(steps + 1)
+    c[: half + 1] = np.cos(theta)
+    s[: half + 1] = np.sin(theta)
+    c[steps - half :] = -c[half::-1]
+    s[steps - half :] = s[half::-1]
+    if steps % 2 == 0:
         c[half] = 0.0
-    c[0] = 1.0
-    c[height] = -1.0
-    return c
+    return c, s
 
 
 def solid_angle_rows(width: int, height: int) -> np.ndarray:
     """Per-row pixel solid angles, shape (height,)."""
-    c = _polar_cosines(height)
+    c, _ = polar_cos_sin(height)
     return (2.0 * np.pi / width) * (c[:-1] - c[1:])
 
 

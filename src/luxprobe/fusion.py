@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envmap import EnvironmentMap
+from .imgio import check_unit
 from .tonemap import DualToneMaps, tonemap_ldr, tonemap_log, quantize8
 
 WIDTHS = (6, 64, 64, 64, 64, 3)
@@ -170,8 +171,7 @@ def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.nd
         xb = x[: min(BLOCK_ROWS, n - i)]
         xb[:, :3] = ldr[i : i + BLOCK_ROWS]
         xb[:, 3:] = log[i : i + BLOCK_ROWS]
-        if not ((xb >= 0.0) & (xb <= 1.0)).all():
-            raise ValueError("fusion inputs must lie in [0, 1] (NaN is rejected)")
+        check_unit(xb, "fusion inputs")
         out[i : i + BLOCK_ROWS] = _forward(net, xb)[1][-1]
     return out
 

@@ -172,13 +172,18 @@ def _chunk(tag: bytes, body: bytes) -> bytes:
     )
 
 
+def check_unit(values: np.ndarray, what: str) -> None:
+    """Raise ValueError unless `values` lie in [0, 1], the range `codes8` codes."""
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise ValueError(f"{what} must lie in [0, 1] (NaN is rejected)")
+
+
 def codes8(values) -> np.ndarray:
     """The 8-bit codes floor(x * 255 + 0.5) of [0,1] values, as float64: the
     package's one 8-bit rounding, shared with `tonemap.quantize8`. NaN or a
     value outside [0, 1] raises ValueError."""
     arr = np.asarray(values)
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():
-        raise ValueError("8-bit data must lie in [0, 1] (NaN is rejected)")
+    check_unit(arr, "8-bit data")
     codes = np.multiply(arr, 255.0, out=np.empty(arr.shape), dtype=np.float64)
     codes += 0.5
     return np.floor(codes, out=codes)

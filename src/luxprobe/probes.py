@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, apply_equirect, equirect_geometry, solid_angle_rows
+from .envmap import (EnvironmentMap, apply_equirect, equirect_geometry, polar_cos_sin,
+                     solid_angle_rows)
 
 PREFILTER_MAX_ROWS = 64
 
@@ -96,25 +97,6 @@ def _pow_int(base: np.ndarray, exponent: int) -> np.ndarray:
         np.multiply(base, base, out=base)
 
 
-def _centre_cos_sin(n: int):
-    """cos and sin of the pixel-centre polar angles pi*(i + 0.5)/n.
-
-    Mirror-exact, like `envmap._polar_cosines`: c[n-1-i] == -c[i] and
-    s[n-1-i] == s[i] bit for bit, and the middle entry of an odd n has c == 0.
-    """
-    half = (n + 1) // 2
-    theta = np.pi * (np.arange(half) + 0.5) / n
-    c = np.empty(n)
-    s = np.empty(n)
-    c[:half] = np.cos(theta)
-    s[:half] = np.sin(theta)
-    c[n - half:] = -c[half - 1::-1]
-    s[n - half:] = s[half - 1::-1]
-    if n % 2:
-        c[half - 1] = 0.0
-    return c, s
-
-
 def _lobe(scratch: np.ndarray, exponent) -> np.ndarray:
     """The clamped cosine `scratch` raised to `exponent`, in place where it can be."""
     if float(exponent).is_integer():
@@ -139,7 +121,7 @@ def _weighted_sums(maps, out_height: int, exponents):
     read the circular convolution of kernel and radiance at q. When Wo
     divides W (every power-of-two map) there is a single phase class.
 
-    The polar cosines and sines are mirror-exact (`_centre_cos_sin`) and the
+    The polar cosines and sines are mirror-exact (`polar_cos_sin`) and the
     row solid angles symmetric, so the kernel of output row rows-1-a is, bit
     for bit, the kernel of row a with its input rows reversed. Its spectrum
     goes into slot 0 of one (frequency, 2, input row) buffer and, reversed
@@ -157,8 +139,8 @@ def _weighted_sums(maps, out_height: int, exponents):
     height, width = maps[0].shape[:2]
     rows = min(out_height, height, PREFILTER_MAX_ROWS)
     out_width = 2 * rows
-    cos_in, sin_in = _centre_cos_sin(height)
-    cos_out, sin_out = _centre_cos_sin(rows)
+    cos_in, sin_in = (v[1::2] for v in polar_cos_sin(2 * height))
+    cos_out, sin_out = (v[1::2] for v in polar_cos_sin(2 * rows))
     omega = solid_angle_rows(width, height)[:, None]
     q, r = np.divmod(np.arange(out_width) * width, out_width)
     phases, phase_of_col = np.unique(r, return_inverse=True)

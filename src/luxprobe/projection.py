@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, great_circle_deg, sample_equirect, vector_norms
+from .envmap import (EnvironmentMap, check_panorama, great_circle_deg, sample_equirect,
+                     vector_norms)
 from .imgio import codes8
 from .tonemap import apply_display_tonemap, auto_expose, tonemap_ldr, tonemap_log, TONE_CURVES
 
@@ -169,6 +170,10 @@ class PanoramaSource:
     data: np.ndarray
     hdr: bool = True
 
+    def __post_init__(self):
+        self.data = np.asarray(self.data)
+        check_panorama(self.data.shape)
+
 
 @dataclass
 class DatasetSample:
@@ -210,7 +215,7 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
     sources = [
-        p if isinstance(p, PanoramaSource) else PanoramaSource(np.asarray(p.data), hdr=True)
+        p if isinstance(p, PanoramaSource) else PanoramaSource(p.data, hdr=True)
         for p in panos
     ]
     return _samples(sources, rng.spawn(count), frame_count, crop_width, crop_height)

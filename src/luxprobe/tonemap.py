@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, luminance
-from .imgio import codes8
+from .envmap import EnvironmentMap, check_panorama, check_radiance, luminance
+from .imgio import check_unit, codes8
 
 M_LDR = 16.0
 M_LOG = 10000.0
@@ -37,9 +37,9 @@ class DualToneMaps:
         self.log = np.asarray(self.log)
         if self.ldr.shape != self.log.shape:
             raise ValueError("ldr and log channels must share dimensions")
-        for name, arr in (("ldr", self.ldr), ("log", self.log)):
-            if not ((arr >= 0.0) & (arr <= 1.0)).all():
-                raise ValueError(f"{name} channel must lie in [0, 1] (NaN is rejected)")
+        check_panorama(self.ldr.shape)
+        check_unit(self.ldr, "ldr channel")
+        check_unit(self.log, "log channel")
 
 
 def _value(t: np.ndarray):
@@ -183,8 +183,7 @@ def apply_display_tonemap(img, curve: str) -> np.ndarray:
     if curve not in TONE_CURVES:
         raise ValueError(f"unknown tone curve {curve!r}, expected one of {sorted(TONE_CURVES)}")
     img = np.asarray(img, dtype=np.float64)
-    if img.min() < 0.0 or not np.isfinite(img).all():
-        raise ValueError("display tonemap input must be finite and >= 0")
+    check_radiance(img, "display tonemap input")
     return TONE_CURVES[curve](img)
 
 

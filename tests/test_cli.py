@@ -513,6 +513,30 @@ class TestInputRule:
         argv[argv.index(flag) + 1] = out / name
         assert "unsupported output format" in _assert_rejected(argv, out, capsys)
 
+    @pytest.mark.parametrize("command, net", [
+        ("inverse", None), ("inverse", "net.bin"), ("fuse-apply", "net.bin"),
+        ("fuse-apply", "missing.bin"),  # the width rule comes before the net is opened
+    ])
+    def test_dual_pair_must_be_a_panorama(self, tmp_path, capsys, inputs, command, net):
+        _, _, out = inputs
+        pair = tmp_path / "pair"
+        pair.mkdir()
+        for name in ("ldr.png", "log.png"):
+            write_png(pair / name, np.full((16, 16, 3), 0.5))
+        argv = [command, "--ldr", pair / "ldr.png", "--log", pair / "log.png",
+                "--out", out / "r.pfm"]
+        if net is not None:
+            argv += ["--net", tmp_path / net]
+        assert "width must equal 2*height" in _assert_rejected(argv, out, capsys)
+
+    @pytest.mark.parametrize("out_log", ["./same.png", "{out}/same.png"])
+    def test_tonemap_outputs_must_be_two_files(self, capsys, monkeypatch, inputs, out_log):
+        good, _, out = inputs
+        monkeypatch.chdir(out)
+        argv = ["tonemap", "--in", good, "--out-ldr", "same.png",
+                "--out-log", out_log.format(out=out)]
+        assert "name one file" in _assert_rejected(argv, out, capsys)
+
     @pytest.mark.parametrize("suffix", [".pfm", ".png"])
     def test_dataset_gen_rejects_non_2to1_panorama(self, tmp_path, capsys, suffix):
         pano = tmp_path / "panos" / f"x{suffix}"
@@ -573,6 +597,15 @@ EDGE_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), 
                "-1": -1, "1e308": 1e308, "1e-300": 1e-300}
 
 
+# (command, flag, input under the boundary directory): both dual-pair channels
+# are 16x16 PNGs, which are not a panorama, and `flag` names one of them or a
+# net file; the width rule is reported before the net file is opened
+SQUARE_PAIR_CASES = [
+    ("inverse", "--ldr", "square/ldr.png"), ("inverse", "--net", "net.bin"),
+    ("fuse-apply", "--log", "square/log.png"), ("fuse-apply", "--net", "missing.bin"),
+]
+
+
 def _run(argv):
     """main(argv) with its stdout and stderr, warnings included as a terminal shows
     them; a traceback fails the calling test."""
@@ -617,28 +650,37 @@ def boundary_dir(tmp_path_factory):
     good.parent.mkdir()
     write_pfm(good, hot_spot_env(height=16, value=20.0, base=0.2).data)
     save_fusion_net(init_uniform(0, dtype=np.float32), root / "net.bin")
+    (root / "square").mkdir()
+    for name in ("ldr.png", "log.png"):
+        write_png(root / "square" / name, np.full((16, 16, 3), 0.5))
     return root, good
 
 
 class TestArgumentBoundary:
-    # 149 cases, each numeric flag at each edge value and each output whose suffix
-    # names another format; hypothesis stops once it has tried each (about 10 s)
+    # 153 cases, each numeric flag at each edge value, each output whose suffix
+    # names another format and each dual pair that is not a panorama; hypothesis
+    # stops once it has tried each (about 10 s)
     @settings(max_examples=200, deadline=None)
     @given(case=st.sampled_from([(*c, v) for c in NUMERIC_FLAGS for v in EDGE_VALUES]
-                                + OUTPUT_SUFFIX_CASES))
+                                + OUTPUT_SUFFIX_CASES + SQUARE_PAIR_CASES))
     def test_flag_and_config_agree(self, boundary_dir, case):
         root, good = boundary_dir
         command, flag, value = case
+        square = case in SQUARE_PAIR_CASES
         codes = []
         for route in ("flag", "config"):
             work = Path(tempfile.mkdtemp(dir=root))
             out = work / "out"
             out.mkdir()
             base = _boundary_base(command, good, out)
+            if square:
+                base.update({"--ldr": root / "square" / "ldr.png",
+                             "--log": root / "square" / "log.png"})
             base.pop(flag, None)
             argv = [command, *(tok for item in base.items() for tok in item)]
+            path = (root if square else out) / value
             token, config = ((value, EDGE_VALUES[value]) if value in EDGE_VALUES
-                             else (out / value, str(out / value)))
+                             else (path, str(path)))
             if route == "flag":
                 argv.insert(1, f"{flag}={token}")
             else:
@@ -647,6 +689,7 @@ class TestArgumentBoundary:
                 argv[1:1] = ["--config", cfg]
             code, _, err = _run(argv)
             _check_outcome(code, err, out)
+            assert not square or "width must equal 2*height" in err, err
             codes.append(code)
         assert codes[0] == codes[1], f"{command} {flag}={value}: flag {codes[0]}, config {codes[1]}"
         assert value in EDGE_VALUES or codes == [1, 1], f"{command} {flag}={value}: {codes}"

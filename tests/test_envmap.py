@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 from luxprobe.envmap import (
     EnvironmentMap,
     _directions_to_pixels,
+    check_panorama,
+    check_radiance,
     direction_to_pixel,
     great_circle_deg,
     grid_directions,
@@ -19,6 +21,8 @@ from luxprobe.envmap import (
     solid_angle_rows,
     vector_norms,
 )
+from luxprobe.projection import PanoramaSource
+from luxprobe.tonemap import DualToneMaps
 from conftest import hot_spot_env
 
 
@@ -40,6 +44,69 @@ class TestEnvironmentMap:
         env = EnvironmentMap.constant((1.0, 2.0, 3.0), height=4)
         assert env.width == 8 and env.height == 4
         assert (env.data[2, 5] == [1.0, 2.0, 3.0]).all()
+
+
+PANORAMA_TYPES = {
+    "EnvironmentMap": EnvironmentMap,
+    "DualToneMaps": lambda data: DualToneMaps(ldr=data, log=data),
+    "PanoramaSource": PanoramaSource,
+}
+
+
+class TestPanoramaRule:
+    """`check_panorama` is the one shape rule of every panorama type."""
+
+    @pytest.mark.parametrize("shape", [
+        (5, 7, 3), (4, 4, 3), (8, 4, 3),  # not 2:1
+        (4, 8), (4, 8, 1), (4, 8, 4), (1, 4, 8, 3),  # not (H, W, 3)
+        (0, 0, 3), (0, 2, 3),  # no rows
+    ])
+    @pytest.mark.parametrize("kind", PANORAMA_TYPES)
+    def test_every_type_rejects_with_one_message(self, kind, shape):
+        with pytest.raises(ValueError) as owner:
+            check_panorama(shape)
+        with pytest.raises(ValueError) as typed:
+            PANORAMA_TYPES[kind](np.zeros(shape))
+        assert str(typed.value) == str(owner.value)
+        rgb = len(shape) == 3 and shape[2] == 3
+        assert ("2*height" if rgb and shape[0] else "(H, W, 3)") in str(owner.value)
+        if rgb:
+            with pytest.raises(ValueError) as direction:
+                pixel_to_direction(0, 0, shape[1], shape[0])
+            assert str(direction.value) == str(owner.value)
+
+    @pytest.mark.parametrize("kind", PANORAMA_TYPES)
+    @pytest.mark.parametrize("height", [1, 2, 7])
+    def test_every_type_accepts_a_panorama(self, kind, height):
+        PANORAMA_TYPES[kind](np.zeros((height, 2 * height, 3)))
+
+
+# floats that bound the radiance rule: NaN, both infinities, both zeros, the
+# subnormals, and negatives as small and as large as floats get
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+               1e-300, -1e-300, 1.0, -1.0, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+
+
+def two_pass_radiance_fails(values) -> bool:
+    """The radiance check as `EnvironmentMap` made it before `check_radiance` (oracle)."""
+    return not np.isfinite(values).all() or (values < 0).any()
+
+
+class TestRadianceRule:
+    @settings(max_examples=300, deadline=None)
+    @given(values=arrays(np.float64, st.integers(1, 40),
+                         elements=st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())),
+           single=st.booleans())
+    def test_raises_exactly_where_the_two_pass_check_did(self, values, single):
+        if single:  # float32, as the decoders return: large values overflow to inf
+            with np.errstate(over="ignore"):
+                values = values.astype(np.float32)
+        if two_pass_radiance_fails(values):
+            with pytest.raises(ValueError, match="must be finite and non-negative"):
+                check_radiance(values, "radiance")
+        else:
+            check_radiance(values, "radiance")
+
 
 
 class TestPixelToDirection:

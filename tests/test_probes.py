@@ -7,6 +7,7 @@ from luxprobe.envmap import (
     EnvironmentMap,
     grid_directions,
     pixel_to_direction,
+    polar_cos_sin,
     rotate_env,
     sample_equirect,
     solid_angle_rows,
@@ -17,13 +18,53 @@ from luxprobe.probes import (
     MIRROR_BALL,
     PREFILTER_MAX_ROWS,
     Material,
-    _centre_cos_sin,
     _pow_int,
     _weighted_sums,
     prefilter_diffuse,
     prefilter_glossy,
     render_probe,
 )
+
+
+def polar_cosines(height: int) -> np.ndarray:
+    """`envmap._polar_cosines` as it was before `polar_cos_sin` (oracle).
+
+    cos(pi*k/height) for k = 0..height, mirror-symmetric by construction.
+
+    Built so that c[k] == -c[height-k] bit-exactly, which makes solid angles
+    symmetric about the equator and the total solid angle telescope to 4*pi.
+    """
+    c = np.empty(height + 1, dtype=np.float64)
+    half = height // 2
+    k = np.arange(half + 1)
+    c[: half + 1] = np.cos(np.pi * k / height)
+    c[height - half :] = -c[: half + 1][::-1]
+    if height % 2 == 0:
+        c[half] = 0.0
+    c[0] = 1.0
+    c[height] = -1.0
+    return c
+
+
+def centre_cos_sin(n: int):
+    """`probes._centre_cos_sin` as it was before `polar_cos_sin` (oracle).
+
+    cos and sin of the pixel-centre polar angles pi*(i + 0.5)/n.
+
+    Mirror-exact, like `envmap._polar_cosines`: c[n-1-i] == -c[i] and
+    s[n-1-i] == s[i] bit for bit, and the middle entry of an odd n has c == 0.
+    """
+    half = (n + 1) // 2
+    theta = np.pi * (np.arange(half) + 0.5) / n
+    c = np.empty(n)
+    s = np.empty(n)
+    c[:half] = np.cos(theta)
+    s[:half] = np.sin(theta)
+    c[n - half:] = -c[half - 1::-1]
+    s[n - half:] = s[half - 1::-1]
+    if n % 2:
+        c[half - 1] = 0.0
+    return c, s
 
 
 def dense_weighted_sums(env: EnvironmentMap, rows: int, exponent):
@@ -230,7 +271,7 @@ class TestSymmetricRows:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 64, 1024])
     def test_polar_angles_are_mirror_exact(self, n):
-        c, s = _centre_cos_sin(n)
+        c, s = (v[1::2] for v in polar_cos_sin(2 * n))  # the pixel centres
         assert (c[::-1] == -c).all() and (s[::-1] == s).all()
         if n % 2:
             assert c[n // 2] == 0.0
@@ -240,6 +281,18 @@ class TestSymmetricRows:
         assert (s[:half] == np.sin(theta[:half])).all()
         np.testing.assert_allclose(c, np.cos(theta), rtol=0, atol=1e-15)
         np.testing.assert_allclose(s, np.sin(theta), rtol=0, atol=1e-15)
+
+    def test_polar_angles_match_the_builders_they_replace(self):
+        # every row count a map or a prefilter grid can plausibly have, bit for bit
+        for n in range(1, 4101):
+            edges_cos, edges_sin = polar_cos_sin(n)
+            assert edges_cos.tobytes() == polar_cosines(n).tobytes(), n
+            assert edges_sin.shape == (n + 1,) and (edges_sin[::-1] == edges_sin).all(), n
+            centres = [v[1::2] for v in polar_cos_sin(2 * n)]
+            for got, want in zip(centres, centre_cos_sin(n)):
+                assert got.tobytes() == want.tobytes(), n
+            old = (2.0 * np.pi / (2 * n)) * (polar_cosines(n)[:-1] - polar_cosines(n)[1:])
+            assert solid_angle_rows(2 * n, n).tobytes() == old.tobytes(), n
 
     @pytest.mark.parametrize(
         "height, out_height",
