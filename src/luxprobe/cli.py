@@ -166,6 +166,7 @@ def _cmd_dataset_gen(args, out):
     )
     out_dir = Path(args.out_dir)
     records = []
+    targets = {}  # source index -> the listing's target paths of that source
     for i, sample in enumerate(samples):  # each sample is written before the next is drawn
         sdir = out_dir / f"sample_{i:04d}"
         sdir.mkdir(parents=True, exist_ok=True)
@@ -173,27 +174,35 @@ def _cmd_dataset_gen(args, out):
         for k, crop in enumerate(sample.crops):
             crops.append(out.path(sdir / f"crop_{k:03d}.png"))
             write_png(crops[-1], crop, metadata={"tonecurve": sample.tone_curve})
-        target_ldr = out.path(sdir / "target_ldr.pfm")
-        write_pfm(target_ldr, sample.target_ldr)
-        target_log = None
-        if sample.target_log is not None:
-            target_log = out.path(sdir / "target_log.pfm")
-            write_pfm(target_log, sample.target_log)
+        src = sample.source_index
+        if src not in targets:  # a source's targets are written once, with its first sample
+            targets[src] = _write_targets(out, out_dir / f"source_{src:04d}", sources[src])
         records.append({
             "index": i,
-            "source": paths[sample.source_index].name,
+            "source": paths[src].name,
             "cameras": [dataclasses.asdict(c) for c in sample.cameras],
             "tone_curve": sample.tone_curve,
             "exposure_scale": sample.exposure_scale,
             "crops": crops,
-            "target_ldr": target_ldr,
-            "target_log": target_log,
+            **targets[src],
         })
     listing = out_dir / "dataset.jsonl"
     out.text(listing, "".join(_json_text(rec) for rec in records))
     params = {"count": args.count, "video_frames": args.video_frames,
               "w": args.w, "h": args.h}
     return listing, {"panos_dir": str(src_dir)}, params
+
+
+def _write_targets(out, directory, source) -> dict:
+    """Write the dual targets of `source` into `directory` as target_{ldr,log}.pfm;
+    returns the listing's `target_ldr` and `target_log` paths (log None for LDR)."""
+    directory.mkdir(exist_ok=True)
+    paths = dict.fromkeys(("target_ldr", "target_log"))
+    for key, target in zip(paths, source.targets()):
+        if target is not None:
+            paths[key] = out.path(directory / f"{key}.pfm")
+            write_pfm(paths[key], target)
+    return paths
 
 
 def _cmd_tonemap(args, out):

@@ -87,6 +87,8 @@ def read_hdr(path) -> np.ndarray:
                 break
             if not line:
                 raise ValueError("unexpected end of HDR header")
+            if line.startswith(b"FORMAT=") and line.rstrip() != b"FORMAT=32-bit_rle_rgbe":
+                raise ValueError(f"unsupported HDR {line.rstrip()!r}: RGBE only")
         res = f.readline().split()
         if len(res) != 4 or res[0] not in (b"-Y", b"+Y") or res[2] != b"+X":
             raise ValueError(f"unsupported HDR resolution line {b' '.join(res)!r}")

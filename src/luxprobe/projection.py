@@ -174,12 +174,18 @@ class PanoramaSource:
         self.data = np.asarray(self.data)
         check_panorama(self.data.shape)
 
+    def targets(self):
+        """The supervised target of every sample of this source, computed anew on
+        each call: its dual tonemaps (ldr, log), or (ldr, None) for an LDR source,
+        whose [0,1] values count as linear radiance (no log-space intensity)."""
+        return tonemap_ldr(self.data), (tonemap_log(self.data) if self.hdr else None)
+
 
 @dataclass
 class DatasetSample:
     """One supervised sample: LDR crop(s), each the (H, W, 3) uint8 8-bit codes
-    a PNG stores, plus the dual-tonemap target. target_log is None for LDR
-    panorama sources (no log-space intensity).
+    a PNG stores. Its target is its source's: `PanoramaSource.targets()` of the
+    source at `source_index`.
     """
 
     source_index: int
@@ -187,8 +193,6 @@ class DatasetSample:
     tone_curve: str
     exposure_scale: float
     crops: list
-    target_ldr: np.ndarray
-    target_log: np.ndarray | None
 
 
 _CURVE_NAMES = sorted(TONE_CURVES)
@@ -203,10 +207,8 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
     a time, so sample i is reproducible independent of processing order. HDR
     sources get a random display tone curve plus auto-exposure (frame 0's p99
     luminance -> 0.9) before 8-bit coding; LDR sources only get the exposure.
-    Each frame is coded before the next one is rendered. Targets are the dual
-    tonemaps of the source panorama (ldr channel only for LDR sources, whose
-    [0,1] values are treated as linear radiance). They are computed once per
-    source, and the samples of one source share them as read-only arrays.
+    Each frame is coded before the next one is rendered. A sample carries no
+    target: the samples of one source share `PanoramaSource.targets()`.
     """
     if not panos:
         raise ValueError("no panoramas supplied")
@@ -223,7 +225,6 @@ def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 
 
 def _samples(sources, streams, frame_count, crop_width, crop_height):
     """The samples of `dataset_gen`, one per RNG stream, drawn as they are asked for."""
-    targets = {}  # source index -> its (ldr, log) targets, shared read-only
     for child in streams:
         src_idx = int(child.integers(0, len(sources)))
         src = sources[src_idx]
@@ -244,22 +245,10 @@ def _samples(sources, streams, frame_count, crop_width, crop_height):
             else:
                 np.clip(view, 0.0, 1.0, out=view)
             crops.append(codes8(view).astype(np.uint8))
-        if src_idx not in targets:
-            targets[src_idx] = _read_only(tonemap_ldr(src.data)), (
-                _read_only(tonemap_log(src.data)) if src.hdr else None
-            )
-        target_ldr, target_log = targets[src_idx]
         yield DatasetSample(
             source_index=src_idx,
             cameras=cams,
             tone_curve=curve,
             exposure_scale=float(scale),
             crops=crops,
-            target_ldr=target_ldr,
-            target_log=target_log,
         )
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array

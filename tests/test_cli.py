@@ -15,6 +15,7 @@ from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.fusion import init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
+from luxprobe.tonemap import tonemap_ldr
 from conftest import evaluate_sequence, hot_spot_env
 from test_acceptance import _determinism_commands
 
@@ -259,9 +260,10 @@ class TestDatasetGen:
         listing = (out_dir / "dataset.jsonl").read_text().strip().split("\n")
         assert len(listing) == 2
         rec = json.loads(listing[0])
-        assert rec["target_log"] is not None
         assert (out_dir / "sample_0000" / "crop_000.png").is_file()
-        assert (out_dir / "sample_0000" / "target_ldr.pfm").is_file()
+        assert rec["target_ldr"] == str(out_dir / "source_0000" / "target_ldr.pfm")
+        assert rec["target_log"] == str(out_dir / "source_0000" / "target_log.pfm")
+        assert Path(rec["target_ldr"]).is_file() and Path(rec["target_log"]).is_file()
 
     def test_ldr_png_source_omits_log(self, tmp_path):
         src = tmp_path / "panos"
@@ -272,6 +274,56 @@ class TestDatasetGen:
                      "--w", "40", "--h", "30", "--out-dir", str(out_dir)]) == 0
         rec = json.loads((out_dir / "dataset.jsonl").read_text().strip())
         assert rec["target_log"] is None
+
+    def test_targets_written_once_per_source(self, tmp_path):
+        src = tmp_path / "panos"
+        src.mkdir()
+        write_pfm(src / "a.pfm", smooth_env(16).data)
+        write_png(src / "b.png", np.clip(smooth_env(16).data / 500.0, 0, 1))
+        out_dir = tmp_path / "ds"
+        assert main(["dataset-gen", "--panos-dir", str(src), "--count", "6", "--w", "8",
+                     "--h", "6", "--out-dir", str(out_dir), "--seed", "0"]) == 0
+        listing = out_dir / "dataset.jsonl"
+        records = [json.loads(line) for line in listing.read_text().splitlines()]
+        assert {rec["source"] for rec in records} == {"a.pfm", "b.png"}
+        for rec in records:  # the records of a source name its one target set
+            tdir = out_dir / ("source_0000" if rec["source"] == "a.pfm" else "source_0001")
+            assert rec["target_ldr"] == str(tdir / "target_ldr.pfm")
+            assert rec["target_log"] == (str(tdir / "target_log.pfm")
+                                         if rec["source"] == "a.pfm" else None)
+        written = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("target_*"))
+        assert written == ["source_0000/target_ldr.pfm", "source_0000/target_log.pfm",
+                           "source_0001/target_ldr.pfm"]  # and none under sample_XXXX
+        expected = tonemap_ldr(read_pfm(src / "a.pfm").astype(np.float64))
+        assert read_pfm(out_dir / written[0]).tobytes() == expected.astype(np.float32).tobytes()
+        with open(str(listing) + ".manifest.json") as f:  # every output listed once
+            pairs = json.load(f, object_pairs_hook=lambda kv: kv)
+        outputs = [name for name, _ in dict(pairs)["outputs"]]
+        assert len(outputs) == len(set(outputs))
+        assert sorted(outputs) == sorted({str(listing), *(str(out_dir / w) for w in written),
+                                          *(c for rec in records for c in rec["crops"])})
+
+    def test_memory_grows_by_less_than_two_maps_per_drawn_source(self, tmp_path):
+        # a source's targets are written and dropped, not kept with its panorama
+        height = 128  # large enough that the maps outweigh the fixed allocations
+        map_bytes = height * 2 * height * 3 * 8  # one float64 panorama
+
+        def run(sources, tag):
+            src = tmp_path / f"panos_{tag}"
+            src.mkdir()
+            for k in range(sources):
+                write_pfm(src / f"p{k}.pfm", smooth_env(height, top=100.0 * (k + 1)).data)
+            out_dir = tmp_path / f"ds_{tag}"
+            peak = traced_peak(["dataset-gen", "--panos-dir", src, "--count", "12", "--w", "8",
+                                "--h", "6", "--seed", "0", "--out-dir", out_dir])
+            listing = (out_dir / "dataset.jsonl").read_text().splitlines()
+            assert len({json.loads(line)["source"] for line in listing}) == sources
+            return peak
+
+        run(1, "warm")  # first-call allocations stay out of the comparison
+        one, four = run(1, "one"), run(4, "four")
+        per_source = (four - one) / 3
+        assert per_source < 2 * map_bytes, f"{per_source / map_bytes:.2f} maps per source"
 
     def test_memory_flat_in_count(self, tmp_path):
         # each sample is written before the next one is drawn
@@ -504,6 +556,16 @@ class TestInputRule:
         good, _, out = inputs
         _assert_rejected(["crop", "--pano", good, f"--az={az}", "--w", "8", "--h", "6",
                           "--out", out / "c.pfm"], out, capsys)
+
+    def test_crop_rejects_xyze_hdr(self, tmp_path, capsys, inputs):
+        # the header's FORMAT line was skipped, so XYZE texels were cropped as RGB
+        _, _, out = inputs
+        pano = tmp_path / "x.hdr"
+        pano.write_bytes(b"#?RADIANCE\nFORMAT=32-bit_rle_xyze\n\n-Y 16 +X 32\n"
+                         + bytes([128, 64, 32, 129]) * (16 * 32))
+        err = _assert_rejected(["crop", "--pano", pano, "--w", "8", "--h", "6",
+                                "--out", out / "c.png"], out, capsys)
+        assert "32-bit_rle_xyze" in err
 
     @pytest.mark.parametrize("command, flag, name", OUTPUT_SUFFIX_CASES)
     def test_output_suffix_must_match_format(self, tmp_path, capsys, inputs, command, flag, name):

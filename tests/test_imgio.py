@@ -168,6 +168,21 @@ class TestRadianceHdr:
         with pytest.raises(ValueError, match="old-style RLE"):
             read_hdr(path)
 
+    @pytest.mark.parametrize("fmt", [b"32-bit_rle_xyze", b"32-bit_rle_rgbe_extra", b""])
+    def test_format_other_than_rgbe_rejected(self, tmp_path, fmt):
+        # an XYZE file was decoded as if it held RGB
+        path = tmp_path / "x.hdr"
+        header = b"#?RADIANCE\nFORMAT=" + fmt + b"\r\n\n-Y 1 +X 4\n"
+        path.write_bytes(header + rgbe_bytes(128, 64, 32, 129) * 4)
+        with pytest.raises(ValueError, match="unsupported HDR"):
+            read_hdr(path)
+
+    def test_rgbe_format_line_with_crlf_accepted(self, tmp_path):
+        path = tmp_path / "r.hdr"
+        header = b"#?RADIANCE\r\nFORMAT=32-bit_rle_rgbe\r\n\r\n-Y 1 +X 4\n"
+        path.write_bytes(header + rgbe_bytes(128, 64, 32, 129) * 4)
+        np.testing.assert_allclose(read_hdr(path)[0], [[1.0, 0.5, 0.25]] * 4, atol=1e-7)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.hdr"
         path.write_bytes(b"JUNK\n")

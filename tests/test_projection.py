@@ -262,37 +262,35 @@ def crops_by_two_passes(sources, rng, count, frame_count, width, height):
 class TestDatasetGen:
     def test_hdr_source_has_both_targets(self):
         env = smooth_pano(32)
-        rng = np.random.default_rng(0)
-        samples = dataset_gen([env], rng, 3, crop_width=40, crop_height=30)
+        target_ldr, target_log = PanoramaSource(env.data).targets()
+        assert target_ldr.shape == target_log.shape == env.data.shape
+        samples = dataset_gen([env], np.random.default_rng(0), 3, crop_width=40, crop_height=30)
         for s in samples:
-            assert s.target_log is not None
-            assert s.target_ldr.shape == env.data.shape
+            assert s.source_index == 0
             assert s.tone_curve in ("aces", "agx", "filmic", "gamma24")
 
     def test_ldr_source_lacks_log(self):
-        rng = np.random.default_rng(0)
         src = PanoramaSource(np.clip(smooth_pano(32).data / 2.0, 0, 1), hdr=False)
-        samples = dataset_gen([src], rng, 2, crop_width=40, crop_height=30)
+        assert src.targets()[1] is None
+        samples = dataset_gen([src], np.random.default_rng(0), 2, crop_width=40, crop_height=30)
         for s in samples:
-            assert s.target_log is None
             assert s.tone_curve == "none"
 
     def test_targets_are_the_dual_tonemaps_of_each_source(self):
-        hdr = smooth_pano(16)
+        hdr = PanoramaSource(smooth_pano(16).data)
         ldr = PanoramaSource(np.clip(smooth_pano(16).data / 3.0, 0, 1), hdr=False)
         samples = list(dataset_gen([hdr, ldr], np.random.default_rng(6), 5,
                                    crop_width=12, crop_height=8))
         assert {s.source_index for s in samples} == {0, 1}
-        for s in samples:
-            data = (hdr.data, ldr.data)[s.source_index]
-            assert s.target_ldr.tobytes() == tonemap_ldr(data).tobytes()
-            if s.source_index == 0:
-                assert s.target_log.tobytes() == tonemap_log(data).tobytes()
+        # a sample names its source; the target is the source's alone
+        assert not {"target_ldr", "target_log"} & set(vars(samples[0]))
+        for source in (hdr, ldr):
+            target_ldr, target_log = source.targets()
+            assert target_ldr.tobytes() == tonemap_ldr(source.data).tobytes()
+            if source.hdr:
+                assert target_log.tobytes() == tonemap_log(source.data).tobytes()
             else:
-                assert s.target_log is None
-            # the samples of a source share its targets: an edit must fail
-            with pytest.raises(ValueError, match="read-only"):
-                s.target_ldr[0, 0, 0] = 0.5
+                assert target_log is None
 
     @pytest.mark.parametrize("source, frames", [
         pytest.param(PanoramaSource(smooth_pano(32).data), 1, id="hdr"),
