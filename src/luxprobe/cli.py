@@ -6,7 +6,7 @@ primary output (path + ".manifest.json"), recording the command, tool
 version, seed, inputs, parameters, and the SHA-256 of each output. Exit
 codes are stable: 0 success, 1 data error ("ERROR DATA: <message>" on
 stderr), 2 usage error. Flags take no abbreviations. LUXPROBE_THREADS sizes
-the eval-video frame pool (0 = one thread per CPU); BLAS threads follow
+the eval-video frame pool (0 = one thread per usable CPU); BLAS threads follow
 OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
 """
 
@@ -29,7 +29,9 @@ from .imgio import read_hdr, read_pfm, read_png, write_pfm, write_png
 
 
 def thread_limit() -> int:
-    """eval-video pool size from LUXPROBE_THREADS (0 or unset = one per CPU)."""
+    """eval-video pool size from LUXPROBE_THREADS (0 or unset = one per CPU this
+    process may run on: its affinity set, or the host's CPUs where the platform
+    has no `sched_getaffinity`)."""
     raw = os.environ.get("LUXPROBE_THREADS", "0")
     try:
         val = int(raw)
@@ -37,7 +39,11 @@ def thread_limit() -> int:
         raise ValueError(f"LUXPROBE_THREADS must be an integer, got {raw!r}") from exc
     if val < 0:
         raise ValueError("LUXPROBE_THREADS must be >= 0")
-    return val if val > 0 else (os.cpu_count() or 1)
+    if val > 0:
+        return val
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sha256(path) -> str:
@@ -161,7 +167,7 @@ def _cmd_dataset_gen(args, out):
     sources = [projection.PanoramaSource(_load_channel(p), hdr=False) if p.suffix == ".png"
                else projection.PanoramaSource(_load_env(p).data) for p in paths]
     samples = projection.dataset_gen(
-        sources, np.random.default_rng(args.seed), args.count,
+        sources, args.seed, args.count,
         frame_count=args.video_frames, crop_width=args.w, crop_height=args.h,
     )
     out_dir = Path(args.out_dir)

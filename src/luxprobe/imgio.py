@@ -14,6 +14,7 @@ when no row uses Avg or Paeth, else one per anti-diagonal of the image
 (W + H - 1).
 """
 
+import math
 import os
 import struct
 import sys
@@ -76,7 +77,13 @@ def write_pfm(path, image: np.ndarray) -> None:
 # Radiance HDR (RGBE), read-only
 
 def read_hdr(path) -> np.ndarray:
-    """Load a Radiance .hdr (RGBE) file as float32 (H, W, 3)."""
+    """Load a Radiance .hdr (RGBE) file as float32 (H, W, 3) radiance.
+
+    `EXPOSURE=` and `COLORCORR=` header values are multipliers already applied
+    to every stored pixel, cumulative over their lines (COLORCORR per channel),
+    so radiance is the stored value divided by their product.
+    """
+    applied = np.ones(3)  # product of the EXPOSURE and COLORCORR multipliers
     with open(path, "rb") as f:
         magic = f.readline()
         if not magic.startswith(b"#?"):
@@ -89,6 +96,12 @@ def read_hdr(path) -> np.ndarray:
                 raise ValueError("unexpected end of HDR header")
             if line.startswith(b"FORMAT=") and line.rstrip() != b"FORMAT=32-bit_rle_rgbe":
                 raise ValueError(f"unsupported HDR {line.rstrip()!r}: RGBE only")
+            for key, n in ((b"EXPOSURE=", 1), (b"COLORCORR=", 3)):
+                if line.startswith(key):
+                    with np.errstate(over="ignore"):  # an infinite product is rejected below
+                        applied *= _header_multipliers(line, len(key), n)
+        if not (np.isfinite(applied) & (applied > 0)).all():
+            raise ValueError(f"HDR EXPOSURE/COLORCORR product {applied} is out of range")
         res = f.readline().split()
         if len(res) != 4 or res[0] not in (b"-Y", b"+Y") or res[2] != b"+X":
             raise ValueError(f"unsupported HDR resolution line {b' '.join(res)!r}")
@@ -108,7 +121,20 @@ def read_hdr(path) -> np.ndarray:
         pos = _read_rgbe_scanline(payload, pos, rgbe[y])
     if res[0] == b"+Y":
         rgbe = rgbe[::-1]
-    return _rgbe_to_float(rgbe)
+    data = _rgbe_to_float(rgbe)
+    data /= applied  # in float64, rounded once to float32; exact where a product is 1
+    return data
+
+
+def _header_multipliers(line: bytes, start: int, n: int) -> list:
+    """The `n` finite positive multipliers of an HDR header line after `start`."""
+    try:
+        values = [float(v) for v in line[start:].split()]
+    except ValueError:
+        values = []
+    if len(values) != n or not all(0.0 < v < math.inf for v in values):
+        raise ValueError(f"HDR {line.rstrip()!r} needs {n} finite positive value(s)")
+    return values
 
 
 def _read_rgbe_scanline(buf: bytes, pos: int, out: np.ndarray) -> int:

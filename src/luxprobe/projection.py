@@ -198,34 +198,34 @@ class DatasetSample:
 _CURVE_NAMES = sorted(TONE_CURVES)
 
 
-def dataset_gen(panos, rng: np.random.Generator, count: int, frame_count: int = 1,
+def dataset_gen(sources, seed: int, count: int, frame_count: int = 1,
                 crop_width: int = DEFAULT_CROP_WIDTH, crop_height: int = DEFAULT_CROP_HEIGHT):
     """Generate `count` >= 1 supervised samples of `frame_count` >= 1 crops each.
 
-    The arguments are checked, and each sample's RNG stream is spawned from
-    `rng`, when this is called; the returned iterator then draws one sample at
-    a time, so sample i is reproducible independent of processing order. HDR
-    sources get a random display tone curve plus auto-exposure (frame 0's p99
-    luminance -> 0.9) before 8-bit coding; LDR sources only get the exposure.
-    Each frame is coded before the next one is rendered. A sample carries no
-    target: the samples of one source share `PanoramaSource.targets()`.
+    `sources` are `PanoramaSource`s. The arguments, `seed` too, are checked when
+    this is called; the iterator returned then draws one sample at a time, sample
+    i from child i of `SeedSequence(seed)`, which is built only then: sample i is
+    a function of (sources, seed, i) alone, and nothing is made up front. HDR sources
+    get a random display tone curve plus auto-exposure (frame 0's p99 luminance
+    -> 0.9) before 8-bit coding; LDR sources only get the exposure. Each frame is
+    coded before the next one is rendered. A sample carries no target: the
+    samples of one source share `PanoramaSource.targets()`.
     """
-    if not panos:
+    entropy = np.random.SeedSequence(seed).entropy  # a negative seed raises here
+    if not sources:
         raise ValueError("no panoramas supplied")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
-    sources = [
-        p if isinstance(p, PanoramaSource) else PanoramaSource(p.data, hdr=True)
-        for p in panos
-    ]
-    return _samples(sources, rng.spawn(count), frame_count, crop_width, crop_height)
+    return _samples(sources, entropy, count, frame_count, crop_width, crop_height)
 
 
-def _samples(sources, streams, frame_count, crop_width, crop_height):
-    """The samples of `dataset_gen`, one per RNG stream, drawn as they are asked for."""
-    for child in streams:
+def _samples(sources, entropy, count, frame_count, crop_width, crop_height):
+    """The samples of `dataset_gen`, drawn as they are asked for: sample i from
+    the stream of `SeedSequence(entropy, spawn_key=(i,))`."""
+    for i in range(count):
+        child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
         src_idx = int(child.integers(0, len(sources)))
         src = sources[src_idx]
         start = sample_camera(child, width=crop_width, height=crop_height)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import tempfile
 import tracemalloc
@@ -173,6 +174,20 @@ class TestEval:
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR DATA:")
+
+
+    def test_eval_video_empty_dir_is_data_error(self, tmp_path, capsys):
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        write_pfm(gt_dir / "a.pfm", hot_spot_env(height=16).data)
+        out = tmp_path / "r.json"
+        code = main(["eval-video", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("ERROR DATA: no frames") and "\n" not in err
+        assert not out.exists()
 
 
 class TestCropRotatePeak:
@@ -405,6 +420,50 @@ class TestCliContract:
         assert main(crop + ["--config", str(cfg)]) == 0  # the full spelling reads the file
         assert read_pfm(out_dir / "c.pfm").shape == (8, 12, 3)
 
+    def test_config_path_in_one_token(self, tmp_path, env_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"w": 12, "h": 8}))
+        out = tmp_path / "c.pfm"
+        assert main(["crop", "--pano", str(env_file), "--out", str(out),
+                     f"--config={cfg}"]) == 0
+        assert read_pfm(out).shape == (8, 12, 3)
+
+    def test_config_holding_a_list_is_data_error(self, tmp_path, env_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"w": 12}]))
+        out = tmp_path / "c.pfm"
+        assert main(["crop", "--pano", str(env_file), "--out", str(out),
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("ERROR DATA:") and "must hold a JSON object" in err
+        assert "\n" not in err and not out.exists()
+
+    @pytest.mark.parametrize("line", [b"EXPOSURE=0", b"EXPOSURE=-1", b"EXPOSURE=nan",
+                                      b"EXPOSURE=abc", b"COLORCORR=1 2"])
+    def test_invalid_hdr_multiplier_is_data_error(self, tmp_path, capsys, line):
+        pano = tmp_path / "pano.hdr"
+        pano.write_bytes(b"#?RADIANCE\n" + line + b"\n\n-Y 2 +X 4\n"
+                         + bytes([128, 64, 32, 129]) * 8)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["crop", "--pano", str(pano), "--w", "4", "--h", "3",
+                     "--out", str(out_dir / "c.pfm")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("ERROR DATA:") and "\n" not in err
+        assert list(out_dir.iterdir()) == []
+
+    def test_hdr_exposure_scales_the_crop(self, tmp_path):
+        crops = []
+        for name, line in (("plain", b""), ("exposed", b"EXPOSURE=4\n")):
+            pano = tmp_path / f"{name}.hdr"
+            pano.write_bytes(b"#?RADIANCE\n" + line + b"\n-Y 2 +X 4\n"
+                             + bytes([128, 64, 32, 129]) * 8)
+            out = tmp_path / f"{name}.pfm"
+            assert main(["crop", "--pano", str(pano), "--w", "4", "--h", "3",
+                         "--out", str(out)]) == 0
+            crops.append(read_pfm(out))
+        assert (crops[1] * 4 == crops[0]).all()
+
     def test_nan_channel_is_data_error(self, tmp_path, capsys):
         ldr = np.full((4, 8, 3), 0.5)
         ldr[1, 2, 1] = np.nan
@@ -441,6 +500,19 @@ class TestCliContract:
         monkeypatch.setenv("LUXPROBE_THREADS", "lots")
         with pytest.raises(ValueError):
             thread_limit()
+
+    @pytest.mark.parametrize("value", [None, "0"])
+    def test_default_pool_is_the_usable_cpus(self, monkeypatch, value):
+        # a 2-CPU affinity set on a 64-CPU host
+        if value is None:
+            monkeypatch.delenv("LUXPROBE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LUXPROBE_THREADS", value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert thread_limit() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+        assert thread_limit() == 64
 
     def test_bad_thread_env_is_data_error(self, tmp_path, env_file, monkeypatch, capsys):
         monkeypatch.setenv("LUXPROBE_THREADS", "-2")

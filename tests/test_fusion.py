@@ -466,6 +466,16 @@ class TestTraining:
         for ba, bb in zip(net_a.biases, net_b.biases):
             assert (ba == bb).all()
 
+    def test_pool_smaller_than_batch_is_tiled(self):
+        # a 3-row pool under a 7-row batch trains as the pool repeated to 9 rows
+        ldr, log, hdr = sample_training_pairs(np.random.default_rng(7), 3)
+        cfg = TrainConfig(steps=3, batch_size=7, seed=4, init="uniform")
+        net, loss = train_fusion(cfg, data=(ldr, log, hdr))
+        tiled = tuple(np.tile(a, (3, 1)) for a in (ldr, log, hdr))
+        net_tiled, loss_tiled = train_fusion(cfg, data=tiled)
+        assert loss == loss_tiled and np.isfinite(loss)
+        assert net.params.tobytes() == net_tiled.params.tobytes()
+
     def test_divergence_reports_step(self):
         n = 1024
         rng = np.random.default_rng(0)

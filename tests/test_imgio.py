@@ -57,6 +57,16 @@ class TestPfm:
         img = read_pfm(path)
         assert img[1, 0, 0] == 0.0 and img[0, 0, 0] == 6.0
 
+    @pytest.mark.parametrize("scale", [-2.5, 2.5])
+    def test_scale_multiplies_values(self, tmp_path, scale):
+        img = np.array([[[1.0, 0.5, -0.25], [2.0, 3.0, 4.0]]], dtype=np.float32)
+        endian = "<" if scale < 0 else ">"
+        path = tmp_path / "scaled.pfm"
+        path.write_bytes(f"PF\n2 1\n{scale}\n".encode() + img.astype(endian + "f4").tobytes())
+        back = read_pfm(path)
+        assert back.dtype == np.float32
+        assert (back == img * np.float32(2.5)).all()
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "t.pfm"
         with open(path, "wb") as f:
@@ -182,6 +192,58 @@ class TestRadianceHdr:
         header = b"#?RADIANCE\r\nFORMAT=32-bit_rle_rgbe\r\n\r\n-Y 1 +X 4\n"
         path.write_bytes(header + rgbe_bytes(128, 64, 32, 129) * 4)
         np.testing.assert_allclose(read_hdr(path)[0], [[1.0, 0.5, 0.25]] * 4, atol=1e-7)
+
+    def _texels(self, path, header_lines=b""):
+        """Decode a 1x2 flat file of texel (128, 64, 32, 129) with extra header lines."""
+        path.write_bytes(b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n" + header_lines
+                         + b"\n-Y 1 +X 2\n" + rgbe_bytes(128, 64, 32, 129) * 2)
+        return read_hdr(path)
+
+    def test_exposure_divides_the_stored_values(self, tmp_path):
+        plain = self._texels(tmp_path / "p.hdr")
+        exposed = self._texels(tmp_path / "e.hdr", b"EXPOSURE=4.0\n")
+        assert exposed.dtype == np.float32
+        assert (exposed * 4 == plain).all()
+        assert (exposed == plain / np.float32(4)).all()
+
+    def test_exposure_lines_multiply(self, tmp_path):
+        plain = self._texels(tmp_path / "p.hdr")
+        twice = self._texels(tmp_path / "e.hdr", b"EXPOSURE=2\nEXPOSURE= 4\n")
+        assert (twice * 8 == plain).all()
+
+    def test_colorcorr_divides_per_channel(self, tmp_path):
+        plain = self._texels(tmp_path / "p.hdr")
+        corrected = self._texels(tmp_path / "c.hdr", b"COLORCORR=1 2 4\n")
+        assert (corrected * np.float32([1, 2, 4]) == plain).all()
+        np.testing.assert_array_equal(corrected[0, 0], [1.0, 0.25, 0.0625])
+
+    def test_product_of_one_keeps_the_bits(self, tmp_path):
+        plain = self._texels(tmp_path / "p.hdr")
+        unit = self._texels(tmp_path / "u.hdr", b"EXPOSURE=2\nEXPOSURE=0.5\nCOLORCORR=1 1 1\n")
+        assert unit.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("line", [
+        b"EXPOSURE=0", b"EXPOSURE=-1", b"EXPOSURE=nan", b"EXPOSURE=abc", b"EXPOSURE=inf",
+        b"EXPOSURE=", b"COLORCORR=1 2", b"COLORCORR=1 0 1", b"COLORCORR=1 2 3 4",
+        b"EXPOSURE=1e300\nEXPOSURE=1e300",
+    ])
+    def test_invalid_multiplier_rejected(self, tmp_path, line):
+        with pytest.raises(ValueError, match="EXPOSURE|COLORCORR"):
+            self._texels(tmp_path / "bad.hdr", line + b"\n")
+
+    @pytest.mark.parametrize("tail", [
+        pytest.param(b"", id="before-count"),
+        pytest.param(bytes([128 + 8]), id="before-run-value"),
+    ])
+    def test_truncated_rle_scanline_rejected(self, tmp_path, tail):
+        # a first scanline of literal blocks is long enough for the payload-size
+        # guard of two scanlines; the second then ends inside its red channel
+        marker = b"\x02\x02" + struct.pack(">H", 8)
+        literal = marker + (bytes([8]) + bytes(range(1, 9))) * 3 + bytes([8]) + bytes([136] * 8)
+        path = tmp_path / "t.hdr"
+        path.write_bytes(self._header(8, 2) + literal + marker + tail)
+        with pytest.raises(ValueError, match="truncated HDR RLE scanline"):
+            read_hdr(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.hdr"
@@ -334,6 +396,30 @@ class TestPng:
             + chunk(b"IDAT", stream)
             + chunk(b"IEND", b"")
         )
+
+    def test_gray_expands_to_rgb(self, tmp_path, rng):
+        gray = rng.integers(0, 256, (3, 5), dtype=np.uint8)
+        rows = np.hstack([np.zeros((3, 1), np.uint8), gray])  # filter 0 on every row
+        path = tmp_path / "gray.png"
+        self._png(path, 5, 3, 0, zlib.compress(rows.tobytes()))
+        img, _ = read_png(path)
+        assert img.shape == (3, 5, 3)
+        assert (img == (gray / 255.0)[..., None]).all()
+
+    def test_rgba_drops_alpha(self, tmp_path, rng):
+        rgba = rng.integers(0, 256, (3, 5, 4), dtype=np.uint8)
+        rows = np.hstack([np.zeros((3, 1), np.uint8), rgba.reshape(3, 20)])
+        path = tmp_path / "rgba.png"
+        self._png(path, 5, 3, 6, zlib.compress(rows.tobytes()))
+        img, _ = read_png(path)
+        assert (img == rgba[..., :3] / 255.0).all()
+
+    @pytest.mark.parametrize("width, height", [(0, 2), (2, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, width, height):
+        path = tmp_path / "empty.png"
+        self._png(path, width, height, 2, zlib.compress(b""))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            read_png(path)
 
     def test_inflate_bomb_rejected_in_bounded_memory(self, tmp_path):
         deflate = zlib.compressobj(9)

@@ -261,10 +261,10 @@ def crops_by_two_passes(sources, rng, count, frame_count, width, height):
 
 class TestDatasetGen:
     def test_hdr_source_has_both_targets(self):
-        env = smooth_pano(32)
-        target_ldr, target_log = PanoramaSource(env.data).targets()
+        env = PanoramaSource(smooth_pano(32).data)
+        target_ldr, target_log = env.targets()
         assert target_ldr.shape == target_log.shape == env.data.shape
-        samples = dataset_gen([env], np.random.default_rng(0), 3, crop_width=40, crop_height=30)
+        samples = dataset_gen([env], 0, 3, crop_width=40, crop_height=30)
         for s in samples:
             assert s.source_index == 0
             assert s.tone_curve in ("aces", "agx", "filmic", "gamma24")
@@ -272,14 +272,14 @@ class TestDatasetGen:
     def test_ldr_source_lacks_log(self):
         src = PanoramaSource(np.clip(smooth_pano(32).data / 2.0, 0, 1), hdr=False)
         assert src.targets()[1] is None
-        samples = dataset_gen([src], np.random.default_rng(0), 2, crop_width=40, crop_height=30)
+        samples = dataset_gen([src], 0, 2, crop_width=40, crop_height=30)
         for s in samples:
             assert s.tone_curve == "none"
 
     def test_targets_are_the_dual_tonemaps_of_each_source(self):
         hdr = PanoramaSource(smooth_pano(16).data)
         ldr = PanoramaSource(np.clip(smooth_pano(16).data / 3.0, 0, 1), hdr=False)
-        samples = list(dataset_gen([hdr, ldr], np.random.default_rng(6), 5,
+        samples = list(dataset_gen([hdr, ldr], 6, 5,
                                    crop_width=12, crop_height=8))
         assert {s.source_index for s in samples} == {0, 1}
         # a sample names its source; the target is the source's alone
@@ -300,7 +300,7 @@ class TestDatasetGen:
         pytest.param(PanoramaSource(np.zeros((32, 64, 3))), 2, id="black"),  # exposure left alone
     ])
     def test_crops_are_the_codes_of_the_two_pass_pipeline(self, source, frames):
-        got = list(dataset_gen([source], np.random.default_rng(1), 2, frame_count=frames,
+        got = list(dataset_gen([source], 1, 2, frame_count=frames,
                                crop_width=40, crop_height=30))
         expected = crops_by_two_passes([source], np.random.default_rng(1), 2, frames, 40, 30)
         for sample, crops in zip(got, expected, strict=True):
@@ -316,7 +316,7 @@ class TestDatasetGen:
         def peak(frames):
             tracemalloc.start()
             try:
-                list(dataset_gen([source], np.random.default_rng(0), 1, frame_count=frames,
+                list(dataset_gen([source], 0, 1, frame_count=frames,
                                  crop_width=160, crop_height=120))
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -327,16 +327,16 @@ class TestDatasetGen:
         assert growth < 2 * crop, growth / crop
 
     def test_video_mode_emits_trajectory(self):
-        env = smooth_pano(32)
-        samples = list(dataset_gen([env], np.random.default_rng(2), 1, frame_count=7,
+        env = PanoramaSource(smooth_pano(32).data)
+        samples = list(dataset_gen([env], 2, 1, frame_count=7,
                                    crop_width=40, crop_height=30))
         assert len(samples[0].cameras) == 7
         assert len(samples[0].crops) == 7
 
     def test_deterministic(self):
-        env = smooth_pano(32)
-        a = dataset_gen([env], np.random.default_rng(5), 3, crop_width=40, crop_height=30)
-        b = dataset_gen([env], np.random.default_rng(5), 3, crop_width=40, crop_height=30)
+        env = PanoramaSource(smooth_pano(32).data)
+        a = dataset_gen([env], 5, 3, crop_width=40, crop_height=30)
+        b = dataset_gen([env], 5, 3, crop_width=40, crop_height=30)
         for sa, sb in zip(a, b):
             assert sa.cameras == sb.cameras
             assert sa.tone_curve == sb.tone_curve
@@ -345,14 +345,11 @@ class TestDatasetGen:
                 assert (ca == cb).all()
 
     def test_draws_each_sample_on_demand(self):
-        # the streams are spawned at the call, so a later spawn from the same
-        # generator does not reach the samples drawn after it
-        env = smooth_pano(16)
-        rng = np.random.default_rng(3)
-        lazy = dataset_gen([env], rng, 3, crop_width=12, crop_height=8)
-        rng.spawn(2)
-        eager = list(dataset_gen([env], np.random.default_rng(3), 3,
-                                 crop_width=12, crop_height=8))
+        # the returned object is its own iterator, and drawing lazily gives the
+        # samples an eager list does
+        env = PanoramaSource(smooth_pano(16).data)
+        lazy = dataset_gen([env], 3, 3, crop_width=12, crop_height=8)
+        eager = list(dataset_gen([env], 3, 3, crop_width=12, crop_height=8))
         assert iter(lazy) is lazy
         got = list(lazy)
         assert len(got) == len(eager) == 3
@@ -360,21 +357,59 @@ class TestDatasetGen:
             assert a.cameras == b.cameras and a.exposure_scale == b.exposure_scale
             assert all(ca.tobytes() == cb.tobytes() for ca, cb in zip(a.crops, b.crops))
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_sample_i_draws_from_child_i_of_the_seed(self, seed):
+        # oracle: the streams `default_rng(seed).spawn(count)` made up front
+        sources = [PanoramaSource(smooth_pano(8).data), PanoramaSource(smooth_pano(8).data)]
+        samples = dataset_gen(sources, seed, 5, crop_width=8, crop_height=6)
+        for sample, child in zip(samples, np.random.default_rng(seed).spawn(5), strict=True):
+            assert sample.source_index == int(child.integers(0, len(sources)))
+            assert sample.cameras[0] == sample_camera(child, width=8, height=6)
+
+    def test_sample_does_not_depend_on_count(self):
+        sources = [PanoramaSource(smooth_pano(16).data),
+                   PanoramaSource(np.clip(smooth_pano(16).data / 2.0, 0, 1), hdr=False)]
+        six = list(dataset_gen(sources, 11, 6, frame_count=2, crop_width=12, crop_height=8))
+        for i, sample in enumerate(six):
+            last = list(dataset_gen(sources, 11, i + 1, frame_count=2,
+                                    crop_width=12, crop_height=8))[-1]
+            assert last.source_index == sample.source_index
+            assert last.cameras == sample.cameras
+            assert last.tone_curve == sample.tone_curve
+            assert last.exposure_scale == sample.exposure_scale
+            assert [c.tobytes() for c in last.crops] == [c.tobytes() for c in sample.crops]
+
+    def test_nothing_is_spawned_up_front(self):
+        # building one RNG stream per sample at the call peaked near 18 MB
+        source = PanoramaSource(smooth_pano(8).data)
+        tracemalloc.start()
+        try:
+            samples = dataset_gen([source], 0, 20000, crop_width=8, crop_height=6)
+            next(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_negative_seed_rejected_at_the_call(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            dataset_gen([PanoramaSource(smooth_pano(8).data)], -1, 1)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, count):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            dataset_gen([smooth_pano(8)], np.random.default_rng(0), count)
+            dataset_gen([PanoramaSource(smooth_pano(8).data)], 0, count)
 
     @pytest.mark.parametrize("frames", [0, -1])
     def test_frame_count_below_one_rejected(self, frames):
         with pytest.raises(ValueError, match="frame_count must be >= 1"):
-            dataset_gen([smooth_pano(8)], np.random.default_rng(0), 1, frame_count=frames,
+            dataset_gen([PanoramaSource(smooth_pano(8).data)], 0, 1, frame_count=frames,
                         crop_width=8, crop_height=6)
 
     def test_still_is_trajectory_start_without_draws(self):
         # one frame: the camera is the trajectory start and the tone curve is
         # the next draw, so stills keep the bits they had before trajectories
-        samples = dataset_gen([smooth_pano(8)], np.random.default_rng(4), 3,
+        samples = dataset_gen([PanoramaSource(smooth_pano(8).data)], 4, 3,
                               crop_width=8, crop_height=6)
         curves = sorted(TONE_CURVES)
         for sample, child in zip(samples, np.random.default_rng(4).spawn(3)):
@@ -384,4 +419,4 @@ class TestDatasetGen:
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError, match="no panoramas"):
-            dataset_gen([], np.random.default_rng(0), 1)
+            dataset_gen([], 0, 1)

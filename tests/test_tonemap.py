@@ -184,6 +184,11 @@ class TestAutoExpose:
         )
 
 
+    def test_nearest_rank_of_nothing_raises(self):
+        with pytest.raises(ValueError, match="empty input"):
+            percentile_nearest_rank([], 0.5)
+
+
 class TestQuantize8:
     def test_endpoints_fixed(self):
         assert quantize8(0.0) == 0.0
