@@ -426,7 +426,8 @@ def _with_config(parser, argv) -> list:
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     sub_parser = sub.choices[argv[at]]
-    flags = {a.dest: a for a in sub_parser._actions if a.dest not in ("help", "config")}
+    flags = {opt.lstrip("-").replace("-", "_"): a for a in sub_parser._actions
+             if a.dest not in ("help", "config") for opt in a.option_strings}
     tokens = []
     for key, value in config.items():
         action = flags.get(key.replace("-", "_"))

@@ -63,14 +63,12 @@ class EnvironmentMap:
 
 def _pixel_centres(col, row, width: int, height: int) -> np.ndarray:
     """Unit directions (..., 3) of the pixel centres at (col, row); the
-    integer indices broadcast, so scalars give one (3,) direction."""
+    integer indices broadcast, so scalars give one (3,) direction. Row r's
+    polar angle is entry 2r+1 of `polar_cos_sin` at 2*height steps."""
     phi = 2.0 * np.pi * (np.asarray(col, dtype=np.float64) + 0.5) / width - np.pi
-    theta = np.pi * (np.asarray(row, dtype=np.float64) + 0.5) / height
-    theta, phi = np.broadcast_arrays(theta, phi)
-    sin_t = np.sin(theta)
-    return np.stack(
-        [sin_t * np.sin(phi), np.cos(theta), -sin_t * np.cos(phi)], axis=-1
-    )
+    cos_t, sin_t = polar_cos_sin(2 * np.asarray(row) + 1, 2 * height)
+    cos_t, sin_t, phi = np.broadcast_arrays(cos_t, sin_t, phi)
+    return np.stack([sin_t * np.sin(phi), cos_t, -sin_t * np.cos(phi)], axis=-1)
 
 
 def pixel_to_direction(col: int, row: int, width: int, height: int) -> np.ndarray:
@@ -79,11 +77,6 @@ def pixel_to_direction(col: int, row: int, width: int, height: int) -> np.ndarra
     if not (0 <= col < width and 0 <= row < height):
         raise ValueError(f"pixel ({col}, {row}) outside {width}x{height} map")
     return _pixel_centres(col, row, width, height)
-
-
-def grid_directions(width: int, height: int) -> np.ndarray:
-    """(H, W, 3) array of pixel-center directions."""
-    return _pixel_centres(np.arange(width), np.arange(height)[:, None], width, height)
 
 
 def direction_to_pixel(direction, width: int, height: int):
@@ -122,27 +115,23 @@ def _directions_to_pixels(dirs, width, height):
     return col.reshape(shape), row.reshape(shape)
 
 
-def polar_cos_sin(steps: int):
-    """cos and sin of the polar angles pi*k/steps, k = 0..steps, mirror-exact:
-    c[steps-k] == -c[k] and s[steps-k] == s[k] bit for bit, and c == 0 at the
-    equator. The row edges of an n-row map are the entries at steps = n, its
-    pixel centres the odd entries at steps = 2n."""
-    half = steps // 2
-    theta = np.pi * np.arange(half + 1) / steps
-    c = np.empty(steps + 1)
-    s = np.empty(steps + 1)
-    c[: half + 1] = np.cos(theta)
-    s[: half + 1] = np.sin(theta)
-    c[steps - half :] = -c[half::-1]
-    s[steps - half :] = s[half::-1]
-    if steps % 2 == 0:
-        c[half] = 0.0
-    return c, s
+def polar_cos_sin(k, steps: int):
+    """cos and sin of the polar angles pi*k/steps at integer indices k in
+    [0, steps], mirror-exact: entry steps-k has the cos negated and the same
+    sin bit for bit, and cos == 0 at the equator (2k == steps). Each index
+    is folded to m = min(k, steps-k) before its angle pi*m/steps is taken.
+    The row edges of an n-row map are k = 0..n at steps = n, its pixel
+    centres the odd k at steps = 2n."""
+    k = np.asarray(k)
+    m = np.minimum(k, steps - k)
+    theta = np.pi * m / steps
+    c = np.cos(theta)
+    return np.where(2 * k == steps, 0.0, np.where(m < k, -c, c)), np.sin(theta)
 
 
 def solid_angle_rows(width: int, height: int) -> np.ndarray:
     """Per-row pixel solid angles, shape (height,)."""
-    c, _ = polar_cos_sin(height)
+    c, _ = polar_cos_sin(np.arange(height + 1), height)
     return (2.0 * np.pi / width) * (c[:-1] - c[1:])
 
 
@@ -285,9 +274,15 @@ def peak_direction(env: EnvironmentMap, percentile: float = 0.999) -> np.ndarray
     return centroid / norm
 
 
+def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Angles (radians) between unit vectors over the trailing axis, in the
+    half-angle form 2*atan2(|u - v|, |u + v|): exactly 0 for equal vectors,
+    and accurate near 0 and pi, where arccos of a dot product is not."""
+    return 2.0 * np.arctan2(vector_norms(u - v), vector_norms(u + v))
+
+
 def great_circle_deg(a, b) -> float:
-    """Great-circle angle in degrees between two unit directions."""
+    """Great-circle angle in degrees between two directions (any nonzero length)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    cos = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
+    return float(np.degrees(angle_between(a / vector_norms(a), b / vector_norms(b))))

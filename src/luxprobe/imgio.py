@@ -27,7 +27,10 @@ import numpy as np
 # PFM
 
 def read_pfm(path) -> np.ndarray:
-    """Load a PFM file as float32 (H, W, 3); grayscale is replicated to RGB."""
+    """Load a PFM file as float32 (H, W, 3); grayscale is replicated to RGB.
+
+    Raises ValueError when the header's scale takes a finite value past float32's range.
+    """
     with open(path, "rb") as f:
         header = f.readline().rstrip()
         if header == b"PF":
@@ -55,7 +58,12 @@ def read_pfm(path) -> np.ndarray:
     if channels == 1:
         data = np.repeat(data, 3, axis=2)
     if abs(scale) not in (0.0, 1.0):
-        data = data * abs(scale)
+        # a scale past float32's range is inf there, and 0 * inf is NaN: both rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = (data * abs(scale)).astype(np.float32, copy=False)
+        if not np.isfinite(scaled).all() and np.isfinite(data).all():
+            raise ValueError(f"PFM scale {abs(scale):g} overflows float32")
+        data = scaled
     return np.ascontiguousarray(data.astype(np.float32))
 
 

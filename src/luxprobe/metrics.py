@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, great_circle_deg, peak_direction, vector_norms
+from .envmap import (EnvironmentMap, angle_between, great_circle_deg, peak_direction,
+                     vector_norms)
 from .probes import STANDARD_MATERIALS, render_probe_pixels
 
 _ZERO_NORM_EPS = 1e-8
@@ -57,10 +58,7 @@ def angular_error(pred, gt) -> float:
         if not ok.any():
             raise ValueError("no pixels with nonzero color in both images")
         p, pn, g, gn = p[ok], pn[ok], g[ok], gn[ok]
-    u = p / pn[..., None]
-    v = g / gn[..., None]
-    # atan2 half-angle form: exact 0 for identical pixels, stable near 0/180
-    angles = 2.0 * np.arctan2(vector_norms(u - v), vector_norms(u + v))
+    angles = angle_between(p / pn[..., None], g / gn[..., None])
     return float(np.degrees(angles).mean())
 
 

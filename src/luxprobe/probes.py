@@ -139,8 +139,8 @@ def _weighted_sums(maps, out_height: int, exponents):
     height, width = maps[0].shape[:2]
     rows = min(out_height, height, PREFILTER_MAX_ROWS)
     out_width = 2 * rows
-    cos_in, sin_in = (v[1::2] for v in polar_cos_sin(2 * height))
-    cos_out, sin_out = (v[1::2] for v in polar_cos_sin(2 * rows))
+    cos_in, sin_in = polar_cos_sin(np.arange(1, 2 * height, 2), 2 * height)
+    cos_out, sin_out = polar_cos_sin(np.arange(1, 2 * rows, 2), 2 * rows)
     omega = solid_angle_rows(width, height)[:, None]
     q, r = np.divmod(np.arange(out_width) * width, out_width)
     phases, phase_of_col = np.unique(r, return_inverse=True)

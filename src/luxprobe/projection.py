@@ -129,7 +129,8 @@ def gen_trajectory(rng: np.random.Generator, frame_count: int, cone_deg: float =
 
     The endpoint deviation is area-uniform in the spherical cap, the path
     follows the great circle with cosine easing, and the field of view is
-    held fixed, so every frame stays within cone_deg of frame 0.
+    held fixed, so every frame stays within cone_deg of frame 0. Frame 0 is
+    `start` itself, in a video as in a still.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
@@ -147,8 +148,8 @@ def gen_trajectory(rng: np.random.Generator, frame_count: int, cone_deg: float =
     east /= np.linalg.norm(east)
     north = np.cross(f0, east)
     f1 = np.cos(psi) * f0 + np.sin(psi) * (np.cos(bearing) * east + np.sin(bearing) * north)
-    frames = []
-    for k in range(frame_count):
+    frames = [start]
+    for k in range(1, frame_count):
         t = 0.5 * (1.0 - np.cos(np.pi * k / (frame_count - 1)))
         d = _slerp(f0, f1, t)
         az = np.degrees(np.arctan2(d[0], -d[2])) % 360.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from luxprobe.envmap import EnvironmentMap
+from luxprobe.envmap import EnvironmentMap, _pixel_centres
 from luxprobe.metrics import evaluate_three_spheres, sequence_report
 
 
@@ -13,6 +13,11 @@ def hot_spot_env(height=64, row=None, col=None, value=100.0, base=0.01):
     c = width // 2 if col is None else col
     data[r, c] = value
     return EnvironmentMap(data)
+
+
+def grid_directions(width: int, height: int) -> np.ndarray:
+    """(H, W, 3) array of the pixel-centre directions of a width x height map."""
+    return _pixel_centres(np.arange(width), np.arange(height)[:, None], width, height)
 
 
 def evaluate_sequence(pred_envs, gt_envs, probe_size):

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import luxprobe
 from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.fusion import init_uniform, load_fusion_net, save_fusion_net
@@ -396,6 +399,17 @@ class TestCliContract:
         cfg.write_text(json.dumps({"percentile": 0.9, "env": str(env_file)}))
         assert main(["peak", "--config", str(cfg)]) == 0
 
+    def test_config_key_is_the_flag_name(self, tmp_path, env_file):
+        # --in stores to `infile`; the key is the flag's name, as for every other flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"in": str(env_file)}))
+        outs = {}
+        for route, argv in (("config", ["--config", str(cfg)]), ("flag", ["--in", str(env_file)])):
+            outs[route] = [tmp_path / f"{route}_ldr.png", tmp_path / f"{route}_log.png"]
+            assert main(["tonemap", *argv, "--out-ldr", str(outs[route][0]),
+                         "--out-log", str(outs[route][1])]) == 0
+        assert [p.read_bytes() for p in outs["config"]] == [p.read_bytes() for p in outs["flag"]]
+
     def test_flags_override_config(self, tmp_path, env_file):
         out_a = tmp_path / "a.pfm"
         cfg = tmp_path / "cfg.json"
@@ -680,6 +694,48 @@ class TestInputRule:
         out.mkdir()
         _assert_rejected(["dataset-gen", "--panos-dir", pano.parent, "--count", "1",
                           "--out-dir", out / "ds"], out, capsys)
+
+
+# the maps of the stderr sweep, as (PFM scale line, texels): a scale whose product
+# overflows float32, values at both ends of float32's range, and all zeros
+def _sweep_maps():
+    one_big = _valid_map()
+    one_big[3, 5] = 3e38
+    return {"overflowing_scale": (b"-1e38", np.full((8, 16, 3), 100.0)),
+            "all_3e38": (b"-1.0", np.full((8, 16, 3), 3e38)),
+            "all_1e-45": (b"-1.0", np.full((8, 16, 3), 1e-45)),
+            "one_3e38": (b"-1.0", one_big),
+            "zeros": (b"-1.0", np.zeros((8, 16, 3)))}
+
+
+class TestStderrOfAFreshProcess:
+    """stderr as a user sees it: pytest captures warnings apart from capsys, so
+    each command runs in its own interpreter."""
+
+    def test_one_error_line_or_none(self, tmp_path):
+        good = tmp_path / "good" / "x.pfm"
+        good.parent.mkdir()
+        write_pfm(good, _valid_map())
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        for name, (scale, texels) in _sweep_maps().items():
+            bad = tmp_path / f"{name}.pfm"
+            bad.write_bytes(b"PF\n16 8\n" + scale + b"\n" + texels[::-1].astype("<f4").tobytes())
+            for command in ("tonemap", "crop", "render-probes", "eval", "peak", "rotate"):
+                out = tmp_path / f"{name}_{command}"
+                out.mkdir()
+                argv = [str(a) for a in _argv(command, bad, good, None, out)]
+                run = subprocess.run([sys.executable, "-m", "luxprobe.cli", *argv], env=env,
+                                     capture_output=True, text=True, timeout=60)
+                lines = run.stderr.splitlines()
+                if run.returncode == 0:
+                    assert run.stderr == "", (name, command, run.stderr)
+                else:
+                    assert run.returncode == 1, (name, command, run.stderr)
+                    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), \
+                        (name, command, run.stderr)
+                if name == "overflowing_scale":
+                    assert "overflows float32" in run.stderr, (command, run.stderr)
 
 
 class TestUniformMap:

@@ -12,10 +12,10 @@ from luxprobe.envmap import (
     check_radiance,
     direction_to_pixel,
     great_circle_deg,
-    grid_directions,
     luminance,
     peak_direction,
     pixel_to_direction,
+    polar_cos_sin,
     rotate_env,
     sample_equirect,
     solid_angle_rows,
@@ -23,7 +23,7 @@ from luxprobe.envmap import (
 )
 from luxprobe.projection import PanoramaSource
 from luxprobe.tonemap import DualToneMaps
-from conftest import hot_spot_env
+from conftest import grid_directions, hot_spot_env
 
 
 class TestEnvironmentMap:
@@ -143,6 +143,129 @@ class TestPixelToDirection:
     def test_unit_norm_everywhere(self):
         dirs = grid_directions(256, 128)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-6)
+
+
+def pixel_centres_by_theta(col, row, width, height):
+    """`envmap._pixel_centres` as it was before it read `polar_cos_sin`
+    (oracle): the polar angle theta = pi*(row + 0.5)/height taken directly."""
+    phi = 2.0 * np.pi * (np.asarray(col, dtype=np.float64) + 0.5) / width - np.pi
+    theta = np.pi * (np.asarray(row, dtype=np.float64) + 0.5) / height
+    theta, phi = np.broadcast_arrays(theta, phi)
+    sin_t = np.sin(theta)
+    return np.stack(
+        [sin_t * np.sin(phi), np.cos(theta), -sin_t * np.cos(phi)], axis=-1
+    )
+
+
+def polar_cos_sin_whole(steps: int):
+    """`polar_cos_sin(steps)` as it was before it took indices (oracle).
+
+    cos and sin of the polar angles pi*k/steps, k = 0..steps, mirror-exact:
+    c[steps-k] == -c[k] and s[steps-k] == s[k] bit for bit, and c == 0 at the
+    equator. The row edges of an n-row map are the entries at steps = n, its
+    pixel centres the odd entries at steps = 2n."""
+    half = steps // 2
+    theta = np.pi * np.arange(half + 1) / steps
+    c = np.empty(steps + 1)
+    s = np.empty(steps + 1)
+    c[: half + 1] = np.cos(theta)
+    s[: half + 1] = np.sin(theta)
+    c[steps - half :] = -c[half::-1]
+    s[steps - half :] = s[half::-1]
+    if steps % 2 == 0:
+        c[half] = 0.0
+    return c, s
+
+
+def great_circle_deg_by_arccos(a, b) -> float:
+    """`great_circle_deg` as it was before the half-angle form (oracle)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    cos = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
+
+
+# odd heights have a row on the equator
+MAP_HEIGHTS = (3, 7, 33, 64, 100, 255, 512)
+
+
+class TestPolarAngleRule:
+    """Every pixel-centre polar angle comes from `polar_cos_sin`."""
+
+    @pytest.mark.parametrize("height", MAP_HEIGHTS)
+    def test_pixel_centres_are_mirror_exact(self, height):
+        width = 2 * height
+        one_by_one = np.array([[pixel_to_direction(col, row, width, height)
+                                for col in (0, height // 3)] for row in range(height)])
+        for dirs in (grid_directions(width, height), one_by_one):
+            mirror = dirs[::-1]
+            assert (mirror[..., 0] == dirs[..., 0]).all() and (mirror[..., 2] == dirs[..., 2]).all()
+            assert (mirror[..., 1] == -dirs[..., 1]).all()
+            if height % 2:
+                assert (dirs[height // 2, :, 1] == 0.0).all()
+
+    @pytest.mark.parametrize("height", MAP_HEIGHTS)
+    def test_pixel_to_direction_reads_polar_cos_sin(self, height):
+        for row in range(height):
+            cos, _ = polar_cos_sin(2 * row + 1, 2 * height)
+            assert pixel_to_direction(height // 3, row, 2 * height, height)[1] == cos
+
+    def test_indices_match_the_whole_array_builder(self):
+        for steps in [*range(1, 301), 4097]:
+            got = polar_cos_sin(np.arange(steps + 1), steps)
+            want = polar_cos_sin_whole(steps)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), steps
+            for k in {0, steps // 3, steps // 2, (steps + 1) // 2, steps}:  # scalar indices
+                for g, w in zip(polar_cos_sin(k, steps), want):
+                    assert np.asarray(g).tobytes() == w[k].tobytes(), (steps, k)
+
+    @pytest.mark.parametrize("height", MAP_HEIGHTS)
+    def test_within_round_off_of_theta(self, height):
+        width = 2 * height
+        got = grid_directions(width, height)
+        want = pixel_centres_by_theta(np.arange(width), np.arange(height)[:, None], width, height)
+        assert np.abs(got[..., 1] - want[..., 1]).max() <= 4e-16
+        assert np.abs(got - want).max() <= 3 * np.finfo(np.float64).eps
+
+    def test_pixel_to_direction_memory_flat_in_map_height(self):
+        tracemalloc.start()
+        try:
+            d = pixel_to_direction(5, 7, 2 * 10**9, 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert d.shape == (3,) and d[1] > 0.999999
+
+
+class TestAngleRule:
+    """`great_circle_deg` and `angular_error` share the half-angle form."""
+
+    def test_parallel_directions_of_any_length_are_zero(self, rng):
+        dirs = rng.normal(size=(2000, 3))
+        dirs /= vector_norms(dirs)[:, None]
+        assert max(great_circle_deg(d, 3 * d) for d in dirs) < 1e-12
+
+    def test_accurate_at_a_tenth_of_a_microradian(self, rng):
+        angle = 1e-7
+        for _ in range(200):
+            a, p = rng.normal(size=(2, 3))
+            a /= vector_norms(a)
+            p -= (p @ a) * a
+            p /= vector_norms(p)
+            b = np.cos(angle) * a + np.sin(angle) * p
+            assert abs(np.radians(great_circle_deg(a, b)) - angle) < 1e-8 * angle
+
+    def test_matches_the_arccos_form_away_from_0_and_180(self, rng):
+        pairs = rng.normal(size=(2000, 2, 3)) * rng.uniform(0.1, 10.0, size=(2000, 2, 1))
+        checked = 0
+        for a, b in pairs:
+            want = great_circle_deg_by_arccos(a, b)
+            if 5.0 <= want <= 175.0:  # where arccos of a dot product is accurate
+                assert abs(great_circle_deg(a, b) - want) <= 1e-13
+                checked += 1
+        assert checked > 1900
 
 
 class TestDirectionToPixel:

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -66,6 +67,26 @@ class TestPfm:
         back = read_pfm(path)
         assert back.dtype == np.float32
         assert (back == img * np.float32(2.5)).all()
+
+    @pytest.mark.parametrize("scale", ["-1e38", "1e38", "-1e39"])
+    def test_overflowing_scale_rejected_without_warning(self, tmp_path, scale):
+        img = np.full((1, 2, 3), 100.0, dtype=np.float32)
+        img[0, 0] = 0.0  # 0 times a scale past float32's range is NaN, not inf
+        endian = "<" if scale.startswith("-") else ">"
+        path = tmp_path / "big.pfm"
+        path.write_bytes(f"PF\n2 1\n{scale}\n".encode() + img.astype(endian + "f4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float32"):
+                read_pfm(path)
+
+    def test_non_finite_texel_with_scale_is_decoded(self, tmp_path):
+        # the caller rejects it by its value, as with a unit scale
+        img = np.array([[[np.inf, 1.0, np.nan]]], dtype="<f4")
+        path = tmp_path / "inf.pfm"
+        path.write_bytes(b"PF\n1 1\n-2.0\n" + img.tobytes())
+        back = read_pfm(path)
+        assert back[0, 0, 0] == np.inf and back[0, 0, 1] == 2.0 and np.isnan(back[0, 0, 2])
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "t.pfm"

@@ -5,7 +5,6 @@ import pytest
 
 from luxprobe.envmap import (
     EnvironmentMap,
-    grid_directions,
     pixel_to_direction,
     polar_cos_sin,
     rotate_env,
@@ -24,6 +23,7 @@ from luxprobe.probes import (
     prefilter_glossy,
     render_probe,
 )
+from conftest import grid_directions
 
 
 def polar_cosines(height: int) -> np.ndarray:
@@ -271,7 +271,7 @@ class TestSymmetricRows:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 64, 1024])
     def test_polar_angles_are_mirror_exact(self, n):
-        c, s = (v[1::2] for v in polar_cos_sin(2 * n))  # the pixel centres
+        c, s = polar_cos_sin(np.arange(1, 2 * n, 2), 2 * n)  # the pixel centres
         assert (c[::-1] == -c).all() and (s[::-1] == s).all()
         if n % 2:
             assert c[n // 2] == 0.0
@@ -285,10 +285,10 @@ class TestSymmetricRows:
     def test_polar_angles_match_the_builders_they_replace(self):
         # every row count a map or a prefilter grid can plausibly have, bit for bit
         for n in range(1, 4101):
-            edges_cos, edges_sin = polar_cos_sin(n)
+            edges_cos, edges_sin = polar_cos_sin(np.arange(n + 1), n)
             assert edges_cos.tobytes() == polar_cosines(n).tobytes(), n
             assert edges_sin.shape == (n + 1,) and (edges_sin[::-1] == edges_sin).all(), n
-            centres = [v[1::2] for v in polar_cos_sin(2 * n)]
+            centres = polar_cos_sin(np.arange(1, 2 * n, 2), 2 * n)
             for got, want in zip(centres, centre_cos_sin(n)):
                 assert got.tobytes() == want.tobytes(), n
             old = (2.0 * np.pi / (2 * n)) * (polar_cosines(n)[:-1] - polar_cosines(n)[1:])

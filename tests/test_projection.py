@@ -202,6 +202,14 @@ class TestTrajectory:
         traj = gen_trajectory(rng, 1, start=start)
         assert traj.frames == [start]
 
+    def test_video_frame_0_is_start(self):
+        # not recomputed: the slerp at t = 0 and back through arctan2 and arcsin moves the last digits
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            start = sample_camera(rng)
+            frame0 = gen_trajectory(rng, 3, start=start).frames[0]
+            assert (frame0.azimuth, frame0.elevation) == (start.azimuth, start.elevation), seed
+
     def test_cone_bound_holds(self):
         start = CameraSpec(azimuth=200, elevation=5, fov=55)
         for seed in range(100):
