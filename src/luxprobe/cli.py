@@ -470,6 +470,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError, KeyError) as exc:
         print(f"ERROR DATA: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        print(f"ERROR DATA: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

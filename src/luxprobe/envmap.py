@@ -267,7 +267,7 @@ def peak_direction(env: EnvironmentMap, percentile: float = 0.999) -> np.ndarray
     rows, cols = np.divmod(np.flatnonzero(flat_lum >= threshold), env.width)
     weights = lum[rows, cols] * sa[rows]
     centroid = (weights[:, None] * _pixel_centres(cols, rows, env.width, env.height)).sum(axis=0)
-    norm = np.linalg.norm(centroid)
+    norm = vector_norms(centroid)
     # a squared norm below the smallest normal float has lost its bits to underflow
     if norm * norm < np.finfo(np.float64).tiny or norm < 1e-12 * weights.sum():
         raise ValueError("no peak: luminance distribution is directionless")

@@ -120,8 +120,9 @@ class MetricReport:
 
 
 def evaluate_three_spheres(pred_env: EnvironmentMap, gt_env: EnvironmentMap,
-                           probe_size: int = 128) -> MetricReport:
-    """Score a predicted map against ground truth with the standard probes.
+                           probe_size: int) -> MetricReport:
+    """Score a predicted map against ground truth with the standard probes,
+    each rendered at `probe_size` x `probe_size` (the CLI's default is 256).
 
     The three probes of both maps come from one pass, which shares the
     map-independent work, and each probe is scored over its (n, 3) disc

@@ -26,7 +26,8 @@ FOV_RANGE = (45.0, 80.0)
 
 @dataclass
 class CameraSpec:
-    """Pinhole camera orientation and output size."""
+    """Pinhole camera orientation and output size. Any finite azimuth is
+    stored wrapped into [0, 360): this is the one azimuth wrap rule."""
 
     azimuth: float  # degrees in [0, 360)
     elevation: float  # degrees, |elevation| < 90
@@ -42,6 +43,8 @@ class CameraSpec:
         if not np.isfinite(self.azimuth):
             raise ValueError(f"azimuth must be finite, got {self.azimuth}")
         self.azimuth = float(self.azimuth) % 360.0
+        if self.azimuth == 360.0:  # a tiny negative azimuth rounds up to 360
+            self.azimuth = 0.0
         if self.width <= 0 or self.height <= 0:
             raise ValueError("output size must be positive")
 
@@ -115,44 +118,31 @@ class Trajectory:
                 raise ValueError(f"frame {i} deviates {dev:.3f} deg > cone {self.cone_limit}")
 
 
-def _slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    cos = np.clip(np.dot(a, b), -1.0, 1.0)
-    ang = np.arccos(cos)
-    if ang < 1e-9:
-        return a
-    return (np.sin((1.0 - t) * ang) * a + np.sin(t * ang) * b) / np.sin(ang)
+def gen_trajectory(rng: np.random.Generator, frame_count: int, cone_deg: float = 15.0, *,
+                   start: CameraSpec) -> Trajectory:
+    """Smooth camera path: an arc in the start camera's frame.
 
-
-def gen_trajectory(rng: np.random.Generator, frame_count: int, cone_deg: float = 15.0,
-                   start: CameraSpec | None = None) -> Trajectory:
-    """Smooth camera path: slerp toward a random endpoint inside the cone.
-
-    The endpoint deviation is area-uniform in the spherical cap, the path
-    follows the great circle with cosine easing, and the field of view is
-    held fixed, so every frame stays within cone_deg of frame 0. Frame 0 is
-    `start` itself, in a video as in a still.
+    The path turns the view of `start` by up to psi along one bearing, with
+    cosine easing. psi is area-uniform in the spherical cap of radius cone_deg,
+    the bearing uniform (0 toward the camera's left, 90 degrees toward its up),
+    and the field of view held fixed, so every frame stays within cone_deg of
+    frame 0. Frame 0 is `start` itself, in a video as in a still.
     """
     if frame_count < 1:
         raise ValueError("frame_count must be >= 1")
-    if start is None:
-        start = sample_camera(rng)
     if abs(start.elevation) + cone_deg >= 90.0:
         raise ValueError("start elevation too close to the pole for this cone")
     if frame_count == 1:
         return Trajectory([start], cone_limit=cone_deg)
     psi = np.deg2rad(cone_deg) * np.sqrt(rng.random())
     bearing = 2.0 * np.pi * rng.random()
-    f0 = start.forward()
-    up = np.array([0.0, 1.0, 0.0])
-    east = np.cross(up, f0)
-    east /= np.linalg.norm(east)
-    north = np.cross(f0, east)
-    f1 = np.cos(psi) * f0 + np.sin(psi) * (np.cos(bearing) * east + np.sin(bearing) * north)
+    rot = _rotation(start)
     frames = [start]
     for k in range(1, frame_count):
         t = 0.5 * (1.0 - np.cos(np.pi * k / (frame_count - 1)))
-        d = _slerp(f0, f1, t)
-        az = np.degrees(np.arctan2(d[0], -d[2])) % 360.0
+        s = np.sin(t * psi)
+        d = rot @ (-s * np.cos(bearing), s * np.sin(bearing), -np.cos(t * psi))
+        az = np.degrees(np.arctan2(d[0], -d[2]))
         el = np.degrees(np.arcsin(np.clip(d[1], -1.0, 1.0)))
         frames.append(
             CameraSpec(azimuth=az, elevation=el, fov=start.fov,

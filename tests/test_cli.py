@@ -738,6 +738,51 @@ class TestStderrOfAFreshProcess:
                     assert "overflows float32" in run.stderr, (command, run.stderr)
 
 
+class TestOutOfMemory:
+    """An allocation that fails is one ERROR DATA line, not numpy's traceback. Each
+    command runs under a 2 GiB address-space cap, so the huge request fails at
+    once and takes no memory."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn and RLIMIT_AS")
+    @pytest.mark.parametrize("argv", [
+        ["render-probes", "--env", "{pano}", "--size", "300000", "--out-prefix", "{out}/huge_"],
+        ["eval", "--pred", "{pano}", "--gt", "{pano}", "--probe-size", "300000",
+         "--out", "{out}/huge.json"],
+        ["crop", "--pano", "{pano}", "--w", "200000", "--h", "200000", "--out", "{out}/huge.pfm"],
+    ], ids=["render-probes", "eval", "crop"])
+    def test_allocation_failure_is_one_error_line(self, tmp_path, argv):
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        pano = tmp_path / "pano.pfm"
+        write_pfm(pano, _valid_map())
+        out = tmp_path / "out"
+        out.mkdir()
+        # one BLAS thread: the cap is for the request, not for per-thread buffers
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        argv = [a.format(pano=pano, out=out) for a in argv]
+        run = subprocess.run([sys.executable, "-m", "luxprobe.cli", *argv], env=env,
+                             preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        lines = run.stderr.splitlines()
+        assert run.returncode == 1, run.stderr
+        assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), run.stderr
+        assert list(out.iterdir()) == []
+
+    def test_bare_memory_error_is_named(self, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(luxprobe.metrics, "evaluate_three_spheres", no_memory)
+        pano = tmp_path / "pano.pfm"
+        write_pfm(pano, _valid_map())
+        code, _, err = _run(["eval", "--pred", pano, "--gt", pano, "--out", tmp_path / "e.json"])
+        assert (code, err) == (1, "ERROR DATA: out of memory\n")
+        assert not (tmp_path / "e.json").exists()
+
+
 class TestUniformMap:
     """A uniform map has no peak, so its report cannot be complete: exit 1, write nothing."""
 

@@ -443,7 +443,7 @@ def peak_direction_grid(env: EnvironmentMap, percentile: float) -> np.ndarray:
     dirs = grid_directions(env.width, env.height).reshape(-1, 3)
     weights = flat_lum[mask] * flat_sa[mask]
     centroid = (weights[:, None] * dirs[mask]).sum(axis=0)
-    norm = np.linalg.norm(centroid)
+    norm = vector_norms(centroid)
     # a squared norm below the smallest normal float has lost its bits to underflow
     if norm * norm < np.finfo(np.float64).tiny or norm < 1e-12 * weights.sum():
         raise ValueError("no peak: luminance distribution is directionless")

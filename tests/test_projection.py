@@ -65,6 +65,12 @@ class TestCameraSpec:
     def test_azimuth_normalized(self):
         assert CameraSpec(azimuth=370.0, elevation=0, fov=60).azimuth == 10.0
 
+    @pytest.mark.parametrize("az", [-1e-20, -1e-14, -5e-15, -360.0, 720.0 - 1e-13,
+                                    359.99999999999994])
+    def test_azimuth_below_360(self, az):
+        # x % 360.0 rounds a tiny negative x up to 360.0
+        assert 0.0 <= CameraSpec(azimuth=az, elevation=0, fov=60).azimuth < 360.0
+
     def test_forward_axis(self):
         cam = CameraSpec(azimuth=0, elevation=0, fov=60)
         np.testing.assert_allclose(cam.forward(), [0, 0, -1], atol=1e-12)
@@ -203,7 +209,7 @@ class TestTrajectory:
         assert traj.frames == [start]
 
     def test_video_frame_0_is_start(self):
-        # not recomputed: the slerp at t = 0 and back through arctan2 and arcsin moves the last digits
+        # not recomputed: the arc at t = 0 and back through arctan2 and arcsin moves the last digits
         for seed in range(2000):
             rng = np.random.default_rng(seed)
             start = sample_camera(rng)
@@ -231,6 +237,48 @@ class TestTrajectory:
         traj = gen_trajectory(np.random.default_rng(9), 12,
                               start=CameraSpec(azimuth=0, elevation=3, fov=47.5))
         assert all(c.fov == 47.5 for c in traj.frames)
+
+    def test_frames_on_one_arc_at_eased_angles(self):
+        for seed in range(50):
+            start = sample_camera(np.random.default_rng(1000 + seed))
+            psi = np.deg2rad(15.0) * np.sqrt(np.random.default_rng(seed).random())
+            frames = [c.forward() for c in
+                      gen_trajectory(np.random.default_rng(seed), 9, start=start).frames]
+            for k, f in enumerate(frames[1:], start=1):
+                t = 0.5 * (1.0 - np.cos(np.pi * k / 8))
+                assert great_circle_deg(frames[0], f) == pytest.approx(np.degrees(t * psi),
+                                                                       rel=1e-9), (seed, k)
+                assert abs(np.linalg.det([frames[0], f, frames[-1]])) < 1e-12, (seed, k)
+
+    def test_tiny_turn_still_moves(self):
+        # draws that make psi = 1e-8 rad: an arccos of a dot product reads such
+        # a turn as 0, which leaves every frame at the start camera
+        class Draws:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        psi = 1e-8
+        start = CameraSpec(azimuth=40, elevation=2, fov=60)
+        frames = gen_trajectory(Draws([(psi / np.deg2rad(15.0)) ** 2, 0.3]), 5,
+                                start=start).frames
+        for k, cam in enumerate(frames[1:], start=1):
+            t = 0.5 * (1.0 - np.cos(np.pi * k / 4))
+            assert np.deg2rad(great_circle_deg(start.forward(), cam.forward())) == \
+                pytest.approx(t * psi, rel=1e-6), k
+
+    def test_start_is_required(self):
+        with pytest.raises(TypeError):
+            gen_trajectory(np.random.default_rng(0), 5)
+
+    def test_frame_azimuths_below_360(self):
+        # a start camera at azimuth 0 turns to negative azimuths half the time
+        start = CameraSpec(azimuth=0.0, elevation=0.0, fov=60)
+        for seed in range(200):
+            for cam in gen_trajectory(np.random.default_rng(seed), 7, start=start).frames:
+                assert 0.0 <= cam.azimuth < 360.0, (seed, cam)
 
     def test_pole_guard(self):
         with pytest.raises(ValueError, match="pole"):
