@@ -151,8 +151,8 @@ def _cmd_crop(args, out):
     view = projection.project_perspective(env, cam)
     path = out.path(args.out)
     if suffix == ".png":
-        ldr = tonemap.apply_display_tonemap(view, args.tonemap)
-        write_png(path, ldr, metadata={"tonecurve": args.tonemap})
+        codes = projection._display_codes(view, 1.0, args.tonemap)
+        write_png(path, codes, metadata={"tonecurve": args.tonemap})
     else:
         write_pfm(path, view)
     params = {"az": args.az, "el": args.el, "fov": args.fov, "w": args.w,

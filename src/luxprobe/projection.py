@@ -17,6 +17,9 @@ from .tonemap import apply_display_tonemap, auto_expose, tonemap_ldr, tonemap_lo
 
 DEFAULT_CROP_WIDTH = 720
 DEFAULT_CROP_HEIGHT = 480
+# pixels per row block of a crop: every per-pixel stage, from ray to 8-bit
+# code, runs on one block while it is still in cache
+CROP_BLOCK_PIXELS = 1 << 15
 
 # uniform sampling ranges (degrees) of randomized cameras
 AZIMUTH_RANGE = (0.0, 360.0)
@@ -83,13 +86,53 @@ def pixel_ray(cam: CameraSpec, col, row) -> np.ndarray:
 
 
 def camera_rays(cam: CameraSpec) -> np.ndarray:
-    """(H, W, 3) unit rays through every pixel center."""
+    """(H, W, 3) unit rays through every pixel center: the whole-image
+    reference that `_render` matches row block by row block."""
     return pixel_ray(cam, np.arange(cam.width) + 0.5, (np.arange(cam.height) + 0.5)[:, None])
 
 
+def _render(data: np.ndarray, cam: CameraSpec, out=None) -> np.ndarray:
+    """The (cam.height, cam.width, 3) float64 view of the map `data`, written
+    into `out` (a new array if None) in row blocks of about CROP_BLOCK_PIXELS
+    pixels: each block is `sample_equirect` along its own `pixel_ray`s, so no
+    whole-image ray or lookup array exists. Every stage is per pixel, so the
+    bits are those of `sample_equirect(data, camera_rays(cam))`."""
+    # a channel-planar map (as `read_png` can return) would be copied by every
+    # block's lookup; this is a no-op for a contiguous one
+    data = np.ascontiguousarray(data)
+    if out is None:
+        out = np.empty((cam.height, cam.width, 3))
+    cols = np.arange(cam.width) + 0.5
+    step = max(1, CROP_BLOCK_PIXELS // cam.width)
+    for i in range(0, cam.height, step):
+        rows = np.arange(i, min(i + step, cam.height)) + 0.5
+        out[i : i + step] = sample_equirect(data, pixel_ray(cam, cols, rows[:, None]))
+    return out
+
+
 def project_perspective(pano: EnvironmentMap, cam: CameraSpec) -> np.ndarray:
-    """The (cam.height, cam.width, 3) pinhole view: the panorama sampled along each pixel's ray."""
-    return sample_equirect(pano.data, camera_rays(cam))
+    """The (cam.height, cam.width, 3) float64 pinhole view: the panorama
+    sampled along each pixel's ray, rendered in row blocks (`_render`)."""
+    return _render(pano.data, cam)
+
+
+def _display_codes(view: np.ndarray, scale: float, curve: str) -> np.ndarray:
+    """The (H, W, 3) uint8 8-bit codes of a float view, in row blocks of about
+    CROP_BLOCK_PIXELS pixels: each block is multiplied by `scale`, put through
+    the display curve `curve` (a `TONE_CURVES` name) or, for curve "none" (an
+    LDR source), clipped to [0, 1], and coded by `codes8`. `view` is not
+    changed. Every stage is per pixel, so the codes are those of the same
+    stages run on the whole view."""
+    codes = np.empty(view.shape, dtype=np.uint8)
+    step = max(1, CROP_BLOCK_PIXELS // view.shape[1])
+    for i in range(0, view.shape[0], step):
+        v = view[i : i + step] * scale
+        if curve == "none":
+            np.clip(v, 0.0, 1.0, out=v)
+        else:
+            v = apply_display_tonemap(v, curve)  # every curve returns [0, 1]
+        codes[i : i + step] = codes8(v)
+    return codes
 
 
 def sample_camera(rng: np.random.Generator, width: int = DEFAULT_CROP_WIDTH,
@@ -214,7 +257,10 @@ def dataset_gen(sources, seed: int, count: int, frame_count: int = 1,
 
 def _samples(sources, entropy, count, frame_count, crop_width, crop_height):
     """The samples of `dataset_gen`, drawn as they are asked for: sample i from
-    the stream of `SeedSequence(entropy, spawn_key=(i,))`."""
+    the stream of `SeedSequence(entropy, spawn_key=(i,))`. Each frame is
+    rendered by `_render` into one float view that the sample reuses, and
+    coded by `_display_codes`, both in row blocks; frame 0's whole view sets
+    the exposure."""
     for i in range(count):
         child = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
         src_idx = int(child.integers(0, len(sources)))
@@ -223,19 +269,15 @@ def _samples(sources, entropy, count, frame_count, crop_width, crop_height):
         cams = gen_trajectory(child, frame_count, start=start).frames
         curve = _CURVE_NAMES[int(child.integers(0, len(_CURVE_NAMES)))] if src.hdr else "none"
         crops = []
+        view = None  # one float view per sample, rendered anew for each frame
         for cam in cams:
-            view = sample_equirect(src.data, camera_rays(cam))
+            view = _render(src.data, cam, out=view)
             if not crops:  # frame 0 sets the exposure of every frame
                 try:
                     scale = auto_expose(view, percentile=0.99, target=0.9)
                 except ValueError:
                     scale = 1.0  # black or near-black first frame: leave exposure alone
-            view *= scale
-            if src.hdr:
-                view = apply_display_tonemap(view, curve)  # every curve returns [0, 1]
-            else:
-                np.clip(view, 0.0, 1.0, out=view)
-            crops.append(codes8(view).astype(np.uint8))
+            crops.append(_display_codes(view, scale, curve))
         yield DatasetSample(
             source_index=src_idx,
             cameras=cams,

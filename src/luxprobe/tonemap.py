@@ -191,12 +191,16 @@ def apply_display_tonemap(img, curve: str) -> np.ndarray:
 # exposure + quantization
 
 def percentile_nearest_rank(values, fraction: float) -> float:
-    """Nearest-rank percentile on sorted values: rank = ceil(fraction * N)."""
-    flat = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    """Nearest-rank percentile: the value of rank ceil(fraction * N) in
+    ascending order, for 0 < fraction <= 1. Only that value is selected
+    (`np.partition`); the rest is not sorted."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("empty input")
-    rank = int(np.ceil(fraction * flat.size))
-    return float(flat[max(rank, 1) - 1])
+    rank = int(np.ceil(fraction * flat.size))  # in [1, N] for a fraction in (0, 1]
+    return float(np.partition(flat, rank - 1)[rank - 1])
 
 
 def auto_expose(img, percentile: float = 0.99, target: float = 0.9):

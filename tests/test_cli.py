@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import luxprobe
 from luxprobe.cli import main, thread_limit
-from luxprobe.envmap import EnvironmentMap, rotate_env
+from luxprobe.envmap import EnvironmentMap, rotate_env, sample_equirect
 from luxprobe.fusion import init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
-from luxprobe.tonemap import tonemap_ldr
+from luxprobe.projection import CameraSpec, camera_rays
+from luxprobe.tonemap import apply_display_tonemap, tonemap_ldr
 from conftest import evaluate_sequence, hot_spot_env
 from test_acceptance import _determinism_commands
 
@@ -206,6 +207,29 @@ class TestCropRotatePeak:
         img, meta = read_png(out_png)
         assert img.shape == (30, 40, 3)
         assert meta["tonecurve"] == "aces"
+
+    @pytest.mark.parametrize("tone", ["agx", "filmic"])
+    def test_crop_is_the_whole_image_pipeline(self, tmp_path, env_file, tone):
+        # 1500 wide: 21-row blocks, so 37 rows are a block and a partial one
+        cam = CameraSpec(azimuth=0.0, elevation=0.0, fov=60.0, width=1500, height=37)
+        view = sample_equirect(read_pfm(env_file).astype(np.float64), camera_rays(cam))
+        write_pfm(tmp_path / "want.pfm", view)
+        write_png(tmp_path / "want.png", apply_display_tonemap(view, tone),
+                  metadata={"tonecurve": tone})
+        for suffix in (".pfm", ".png"):
+            out = tmp_path / f"got{suffix}"
+            assert main(["crop", "--pano", str(env_file), "--w", "1500", "--h", "37",
+                         "--tonemap", tone, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / f"want{suffix}").read_bytes()
+
+    def test_crop_memory(self, tmp_path):
+        # the view, its tone-mapped copy and its float codes were each whole
+        path = tmp_path / "big.pfm"
+        write_pfm(path, np.random.default_rng(6).gamma(1.0, 2.0, (256, 512, 3)))
+        peak = traced_peak(["crop", "--pano", path, "--w", 720, "--h", 480, "--tonemap", "agx",
+                            "--out", tmp_path / "c.png"])
+        crop, pano = 480 * 720 * 3 * 8, 256 * 512 * 3 * 8  # float64 bytes
+        assert peak < 2.5 * crop + pano, (peak - pano) / crop
 
     def test_rotate_matches_library(self, tmp_path, env_file):
         out = tmp_path / "rot.pfm"

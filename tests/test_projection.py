@@ -13,6 +13,7 @@ from luxprobe.envmap import (
 )
 from luxprobe.imgio import codes8
 from luxprobe.projection import (
+    CROP_BLOCK_PIXELS,
     CameraSpec,
     PanoramaSource,
     Trajectory,
@@ -20,6 +21,7 @@ from luxprobe.projection import (
     dataset_gen,
     gen_trajectory,
     pixel_ray,
+    _render,
     _rotation,
     project_perspective,
     sample_camera,
@@ -181,6 +183,48 @@ class TestProjection:
             tracemalloc.stop()
         crop = 120 * 160 * 3 * 8  # one float64 crop
         assert peak < 4 * crop, peak / crop
+
+
+def row_blocks(cam):
+    """How many row blocks `_render` and `_display_codes` take for `cam`."""
+    return -(-cam.height // max(1, CROP_BLOCK_PIXELS // cam.width))
+
+
+class TestRenderParity:
+    """`project_perspective` renders in row blocks; the oracle is the whole
+    image at once, `sample_equirect(data, camera_rays(cam))`."""
+
+    @pytest.mark.parametrize("az, el, fov, width, height, blocks", [
+        (33.0, -5.0, 70.0, 1000, 70, 3),  # 32, 32 and a partial 6 rows
+        (250.0, 8.0, 120.0, CROP_BLOCK_PIXELS + 7, 3, 3),  # wider than a block: one row each
+        (0.0, 0.0, 60.0, 720, 480, 11),  # the default crop, 45-row blocks
+        (359.0, 89.0, 10.0, 5, 4, 1),  # near a pole
+    ])
+    def test_blocks_equal_the_whole_image(self, az, el, fov, width, height, blocks):
+        cam = CameraSpec(azimuth=az, elevation=el, fov=fov, width=width, height=height)
+        assert row_blocks(cam) == blocks
+        env = EnvironmentMap(np.random.default_rng(3).gamma(1.0, 2.0, (32, 64, 3)))
+        want = sample_equirect(env.data, camera_rays(cam))
+        got = project_perspective(env, cam)
+        assert got.dtype == np.float64 and got.shape == (height, width, 3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_channel_planar_map(self):
+        # read_png returns this layout for rows with Avg/Paeth filters
+        x = np.random.default_rng(4).random((32, 64, 3))
+        planar = x.transpose(2, 0, 1).copy().transpose(1, 2, 0)
+        assert not planar.flags.c_contiguous
+        cam = CameraSpec(azimuth=100.0, elevation=3.0, fov=75.0, width=1000, height=70)
+        want = sample_equirect(x, camera_rays(cam))
+        assert project_perspective(EnvironmentMap(planar), cam).tobytes() == want.tobytes()
+
+    def test_rendering_into_a_used_view(self):
+        env = smooth_pano(32)
+        cams = [CameraSpec(azimuth=a, elevation=0.0, fov=60.0, width=1000, height=70)
+                for a in (10.0, 200.0)]
+        view = _render(env.data, cams[0])
+        assert _render(env.data, cams[1], out=view) is view
+        assert view.tobytes() == sample_equirect(env.data, camera_rays(cams[1])).tobytes()
 
 
 class TestSampleCamera:
@@ -348,21 +392,33 @@ class TestDatasetGen:
             else:
                 assert target_log is None
 
-    @pytest.mark.parametrize("source, frames", [
-        pytest.param(PanoramaSource(smooth_pano(32).data), 1, id="hdr"),
-        pytest.param(PanoramaSource(np.clip(smooth_pano(32).data / 2.0, 0, 1), hdr=False), 1,
-                     id="ldr"),
-        pytest.param(PanoramaSource(smooth_pano(32).data), 7, id="hdr-video"),
-        pytest.param(PanoramaSource(np.zeros((32, 64, 3))), 2, id="black"),  # exposure left alone
+    @pytest.mark.parametrize("sources, frames, seed, count, size", [
+        pytest.param([PanoramaSource(smooth_pano(32).data)], 1, 1, 2, (40, 30), id="hdr"),
+        pytest.param([PanoramaSource(np.clip(smooth_pano(32).data / 2.0, 0, 1), hdr=False)],
+                     1, 1, 2, (40, 30), id="ldr"),
+        pytest.param([PanoramaSource(smooth_pano(32).data)], 7, 1, 2, (40, 30), id="hdr-video"),
+        pytest.param([PanoramaSource(np.zeros((32, 64, 3)))], 2, 1, 2, (40, 30),
+                     id="black"),  # exposure left alone
+        # three row blocks (32, 32 and 6 rows); seed 67 draws each of the four
+        # tone curves and the LDR source once
+        pytest.param([PanoramaSource(smooth_pano(32).data),
+                      PanoramaSource(np.clip(smooth_pano(32).data / 2.0, 0, 1), hdr=False)],
+                     2, 67, 5, (1000, 70), id="blocks-every-curve"),
     ])
-    def test_crops_are_the_codes_of_the_two_pass_pipeline(self, source, frames):
-        got = list(dataset_gen([source], 1, 2, frame_count=frames,
-                               crop_width=40, crop_height=30))
-        expected = crops_by_two_passes([source], np.random.default_rng(1), 2, frames, 40, 30)
+    def test_crops_are_the_codes_of_the_two_pass_pipeline(self, sources, frames, seed, count,
+                                                          size):
+        width, height = size
+        got = list(dataset_gen(sources, seed, count, frame_count=frames,
+                               crop_width=width, crop_height=height))
+        expected = crops_by_two_passes(sources, np.random.default_rng(seed), count, frames,
+                                       width, height)
+        if len(sources) > 1:
+            assert row_blocks(got[0].cameras[0]) == 3
+            assert sorted(s.tone_curve for s in got) == sorted(TONE_CURVES) + ["none"]
         for sample, crops in zip(got, expected, strict=True):
             assert len(sample.crops) == frames
             for crop, want in zip(sample.crops, crops, strict=True):
-                assert crop.dtype == np.uint8 and crop.shape == (30, 40, 3)
+                assert crop.dtype == np.uint8 and crop.shape == (height, width, 3)
                 assert crop.tobytes() == want.tobytes()
 
     def test_memory_does_not_grow_with_frames(self):
@@ -381,6 +437,27 @@ class TestDatasetGen:
         crop = 120 * 160 * 3 * 8  # one float64 crop
         growth = peak(8) - peak(2)
         assert growth < 2 * crop, growth / crop
+
+    @staticmethod
+    def still_peak(source, width, height):
+        """`tracemalloc` peak of one still sample, in float64 crops."""
+        tracemalloc.start()
+        try:
+            list(dataset_gen([source], 0, 1, crop_width=width, crop_height=height))
+            return tracemalloc.get_traced_memory()[1] / (height * width * 3 * 8)
+        finally:
+            tracemalloc.stop()
+
+    def test_still_sample_memory(self):
+        # rays, lookup geometry, gathers, lerps and tone curve were each
+        # whole-image float64 arrays: 7.0 crops
+        source = PanoramaSource(np.random.default_rng(5).gamma(1.0, 2.0, (256, 512, 3)))
+        assert self.still_peak(source, 720, 480) < 2.5
+
+    def test_memory_per_crop_pixel_does_not_grow_with_crop_size(self):
+        source = PanoramaSource(smooth_pano(64).data)
+        small = self.still_peak(source, 720, 480)
+        assert self.still_peak(source, 720, 960) <= 1.05 * small, small
 
     def test_video_mode_emits_trajectory(self):
         env = PanoramaSource(smooth_pano(32).data)

@@ -188,6 +188,23 @@ class TestAutoExpose:
         with pytest.raises(ValueError, match="empty input"):
             percentile_nearest_rank([], 0.5)
 
+    @pytest.mark.parametrize("fraction", [1.5, np.nan, -0.5, 0.0])
+    def test_nearest_rank_fraction_outside_0_1_raises(self, fraction):
+        # 1.5 raised IndexError, NaN failed to convert to an integer, -0.5
+        # returned the minimum
+        with pytest.raises(ValueError, match="fraction"):
+            percentile_nearest_rank([1.0, 2.0, 3.0], fraction)
+
+    def test_nearest_rank_is_the_sorted_value(self, rng):
+        arrays = [rng.integers(0, 4, 101).astype(float),  # ties and zeros
+                  np.zeros(7), np.r_[np.zeros(50), rng.random(49)], np.array([2.5]),
+                  rng.random((12, 9))]
+        for values in arrays:
+            ordered = np.sort(values.ravel())
+            for fraction in (1e-9, 0.01, 0.25, 0.5, 0.99, 0.999, 1.0):
+                rank = int(np.ceil(fraction * ordered.size))
+                assert percentile_nearest_rank(values, fraction) == ordered[rank - 1]
+
 
 class TestQuantize8:
     def test_endpoints_fixed(self):
