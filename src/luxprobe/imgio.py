@@ -68,10 +68,10 @@ def read_pfm(path) -> np.ndarray:
 
 
 def write_pfm(path, image: np.ndarray) -> None:
-    """Write (H, W, 3) float data as little-endian RGB PFM."""
+    """Write non-empty (H, W, 3) float data as little-endian RGB PFM."""
     arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"PFM writer expects (H, W, 3), got {arr.shape}")
+    if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
+        raise ValueError(f"PFM writer expects non-empty (H, W, 3), got {arr.shape}")
     height, width = arr.shape[:2]
     rows = np.ascontiguousarray(arr[::-1], dtype="<f4")  # bottom row first, one copy
     with open(path, "wb") as f:
@@ -226,14 +226,14 @@ def codes8(values) -> np.ndarray:
 
 
 def write_png(path, image: np.ndarray, metadata: dict | None = None) -> None:
-    """Write [0,1] float or uint8 data as an sRGB-tagged 8-bit RGB PNG.
+    """Write non-empty [0,1] float or uint8 data as an sRGB-tagged 8-bit RGB PNG.
 
     Float inputs are stored as their `codes8`. Optional metadata is stored
     as tEXt chunks (sorted by key for determinism).
     """
     arr = np.asarray(image)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"PNG writer expects (H, W, 3) data, got {arr.shape}")
+    if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
+        raise ValueError(f"PNG writer expects non-empty (H, W, 3) data, got {arr.shape}")
     if arr.dtype != np.uint8:
         arr = codes8(arr).astype(np.uint8)
     height, width = arr.shape[:2]

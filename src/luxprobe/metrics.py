@@ -16,8 +16,6 @@ from .envmap import (EnvironmentMap, angle_between, great_circle_deg, peak_direc
                      vector_norms)
 from .probes import STANDARD_MATERIALS, render_probe_pixels
 
-_ZERO_NORM_EPS = 1e-8
-
 
 def _pair(pred, gt):
     """Both inputs as float64 arrays; raises if their shapes differ or they are empty."""
@@ -47,13 +45,15 @@ def si_rmse(pred, gt) -> float:
 def angular_error(pred, gt) -> float:
     """Mean per-pixel angle (degrees) between RGB vectors treated as 3-vectors.
 
-    Pixels where either norm is below 1e-8 are excluded; raises if none
-    qualify.
+    A pixel counts when its squared norm is at least the smallest normal
+    float in both images (`peak_direction`'s underflow rule), so the metric
+    does not depend on either image's scale; raises if no pixel counts.
     """
     p, g = _pair(pred, gt)
     pn = vector_norms(p)
     gn = vector_norms(g)
-    ok = (pn > _ZERO_NORM_EPS) & (gn > _ZERO_NORM_EPS)
+    tiny = np.finfo(np.float64).tiny
+    ok = (pn * pn >= tiny) & (gn * gn >= tiny)
     if not ok.all():
         if not ok.any():
             raise ValueError("no pixels with nonzero color in both images")

@@ -100,31 +100,26 @@ def inverse_rule(ldr, log):
 # values in [0, 1].
 
 def gamma24_srgb(x):
-    """Pure gamma companding: clip to [0,1], then power 1/2.4."""
-    return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0) ** (1.0 / 2.4)
+    """Pure gamma companding: clip to [0,1], then power 1/2.4, in place (a 0-d
+    input keeps the scalar pow, which can differ from the array loop's by an ulp)."""
+    x = np.asarray(x, dtype=np.float64)
+    t = _value(np.clip(x, 0.0, 1.0, out=np.empty_like(x)))
+    t **= 1.0 / 2.4
+    return t
 
 
-def _at_limit(x, y):
-    """`y`, with the limit 1 of a rational curve where its x * x overflowed.
-
-    Past x ~ 1e154 both quadratics overflow to inf and inf/inf is NaN; the
-    ACES and Hable curves tend to values above 1 there, which clip to 1.
-    """
-    overflowed = np.isnan(y)
-    if overflowed.any():
-        y = np.where(overflowed & ~np.isnan(x), 1.0, y)
-    return y
+# the rational curves below are >= 1 (1 once clipped) beyond +-_SATURATED on either
+# side, so their input is clamped there: the same values, and x * x stays finite
+_SATURATED = 1e6
 
 
 def aces_approx(x):
     """Rational ACES filmic fit (Narkowicz 2015), gamma-encoded.
 
-    a=2.51, b=0.03, c=2.43, d=0.59, e=0.14.
+    a=2.51, b=0.03, c=2.43, d=0.59, e=0.14; 1 from x ~ 7.24 on.
     """
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14)
-    return np.clip(_at_limit(x, y), 0.0, 1.0) ** (1.0 / 2.4)
+    x = np.clip(np.asarray(x, dtype=np.float64), -_SATURATED, _SATURATED)
+    return gamma24_srgb((x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14))
 
 
 _HABLE = dict(A=0.15, B=0.50, C=0.10, D=0.20, E=0.02, F=0.30)
@@ -138,11 +133,11 @@ def _hable(x):
 
 
 def filmic_approx(x):
-    """Hable/Uncharted-2 filmic curve, white-normalized and gamma-encoded."""
+    """Hable/Uncharted-2 filmic curve, white-normalized and gamma-encoded; 1 from x = 5.6 on."""
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _hable(_HABLE_EXPOSURE * x) / _hable(_HABLE_WHITE)
-    return np.clip(_at_limit(x, y), 0.0, 1.0) ** (1.0 / 2.4)
+    t = np.clip(x, -_SATURATED, _SATURATED, out=np.empty_like(x))
+    t *= _HABLE_EXPOSURE  # in place: the clamp costs no array over 2 * x
+    return gamma24_srgb(_hable(t) / _hable(_HABLE_WHITE))
 
 
 # AgX sigmoid fit (Wrensch's 6th-order approximation of the Blender AgX

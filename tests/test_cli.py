@@ -732,6 +732,39 @@ def _sweep_maps():
             "zeros": (b"-1.0", np.zeros((8, 16, 3)))}
 
 
+def _fresh(argv):
+    """`luxprobe argv` run in a new interpreter with this package on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "luxprobe.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _hostile_inputs(d, image):
+    """The benchmark's three hostile kinds of a dual-pair channel, built from the
+    [0, 1] `image` in directory `d`: a PFM with one NaN texel, a PNG whose IDAT
+    CRC is flipped and a PNG whose tEXt chunk runs past the end of the file."""
+    nan = image.copy()
+    nan[5, 7, 1] = np.nan
+    write_pfm(d / "nan_texel.pfm", nan)
+    write_png(d / "ok.png", image)
+    ok = (d / "ok.png").read_bytes()
+    idat_end = ok.index(b"IEND") - 4
+    bad_crc = bytearray(ok)
+    bad_crc[idat_end - 1] ^= 0xFF
+    (d / "idat_crc.png").write_bytes(bytes(bad_crc))
+    # a tEXt chunk declaring 1000 bytes where the file ends after 10
+    (d / "text_past_eof.png").write_bytes(ok[:idat_end] + b"\x00\x00\x03\xe8tEXtcomment\x00ab")
+    return [d / "nan_texel.pfm", d / "idat_crc.png", d / "text_past_eof.png"]
+
+
+def _assert_one_error_line(run, out):
+    lines = run.stderr.splitlines()
+    assert run.returncode == 1, run.stderr
+    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), run.stderr
+    assert run.stdout == "" and list(out.iterdir()) == []
+
+
 class TestStderrOfAFreshProcess:
     """stderr as a user sees it: pytest captures warnings apart from capsys, so
     each command runs in its own interpreter."""
@@ -740,17 +773,13 @@ class TestStderrOfAFreshProcess:
         good = tmp_path / "good" / "x.pfm"
         good.parent.mkdir()
         write_pfm(good, _valid_map())
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
         for name, (scale, texels) in _sweep_maps().items():
             bad = tmp_path / f"{name}.pfm"
             bad.write_bytes(b"PF\n16 8\n" + scale + b"\n" + texels[::-1].astype("<f4").tobytes())
             for command in ("tonemap", "crop", "render-probes", "eval", "peak", "rotate"):
                 out = tmp_path / f"{name}_{command}"
                 out.mkdir()
-                argv = [str(a) for a in _argv(command, bad, good, None, out)]
-                run = subprocess.run([sys.executable, "-m", "luxprobe.cli", *argv], env=env,
-                                     capture_output=True, text=True, timeout=60)
+                run = _fresh(_argv(command, bad, good, None, out))
                 lines = run.stderr.splitlines()
                 if run.returncode == 0:
                     assert run.stderr == "", (name, command, run.stderr)
@@ -760,6 +789,45 @@ class TestStderrOfAFreshProcess:
                         (name, command, run.stderr)
                 if name == "overflowing_scale":
                     assert "overflows float32" in run.stderr, (command, run.stderr)
+
+    @pytest.mark.parametrize("command", ["inverse", "fuse-apply"])
+    def test_hostile_dual_pair_channel(self, tmp_path, command):
+        good = tmp_path / "good.pfm"
+        write_pfm(good, _valid_map())
+        net = tmp_path / "net.bin"
+        save_fusion_net(init_uniform(0, dtype=np.float32), net)
+        hostile = tmp_path / "hostile"
+        hostile.mkdir()
+        for bad in [hostile / "ok.png", *_hostile_inputs(hostile, _valid_map())]:
+            out = tmp_path / f"{bad.stem}_out"
+            out.mkdir()
+            run = _fresh(_argv(command, bad, good, net, out))
+            if bad.name == "ok.png":  # the control: the same pair, intact
+                assert run.returncode == 0 and run.stderr == "", run.stderr
+            else:
+                _assert_one_error_line(run, out)
+
+    def test_dataset_gen_on_a_nan_texel(self, tmp_path):
+        panos = tmp_path / "panos"
+        panos.mkdir()
+        data = _valid_map()
+        data[3, 5, 0] = np.nan
+        write_pfm(panos / "x.pfm", data)
+        out = tmp_path / "out"
+        out.mkdir()
+        run = _fresh(_argv("dataset-gen", panos / "x.pfm", panos / "x.pfm", None, out))
+        _assert_one_error_line(run, out)
+
+    def test_probe_size_past_the_index_range(self, tmp_path):
+        # np.arange(2**63) is empty, so the disc is too: the writer refuses the empty
+        # image, where a 0x0 mirror probe, which `read_pfm` rejects, used to be written
+        pano = tmp_path / "pano.pfm"
+        write_pfm(pano, _valid_map())
+        out = tmp_path / "out"
+        out.mkdir()
+        run = _fresh(["render-probes", "--env", pano, "--size", str(2 ** 63),
+                      "--out-prefix", out / "huge_"])
+        _assert_one_error_line(run, out)
 
 
 class TestOutOfMemory:

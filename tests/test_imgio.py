@@ -106,6 +106,13 @@ class TestPfm:
         with pytest.raises(ValueError):
             write_pfm(tmp_path / "b.pfm", np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 4, 3), (3, 0, 3)])
+    def test_writer_refuses_an_empty_image(self, tmp_path, shape):
+        # `read_pfm` rejects a zero dimension, so such a file must not be written
+        with pytest.raises(ValueError, match="non-empty"):
+            write_pfm(tmp_path / "e.pfm", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_payload_is_the_reversed_float32_rows(self, tmp_path, rng, dtype):
         img = (rng.random((5, 10, 3)) * 1e3).astype(dtype)
@@ -322,6 +329,14 @@ class TestPng:
     def test_only_rgb_accepted(self, tmp_path, shape):
         with pytest.raises(ValueError, match="\\(H, W, 3\\)"):
             write_png(tmp_path / "h.png", np.zeros(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 4, 3), (3, 0, 3)])
+    def test_writer_refuses_an_empty_image(self, tmp_path, shape, dtype):
+        # `read_png` rejects a zero dimension; (0, 4, 3) used to raise IndexError
+        with pytest.raises(ValueError, match="non-empty"):
+            write_png(tmp_path / "e.png", np.zeros(shape, dtype=dtype))
+        assert list(tmp_path.iterdir()) == []
 
     def test_reads_all_filter_types(self, tmp_path, rng):
         # hand-encode one PNG per filter type and check exact decode

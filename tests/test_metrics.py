@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from luxprobe.envmap import EnvironmentMap, rotate_env
 from luxprobe.metrics import (
-    _ZERO_NORM_EPS,
     MetricReport,
     angular_error,
     evaluate_three_spheres,
@@ -75,6 +74,10 @@ class TestAngularError:
         assert angular_error(3 * a, 0.2 * b) == pytest.approx(
             angular_error(a, b), abs=1e-9
         )
+        # no absolute norm floor: only a squared norm that underflows excludes a pixel
+        for scale in (2.0 ** -40, 1e-100):
+            assert angular_error(scale * a, b) == pytest.approx(angular_error(a, b), abs=1e-9)
+            assert angular_error(a, scale * b) == pytest.approx(angular_error(a, b), abs=1e-9)
 
     def test_symmetric(self, rng):
         a = rng.random((4, 4, 3)) + 0.1
@@ -93,12 +96,14 @@ class TestAngularError:
 
 def angular_error_by_linalg_norm(pred, gt):
     """angular_error with `np.linalg.norm` and the `[ok]` selection always
-    taken, as it was written before the row norms (oracle)."""
+    taken, as it was written before the row norms (oracle); a pixel counts
+    when its squared norm is at least the smallest normal float in both images."""
     p = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
     g = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     pn = np.linalg.norm(p, axis=1)
     gn = np.linalg.norm(g, axis=1)
-    ok = (pn > _ZERO_NORM_EPS) & (gn > _ZERO_NORM_EPS)
+    tiny = np.finfo(np.float64).tiny
+    ok = (pn * pn >= tiny) & (gn * gn >= tiny)
     if not ok.any():
         raise ValueError("no pixels with nonzero color in both images")
     u = p[ok] / pn[ok, None]
@@ -110,7 +115,7 @@ def angular_error_by_linalg_norm(pred, gt):
 
 
 _component = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, 5e-9, 1e-300]),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, 5e-9, 1e-154, 1.5e-154, 1e-300]),
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
 )
 

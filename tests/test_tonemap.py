@@ -5,6 +5,10 @@ from hypothesis.extra import numpy as hnp
 
 from luxprobe.envmap import EnvironmentMap
 from luxprobe.tonemap import (
+    _HABLE_EXPOSURE,
+    _HABLE_WHITE,
+    _SATURATED,
+    _hable,
     DualToneMaps,
     M_LDR,
     M_LOG,
@@ -136,11 +140,15 @@ class TestDisplayCurves:
 
     @pytest.mark.parametrize("name", ["aces", "filmic"])
     def test_overflowing_input_gives_the_limit(self, name):
-        # x * x overflows past ~1e154; inf/inf gave NaN where the curve's limit, 1, belongs
-        xs = np.array([1e154, 1e200, 1e308, np.finfo(np.float64).max])
+        # x * x would overflow past ~1e154 (and inf/inf give NaN where the curve's
+        # limit, 1, belongs); the input is clamped to +-_SATURATED first, where the
+        # curve is already 1 on either side
+        big = np.finfo(np.float64).max
+        xs = np.array([1e154, 1e200, 1e308, big, -1e300, -big, np.inf, -np.inf])
         with np.errstate(all="raise"):
             assert (TONE_CURVES[name](xs) == 1.0).all()
-            assert TONE_CURVES[name](np.float64(1e300)) == 1.0
+            for v in (1e300, -1e300, np.inf, -np.inf):
+                assert TONE_CURVES[name](np.float64(v)) == 1.0
             assert (apply_display_tonemap(np.full((2, 2, 3), 1e300), name) == 1.0).all()
         assert np.isnan(TONE_CURVES[name](np.array([np.nan]))).all()
 
@@ -263,9 +271,106 @@ class TestInPlaceParity:
     def test_scalars_and_0d_keep_their_return_type(self, fn, oracle, value):
         assert_same_result(fn(value), oracle(value))
 
-    @pytest.mark.parametrize("fn", [tonemap_ldr, tonemap_log, quantize8])
+    @pytest.mark.parametrize("fn", [tonemap_ldr, tonemap_log, quantize8, *TONE_CURVES.values()])
     def test_input_is_not_written(self, rng, fn):
         x = rng.random((8, 16, 3))
         before = x.copy()
         fn(x)
         assert x.tobytes() == before.tobytes()
+
+
+# The display curves as they were written before their input was clamped (oracles):
+# x * x overflowed past ~1e154, and `_at_limit` put the limit 1 back in place of
+# the inf/inf NaNs.
+def gamma24_srgb_oracle(x):
+    """Pure gamma companding: clip to [0,1], then power 1/2.4."""
+    return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0) ** (1.0 / 2.4)
+
+
+def _at_limit(x, y):
+    """`y`, with the limit 1 of a rational curve where its x * x overflowed.
+
+    Past x ~ 1e154 both quadratics overflow to inf and inf/inf is NaN; the
+    ACES and Hable curves tend to values above 1 there, which clip to 1.
+    """
+    overflowed = np.isnan(y)
+    if overflowed.any():
+        y = np.where(overflowed & ~np.isnan(x), 1.0, y)
+    return y
+
+
+def aces_approx_oracle(x):
+    """Rational ACES filmic fit (Narkowicz 2015), gamma-encoded.
+
+    a=2.51, b=0.03, c=2.43, d=0.59, e=0.14.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14)
+    return np.clip(_at_limit(x, y), 0.0, 1.0) ** (1.0 / 2.4)
+
+
+def filmic_approx_oracle(x):
+    """Hable/Uncharted-2 filmic curve, white-normalized and gamma-encoded."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _hable(_HABLE_EXPOSURE * x) / _hable(_HABLE_WHITE)
+    return np.clip(_at_limit(x, y), 0.0, 1.0) ** (1.0 / 2.4)
+
+
+def _around(centre, n):
+    """The 2n + 1 floats nearest `centre` (of one sign), from adjacent bit patterns."""
+    return (np.float64(centre).view(np.int64) + np.arange(-n, n + 1)).view(np.float64)
+
+
+# where each curve reaches 1: 0.08 x^2 - 0.56 x - 0.14 = 0 for ACES, 2x = white for filmic
+_ACES_ONE = (0.56 + np.sqrt(0.56 ** 2 + 4 * 0.08 * 0.14)) / 0.16
+_FILMIC_ONE = _HABLE_WHITE / _HABLE_EXPOSURE
+
+
+def _curve_inputs():
+    """About 1.3M float64 inputs: every binade of both signs, +-0, +-inf and NaN,
+    dense bands around +-_SATURATED and each curve's saturation point, and
+    uniform draws over the curves' knee and around the clamp."""
+    rng = np.random.default_rng(24)
+    exps = np.arange(-1074, 1024)
+    binades = np.ldexp(rng.uniform(1.0, 2.0, (exps.size, 200)), exps[:, None]).ravel()
+    binades = np.concatenate([binades, np.ldexp(1.0, exps), [np.finfo(np.float64).max]])
+    bands = [_around(c, 20000) for c in (_SATURATED, _ACES_ONE, _FILMIC_ONE)]
+    positive = np.concatenate([binades, *bands, rng.uniform(0.0, 20.0, 100000),
+                               rng.uniform(0.5e6, 2e6, 100000)])
+    return np.concatenate([positive, -positive, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+
+
+class TestDisplayCurveParity:
+    """The clamped curves and the in-place gamma encoder against the curves as
+    they were written before (oracles), bit for bit."""
+
+    CASES = [("gamma24", gamma24_srgb_oracle), ("aces", aces_approx_oracle),
+             ("filmic", filmic_approx_oracle)]
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _curve_inputs()
+
+    @pytest.mark.parametrize("name, oracle", CASES, ids=[c[0] for c in CASES])
+    def test_bit_identical_over_every_binade(self, inputs, name, oracle):
+        assert inputs.size >= 1_000_000
+        got, want = TONE_CURVES[name](inputs), oracle(inputs)
+        differ = got.view(np.uint64) != want.view(np.uint64)
+        assert not differ.any(), (inputs[differ][:5], got[differ][:5], want[differ][:5])
+
+    @pytest.mark.parametrize("name, oracle", CASES, ids=[c[0] for c in CASES])
+    def test_images_c_order_and_channel_planar(self, inputs, name, oracle):
+        img = np.random.default_rng(7).choice(inputs, 200 * 400 * 3).reshape(200, 400, 3)
+        planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(img, -1, 0)), 0, -1)
+        assert planar.strides[-1] == 200 * 400 * 8
+        for x in (img, planar):
+            assert_same_result(TONE_CURVES[name](x), oracle(x))
+
+    @pytest.mark.parametrize("name, oracle", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1, 7.5, 1e300, -1e300, np.inf, np.nan,
+                                       np.float64(0.25), np.float32(0.75), np.asarray(1e7),
+                                       np.asarray(0.0, dtype=np.float32), [0.125], [[1.0, 0.0]]])
+    def test_scalars_and_0d_keep_their_return_type(self, name, oracle, value):
+        assert_same_result(TONE_CURVES[name](value), oracle(value))
