@@ -87,17 +87,17 @@ def direction_to_pixel(direction, width: int, height: int):
     azimuth is undefined and col is fixed to width/2.
     """
     col, row = _directions_to_pixels(np.asarray(direction, dtype=np.float64), width, height)
-    return float(col), float(row)
+    return col.item(), row.item()
 
 
 def _directions_to_pixels(dirs, width, height):
-    """Vectorized direction_to_pixel over (..., 3) arrays.
+    """Vectorized direction_to_pixel over (..., 3) arrays: flat (n,) col and row
+    arrays, n the number of directions (1 for a single (3,) direction).
 
     Works in place on flat copies, in the operation order of the formulas,
     such as (theta * height) / pi, so the bits are those of the expressions
     written out.
     """
-    shape = np.shape(dirs)[:-1]
     dirs = np.reshape(dirs, (-1, 3))
     x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
     row = np.clip(y, -1.0, 1.0)
@@ -112,7 +112,7 @@ def _directions_to_pixels(dirs, width, height):
     col -= 0.5
     col[np.hypot(x, z) < 1e-12] = width / 2.0  # at the poles
     np.clip(row, 0.0, height - 1.0, out=row)
-    return col.reshape(shape), row.reshape(shape)
+    return col, row
 
 
 def polar_cos_sin(k, steps: int):
@@ -160,9 +160,7 @@ def equirect_geometry(dirs: np.ndarray, height: int, width: int):
     map of that size (`apply_equirect`).
     """
     shape = np.shape(dirs)[:-1]
-    # flat: for a single (3,) direction, np.floor would return scalars, which
-    # the in-place clips and the texel rows below cannot take
-    col, row = _directions_to_pixels(np.reshape(dirs, (-1, 3)), width, height)
+    col, row = _directions_to_pixels(dirs, width, height)
     c0 = np.floor(col)
     col -= c0  # tc
     c0 = c0.astype(np.int64)

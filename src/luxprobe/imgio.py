@@ -27,7 +27,7 @@ import numpy as np
 # PFM
 
 def read_pfm(path) -> np.ndarray:
-    """Load a PFM file as float32 (H, W, 3); grayscale is replicated to RGB.
+    """Load a PFM file as C-ordered float32 (H, W, 3); grayscale is replicated to RGB.
 
     Raises ValueError when the header's scale takes a finite value past float32's range.
     """
@@ -64,7 +64,7 @@ def read_pfm(path) -> np.ndarray:
         if not np.isfinite(scaled).all() and np.isfinite(data).all():
             raise ValueError(f"PFM scale {abs(scale):g} overflows float32")
         data = scaled
-    return np.ascontiguousarray(data.astype(np.float32))
+    return np.ascontiguousarray(data, dtype=np.float32)
 
 
 def write_pfm(path, image: np.ndarray) -> None:
@@ -261,7 +261,7 @@ def write_png(path, image: np.ndarray, metadata: dict | None = None) -> None:
 def read_png(path):
     """Read an 8-bit non-interlaced RGB/RGBA/gray PNG.
 
-    Returns (float01_array (H, W, 3), metadata dict from tEXt chunks).
+    Returns (C-ordered float01_array (H, W, 3), metadata dict from tEXt chunks).
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -321,7 +321,8 @@ def read_png(path):
         img = img.repeat(3, axis=2)
     elif channels == 4:
         img = img[..., :3]
-    return img.astype(np.float64) / 255.0, meta
+    # the wavefront unfilter's image is channel-planar; the float copy is not
+    return img.astype(np.float64, order="C") / 255.0, meta
 
 
 def _unfilter(payload: np.ndarray, bpp: int) -> np.ndarray:

@@ -221,12 +221,15 @@ def render_probe_pixels(envs, materials, size: int):
     built once per direction set and grid, and kept only while a later
     material looks up the same directions: the mirror and matte probes of a
     map of at most PREFILTER_MAX_ROWS rows share one reflection geometry,
-    since the prefilter grid is then the map's own.
+    since the prefilter grid is then the map's own. A size below 16, or one
+    past numpy's index range (its disc is empty), raises ValueError.
     """
     if size < 16:
         raise ValueError("probe size must be at least 16 pixels")
     materials = list(materials)
     mask, normals = _disc_geometry(size)
+    if not len(normals):  # np.arange(size) is empty past numpy's index range
+        raise ValueError(f"probe size {size} is past numpy's index range")
     by_shape = {}
     for i, env in enumerate(envs):
         by_shape.setdefault(env.data.shape, []).append(i)

@@ -97,9 +97,6 @@ def _render(data: np.ndarray, cam: CameraSpec, out=None) -> np.ndarray:
     pixels: each block is `sample_equirect` along its own `pixel_ray`s, so no
     whole-image ray or lookup array exists. Every stage is per pixel, so the
     bits are those of `sample_equirect(data, camera_rays(cam))`."""
-    # a channel-planar map (as `read_png` can return) would be copied by every
-    # block's lookup; this is a no-op for a contiguous one
-    data = np.ascontiguousarray(data)
     if out is None:
         out = np.empty((cam.height, cam.width, 3))
     cols = np.arange(cam.width) + 0.5

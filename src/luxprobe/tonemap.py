@@ -100,12 +100,11 @@ def inverse_rule(ldr, log):
 # values in [0, 1].
 
 def gamma24_srgb(x):
-    """Pure gamma companding: clip to [0,1], then power 1/2.4, in place (a 0-d
-    input keeps the scalar pow, which can differ from the array loop's by an ulp)."""
+    """Pure gamma companding: clip to [0,1], then power 1/2.4, in place. A 0-d
+    input takes the array loop too, so it gets the bits of a one-element array."""
     x = np.asarray(x, dtype=np.float64)
-    t = _value(np.clip(x, 0.0, 1.0, out=np.empty_like(x)))
-    t **= 1.0 / 2.4
-    return t
+    t = np.clip(x, 0.0, 1.0, out=np.empty_like(x))
+    return _value(np.power(t, 1.0 / 2.4, out=t))
 
 
 # the rational curves below are >= 1 (1 once clipped) beyond +-_SATURATED on either

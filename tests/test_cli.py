@@ -819,8 +819,8 @@ class TestStderrOfAFreshProcess:
         _assert_one_error_line(run, out)
 
     def test_probe_size_past_the_index_range(self, tmp_path):
-        # np.arange(2**63) is empty, so the disc is too: the writer refuses the empty
-        # image, where a 0x0 mirror probe, which `read_pfm` rejects, used to be written
+        # np.arange(2**63) is empty, so the disc is too: the renderer refuses it, where
+        # a 0x0 mirror probe, which `read_pfm` rejects, used to be written
         pano = tmp_path / "pano.pfm"
         write_pfm(pano, _valid_map())
         out = tmp_path / "out"
@@ -828,6 +828,27 @@ class TestStderrOfAFreshProcess:
         run = _fresh(["render-probes", "--env", pano, "--size", str(2 ** 63),
                       "--out-prefix", out / "huge_"])
         _assert_one_error_line(run, out)
+        assert str(2 ** 63) in run.stderr
+
+    @pytest.mark.parametrize("command, size", [
+        ("eval", 2 ** 63 - 1), ("eval", 2 ** 63), ("eval-video", 2 ** 63 - 1),
+        ("eval-video", 2 ** 63), ("render-probes", 2 ** 63 - 1)])
+    def test_probe_size_past_the_index_range_is_named(self, tmp_path, command, size):
+        # np.arange(size) is empty from 2**63 - 1 on; the error names the size before
+        # any prefilter runs, where eval and eval-video reported "empty input" after both
+        pano = tmp_path / "frames" / "pano.pfm"
+        pano.parent.mkdir()
+        write_pfm(pano, _valid_map())
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"eval": ["--pred", pano, "--gt", pano, "--probe-size", size,
+                         "--out", out / "report.json"],
+                "eval-video": ["--pred-dir", pano.parent, "--gt-dir", pano.parent,
+                               "--probe-size", size, "--out", out / "report.json"],
+                "render-probes": ["--env", pano, "--size", size, "--out-prefix", out / "huge_"]}
+        run = _fresh([command, *argv[command]])
+        _assert_one_error_line(run, out)
+        assert str(size) in run.stderr
 
 
 class TestOutOfMemory:

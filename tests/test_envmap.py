@@ -11,6 +11,7 @@ from luxprobe.envmap import (
     check_panorama,
     check_radiance,
     direction_to_pixel,
+    equirect_geometry,
     great_circle_deg,
     luminance,
     peak_direction,
@@ -276,6 +277,10 @@ class TestDirectionToPixel:
         col, row = direction_to_pixel([0, 1, 0], 512, 256)
         assert (col, row) == (256.0, 0.0)
 
+    @pytest.mark.parametrize("direction", [[0, 0, -1], (0.6, 0.0, 0.8), np.array([0, -1.0, 0])])
+    def test_returns_two_floats(self, direction):
+        assert [type(v) for v in direction_to_pixel(direction, 512, 256)] == [float, float]
+
     def test_round_trip_8x4_exact(self):
         for row in range(4):
             for col in range(8):
@@ -524,7 +529,7 @@ def sample_by_fancy_index(data, dirs):
     """The lookup before its split into geometry and apply steps (oracle):
     four fancy-indexed reads of data[row, col]."""
     height, width = data.shape[0], data.shape[1]
-    col, row = _directions_to_pixels(dirs, width, height)
+    col, row = (a.reshape(dirs.shape[:-1]) for a in _directions_to_pixels(dirs, width, height))
     c0f = np.floor(col)
     r0f = np.floor(row)
     tc = (col - c0f)[..., None]
@@ -544,6 +549,28 @@ def sample_by_fancy_index(data, dirs):
 # z = 1 puts the azimuth at -pi or pi), on the pole rows (y = +-1) and on
 # exact-pole directions, where hypot(x, z) < 1e-12
 _SPECIAL_COMPONENTS = [0.0, -0.0, 1.0, -1.0, 1e-13, -1e-13, 1e-300, 0.5, -0.5]
+
+
+class TestLookupShapes:
+    """A lookup takes directions of any leading shape, (3,) included, and gives
+    the bits of the same directions looked up as one flat (n, 3) array."""
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (7, 3), (4, 5, 3), (2, 1, 3, 3)])
+    def test_any_shape_is_the_flat_lookup(self, rng, shape):
+        height = 9
+        data = rng.random((height, 2 * height, 3))
+        dirs = rng.normal(size=shape)
+        dirs /= vector_norms(dirs)[..., None]
+        lead = shape[:-1]
+        flat = dirs.reshape(-1, 3)
+        texels, tc, tr = equirect_geometry(dirs, height, 2 * height)
+        want = equirect_geometry(flat, height, 2 * height)
+        assert texels.shape == (4, *lead) and tc.shape == tr.shape == (*lead, 1)
+        for got, w in zip((texels, tc, tr), want):
+            assert got.tobytes() == w.tobytes()
+        got = sample_equirect(data, dirs)
+        assert got.shape == (*lead, 3)
+        assert got.tobytes() == sample_equirect(data, flat).tobytes()
 
 
 class TestLookupParity:

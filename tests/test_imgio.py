@@ -1,4 +1,5 @@
 import struct
+import sys
 import tracemalloc
 import warnings
 import zlib
@@ -56,6 +57,7 @@ class TestPfm:
             f.write(b"PF\n2 2\n1.0\n")
             f.write(data.tobytes())
         img = read_pfm(path)
+        assert img.dtype == np.float32 and img.flags.c_contiguous
         assert img[1, 0, 0] == 0.0 and img[0, 0, 0] == 6.0
 
     @pytest.mark.parametrize("scale", [-2.5, 2.5])
@@ -65,7 +67,7 @@ class TestPfm:
         path = tmp_path / "scaled.pfm"
         path.write_bytes(f"PF\n2 1\n{scale}\n".encode() + img.astype(endian + "f4").tobytes())
         back = read_pfm(path)
-        assert back.dtype == np.float32
+        assert back.dtype == np.float32 and back.flags.c_contiguous
         assert (back == img * np.float32(2.5)).all()
 
     @pytest.mark.parametrize("scale", ["-1e38", "1e38", "-1e39"])
@@ -120,6 +122,23 @@ class TestPfm:
         write_pfm(path, img)
         expected = np.asarray(img, dtype=np.float32)[::-1].astype("<f4").tobytes()
         assert path.read_bytes() == b"PF\n10 5\n-1.0\n" + expected
+
+    def test_grayscale_is_copied_once(self, tmp_path, rng):
+        # the replicated RGB is already C-ordered float32 and is returned as it is: the
+        # peak is the file's plane, np.repeat's contiguous copy of it and the 3 planes
+        gray = rng.random((256, 512)).astype("=f4")
+        scale = b"-1.0" if sys.byteorder == "little" else b"1.0"
+        path = tmp_path / "gray.pfm"
+        path.write_bytes(b"Pf\n512 256\n" + scale + b"\n" + gray[::-1].tobytes())
+        tracemalloc.start()
+        try:
+            img = read_pfm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert img.dtype == np.float32 and img.flags.c_contiguous
+        assert (img == gray[..., None]).all()
+        assert peak < 2 * img.nbytes, peak / img.nbytes
 
     def test_one_copy_of_the_payload(self, tmp_path, rng):
         # a float32 copy, its reversed astype and tobytes made three
@@ -672,3 +691,28 @@ class TestUnfilterParity:
         TestPng._png(path, 5, 4, 2, zlib.compress(payload.tobytes()))
         with pytest.raises(ValueError, match=f"unknown PNG filter type {ftype}"):
             read_png(path)
+
+
+class TestPngLayout:
+    """read_png returns C-ordered float64 for every filter mix and colour type."""
+
+    @pytest.mark.parametrize("color_type", sorted(BPP), ids=["gray", "rgb", "rgba"])
+    @pytest.mark.parametrize("mix", ["up", "mixed"])
+    def test_c_ordered_with_the_bits_of_the_decode(self, tmp_path, rng, color_type, mix):
+        height, width, bpp = 23, 17, BPP[color_type]
+        filters = np.full(height, 2) if mix == "up" else rng.permutation(np.arange(height) % 5)
+        payload = random_payload(rng, filters, width, bpp)
+        path = tmp_path / "img.png"
+        TestPng._png(path, width, height, color_type, zlib.compress(payload.tobytes()))
+        got, _ = read_png(path)
+        # the decode as it was written before it fixed the order (oracle): the
+        # wavefront unfilter's channel-planar layout survived the float copy
+        img = _unfilter(payload, bpp)
+        if bpp == 1:
+            img = img.repeat(3, axis=2)
+        elif bpp == 4:
+            img = img[..., :3]
+        want = img.astype(np.float64) / 255.0
+        assert got.dtype == np.float64 and got.shape == (height, width, 3)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

@@ -210,7 +210,7 @@ class TestRenderParity:
         assert got.tobytes() == want.tobytes()
 
     def test_channel_planar_map(self):
-        # read_png returns this layout for rows with Avg/Paeth filters
+        # a library caller can pass this layout; the lookups copy it but give the same bits
         x = np.random.default_rng(4).random((32, 64, 3))
         planar = x.transpose(2, 0, 1).copy().transpose(1, 2, 0)
         assert not planar.flags.c_contiguous
