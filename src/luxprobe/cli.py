@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import fusion, metrics, probes, projection, tonemap
-from .envmap import EnvironmentMap, peak_direction, rotate_env
+from .envmap import EnvironmentMap, peak_direction, rotate_env, row_blocks
 from .imgio import read_hdr, read_pfm, read_png, write_pfm, write_png
 
 
@@ -127,14 +127,14 @@ def _read_image(path, suffixes) -> np.ndarray:
 
 
 def _load_env(path) -> EnvironmentMap:
-    """HDR radiance from PFM or Radiance HDR; negatives clip to 0."""
-    data = _read_image(path, (".pfm", ".hdr")).astype(np.float64)
+    """HDR radiance from PFM or Radiance HDR, as decoded (float32); negatives clip to 0."""
+    data = _read_image(path, (".pfm", ".hdr"))
     return EnvironmentMap(np.clip(data, 0.0, None, out=data))
 
 
 def _load_channel(path) -> np.ndarray:
-    """A [0,1] image from PNG or PFM; PFM values clip to [0, 1]."""
-    data = _read_image(path, (".png", ".pfm")).astype(np.float64, copy=False)
+    """A [0,1] image from PNG or PFM, as decoded; PFM values clip to [0, 1]."""
+    data = _read_image(path, (".png", ".pfm"))
     return np.clip(data, 0.0, 1.0, out=data)  # in place: PNG data is already in range
 
 
@@ -227,8 +227,10 @@ def _cmd_decode(args, out):
     is given, else by the analytic rule."""
     _suffix(args.out, (".pfm",), "output")
     maps = tonemap.DualToneMaps(ldr=_load_channel(args.ldr), log=_load_channel(args.log))
-    if args.net is None:
-        hdr = tonemap.inverse_rule(maps.ldr, maps.log)
+    if args.net is None:  # per row block, into the float32 values the PFM stores
+        hdr = np.empty(maps.ldr.shape, dtype=np.float32)
+        for block in row_blocks(*hdr.shape[:2]):
+            hdr[block] = tonemap.inverse_rule(maps.ldr[block], maps.log[block])
     else:
         hdr = fusion.fuse_image(fusion.load_fusion_net(args.net), maps).data
     write_pfm(out.path(args.out), hdr)

@@ -16,6 +16,15 @@ import numpy as np
 
 # Rec.709 luminance weights for linear RGB
 LUMA_WEIGHTS = np.array([0.2126, 0.7152, 0.0722])
+# pixels per row block of a per-pixel stage: each block's temporaries stay in cache
+BLOCK_PIXELS = 1 << 15
+
+
+def row_blocks(rows: int, row_pixels: int, budget: int = BLOCK_PIXELS):
+    """Slices of rows 0..rows-1, in order, each of at most `budget` pixels at
+    `row_pixels` pixels a row; a row wider than the budget is a block alone."""
+    step = max(1, budget // row_pixels)
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def check_panorama(shape) -> None:
@@ -184,24 +193,26 @@ def equirect_geometry(dirs: np.ndarray, height: int, width: int):
 
 
 def apply_equirect(data: np.ndarray, geometry) -> np.ndarray:
-    """Bilinear lookup of a (H, W, ...) map at an `equirect_geometry`.
+    """Bilinear lookup of a (H, W, ...) map at an `equirect_geometry`, in float64
+    whatever the map's dtype: the taken texels are cast before any arithmetic,
+    so a float32 map gives the bits of its float64 cast.
 
     Lerps use the difference form a + t*(b - a) so constant maps sample
-    back bit-exactly; the weighted difference is formed in the weights'
-    float64 and `a` added to it, which gives the same bits.
+    back bit-exactly; the weighted difference is formed in float64 and `a`
+    added to it, which gives the same bits.
     """
     texels, tc, tr = geometry
     flat = data.reshape(data.shape[0] * data.shape[1], *data.shape[2:])
     a = flat.take(texels[0], axis=0)
     b = flat.take(texels[1], axis=0)
-    b -= a
-    top = tc * b
+    top = np.subtract(b, a, dtype=np.float64)
+    top *= tc
     top += a
     # the texels are in range by construction; mode "raise" would copy `out` first
     flat.take(texels[2], axis=0, out=a, mode="wrap")
     flat.take(texels[3], axis=0, out=b, mode="wrap")
-    b -= a
-    bot = tc * b
+    bot = np.subtract(b, a, dtype=np.float64)
+    bot *= tc
     bot += a
     bot -= top
     bot *= tr
@@ -223,8 +234,10 @@ def rotate_env(env: EnvironmentMap, yaw_deg: float) -> EnvironmentMap:
 
     Sampling the rotated map at azimuth phi reads the source at phi + yaw,
     so project(rotate_env(pano, d), az) == project(pano, az + d). Grid-aligned
-    yaw is an exact column roll; otherwise columns are linearly resampled
-    with wraparound.
+    yaw is an exact column roll, at the map's dtype; otherwise columns are
+    linearly resampled with wraparound, in float64: the two resampled columns
+    are cast before they are lerped, so a float32 map gives the bits of its
+    float64 cast.
     """
     width = env.width
     shift = yaw_deg * width / 360.0
@@ -237,8 +250,8 @@ def rotate_env(env: EnvironmentMap, yaw_deg: float) -> EnvironmentMap:
     i0 = np.floor(pos).astype(np.int64) % width
     i1 = (i0 + 1) % width
     t = (pos - np.floor(pos))[None, :, None]
-    lo = env.data[:, i0]
-    data = lo + t * (env.data[:, i1] - lo)
+    lo = env.data[:, i0].astype(np.float64, copy=False)
+    data = lo + t * (env.data[:, i1].astype(np.float64, copy=False) - lo)
     return EnvironmentMap(data)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap
+from .envmap import EnvironmentMap, row_blocks
 from .imgio import check_unit
 from .tonemap import DualToneMaps, tonemap_ldr, tonemap_log, quantize8
 
@@ -135,8 +135,8 @@ def init_structured(seed: int, dtype=np.float64, quantize: bool = True) -> Fusio
     x = np.concatenate([ldr, log], axis=1)
     net = FusionNet(params)  # its head is still zero; the fit reads the last hidden layer
     phi = np.ones((x.shape[0], WIDTHS[-2] + 1))
-    for i in range(0, x.shape[0], BLOCK_ROWS):
-        phi[i : i + BLOCK_ROWS, :-1] = _forward(net, x[i : i + BLOCK_ROWS])[1][-2]
+    for block in row_blocks(x.shape[0], 1, BLOCK_ROWS):
+        phi[block, :-1] = _forward(net, x[block])[1][-2]
     lam = 1e-3 * phi.shape[0]
     gram = phi.T @ phi + lam * np.eye(phi.shape[1])
     rhs = phi.T @ _softplus_inv(hdr)
@@ -161,18 +161,19 @@ def _forward(net: FusionNet, x: np.ndarray):
 
 
 def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.ndarray):
-    """Inference on (N, 3) input pairs into `out` (N, 3), BLOCK_ROWS rows at a
-    time: each block is cast to `net.dtype`, joined and range-checked in one
-    reused (BLOCK_ROWS, 6) buffer, so no (N, 6) input exists, and its output
-    is stored into `out`, cast to out's dtype."""
+    """Inference on (N, 3) input pairs into `out` (N, 3), in the BLOCK_ROWS-row
+    blocks of `row_blocks` (a budget of BLOCK_ROWS at one pixel a row): each
+    block is cast to `net.dtype`, joined and range-checked in one reused
+    (BLOCK_ROWS, 6) buffer, so no (N, 6) input exists, and its output is
+    stored into `out`, cast to out's dtype."""
     n = ldr.shape[0]
     x = np.empty((min(n, BLOCK_ROWS), WIDTHS[0]), dtype=net.dtype)
-    for i in range(0, n, BLOCK_ROWS):
-        xb = x[: min(BLOCK_ROWS, n - i)]
-        xb[:, :3] = ldr[i : i + BLOCK_ROWS]
-        xb[:, 3:] = log[i : i + BLOCK_ROWS]
+    for block in row_blocks(n, 1, BLOCK_ROWS):
+        xb = x[: block.stop - block.start]
+        xb[:, :3] = ldr[block]
+        xb[:, 3:] = log[block]
         check_unit(xb, "fusion inputs")
-        out[i : i + BLOCK_ROWS] = _forward(net, xb)[1][-1]
+        out[block] = _forward(net, xb)[1][-1]
     return out
 
 

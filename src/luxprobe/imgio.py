@@ -22,6 +22,8 @@ import zlib
 
 import numpy as np
 
+from .envmap import row_blocks
+
 
 # ---------------------------------------------------------------------------
 # PFM
@@ -68,17 +70,19 @@ def read_pfm(path) -> np.ndarray:
 
 
 def write_pfm(path, image: np.ndarray) -> None:
-    """Write non-empty (H, W, 3) float data as little-endian RGB PFM."""
+    """Write non-empty (H, W, 3) float data as little-endian RGB PFM: the rows,
+    bottom row first, go out as `<f4` in the row blocks of `row_blocks`, so no
+    whole-map copy is made."""
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3 or 0 in arr.shape:
         raise ValueError(f"PFM writer expects non-empty (H, W, 3), got {arr.shape}")
     height, width = arr.shape[:2]
-    rows = np.ascontiguousarray(arr[::-1], dtype="<f4")  # bottom row first, one copy
     with open(path, "wb") as f:
         f.write(b"PF\n")
         f.write(f"{width} {height}\n".encode("ascii"))
         f.write(b"-1.0\n")
-        f.write(rows)
+        for block in row_blocks(height, width):
+            f.write(np.ascontiguousarray(arr[::-1][block], dtype="<f4"))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envmap import (EnvironmentMap, apply_equirect, equirect_geometry, polar_cos_sin,
-                     solid_angle_rows)
+                     row_blocks, solid_angle_rows)
 
 PREFILTER_MAX_ROWS = 64
 
@@ -131,6 +131,11 @@ def _weighted_sums(maps, out_height: int, exponents):
     to each exponent, and each map's radiance spectrum is taken once per
     call. Each map has its own product, so a map's bits for an exponent do
     not depend on which maps or exponents share the call.
+
+    A radiance spectrum is taken over the row blocks of `row_blocks`, each
+    block cast to float64 and its spectrum stored straight into the map's
+    (frequency, input row, channel) buffer, so a float32 map gives the bits
+    of its float64 cast and no whole-map spectrum is copied.
     """
     if out_height < 1:
         raise ValueError(f"prefilter out_height must be at least 1, got {out_height}")
@@ -146,10 +151,11 @@ def _weighted_sums(maps, out_height: int, exponents):
     phases, phase_of_col = np.unique(r, return_inverse=True)
     shifts = (2 * phases + width - out_width) / (2 * out_width)
     cos_dphi = np.cos(2.0 * np.pi * (np.arange(width) + shifts[:, None]) / width)
-    # (frequency, input row, channel), so each frequency is one small matmul; held
-    # as complex128, which the products would otherwise cast to on every call
-    radiance_hats = [np.ascontiguousarray(np.fft.rfft(data, axis=1).transpose(1, 0, 2),
-                                          dtype=np.complex128) for data in maps]
+    # (frequency, input row, channel), so each frequency is one small matmul
+    radiance_hats = [np.empty((width // 2 + 1, height, 3), dtype=np.complex128) for _ in maps]
+    for data, hat in zip(maps, radiance_hats):
+        for block in row_blocks(height, width):
+            hat[:, block] = np.fft.rfft(data[block].astype(np.float64), axis=1).transpose(1, 0, 2)
     sums = [([np.empty((rows, out_width, 3)) for _ in maps], np.empty((rows, out_width)))
             for _ in exponents]
     kernel_hats = np.empty((width // 2 + 1, 2, height), dtype=np.complex128)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import luxprobe
 from luxprobe.cli import main, thread_limit
-from luxprobe.envmap import EnvironmentMap, rotate_env, sample_equirect
+from luxprobe.envmap import BLOCK_PIXELS, EnvironmentMap, rotate_env, sample_equirect
 from luxprobe.fusion import init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
 from luxprobe.projection import CameraSpec, camera_rays
@@ -90,6 +90,21 @@ class TestTonemapInverse:
         assert set(m["outputs"]) == {str(ldr), str(log)}
         for digest in m["outputs"].values():
             assert len(digest) == 64
+
+    def test_inverse_memory_flat_in_map_size(self, tmp_path):
+        # 128x256 and 512x1024 float32 PFM pairs: beyond the two decoded channels
+        # and the float32 output, the analytic inverse holds a few float64 row blocks
+        block = BLOCK_PIXELS * 3 * 8
+        rng = np.random.default_rng(7)
+        for height in (128, 512):
+            pair = []
+            for name in ("ldr", "log"):
+                pair += [f"--{name}", tmp_path / f"{name}{height}.pfm"]
+                write_pfm(pair[-1], rng.uniform(-0.05, 1.05, (height, 2 * height, 3)))
+            argv = ["inverse", *pair, "--out", tmp_path / "hdr.pfm"]
+            traced_peak(argv)  # warm up: first-call allocations stay out of the comparison
+            rest = traced_peak(argv) - 3 * height * 2 * height * 3 * 4
+            assert rest < 10 * block, f"{height} rows: {rest / block:.2f} blocks"
 
 
 class TestEval:
@@ -230,6 +245,19 @@ class TestCropRotatePeak:
                             "--out", tmp_path / "c.png"])
         crop, pano = 480 * 720 * 3 * 8, 256 * 512 * 3 * 8  # float64 bytes
         assert peak < 2.5 * crop + pano, (peak - pano) / crop
+
+    def test_crop_memory_flat_in_map_size(self, tmp_path):
+        # the map is held as its float32 decode: beyond it, a crop from a
+        # 512x1024 PFM peaks no higher than one from a 128x256 PFM
+        rest = {}
+        for height in (128, 512):
+            path = tmp_path / f"m{height}.pfm"
+            write_pfm(path, np.random.default_rng(height).gamma(1.0, 2.0, (height, 2 * height, 3)))
+            argv = ["crop", "--pano", path, "--tonemap", "agx", "--out", tmp_path / "c.png"]
+            traced_peak(argv)  # warm up: first-call allocations stay out of the comparison
+            rest[height] = traced_peak(argv) - height * 2 * height * 3 * 4
+        block = BLOCK_PIXELS * 3 * 8
+        assert rest[512] - rest[128] < block, (rest[512] - rest[128]) / block
 
     def test_rotate_matches_library(self, tmp_path, env_file):
         out = tmp_path / "rot.pfm"

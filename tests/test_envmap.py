@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from luxprobe.envmap import (
+    BLOCK_PIXELS,
     EnvironmentMap,
     _directions_to_pixels,
     check_panorama,
@@ -18,6 +19,7 @@ from luxprobe.envmap import (
     pixel_to_direction,
     polar_cos_sin,
     rotate_env,
+    row_blocks,
     sample_equirect,
     solid_angle_rows,
     vector_norms,
@@ -591,7 +593,7 @@ class TestLookupParity:
     def test_bit_identical(self, height, dtype, seed, dirs):
         data = np.random.default_rng(seed).random((height, 2 * height, 3)).astype(dtype)
         fast = sample_equirect(data, dirs)
-        oracle = sample_by_fancy_index(data, dirs)
+        oracle = sample_by_fancy_index(data.astype(np.float64), dirs)  # a lookup is float64
         assert fast.dtype == oracle.dtype and fast.shape == oracle.shape
         assert fast.tobytes() == oracle.tobytes()
 
@@ -609,4 +611,60 @@ class TestLookupParity:
                          [1e-13, 1.0, -1e-13], [0.0, 1.0, 1e-300]])
         for dirs in (centers, between, seam, seam[0]):
             assert sample_equirect(data, dirs).tobytes() == sample_by_fancy_index(
-                data, dirs).tobytes()
+                data.astype(np.float64), dirs).tobytes()
+
+
+class TestRowBlocks:
+    """One helper turns a pixel budget into row blocks for every per-pixel stage."""
+
+    @given(rows=st.integers(1, 300), row_pixels=st.integers(1, 5000),
+           budget=st.integers(1, 20000))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_once_in_order_within_the_budget(self, rows, row_pixels, budget):
+        blocks = row_blocks(rows, row_pixels, budget)
+        assert [r for block in blocks for r in range(rows)[block]] == list(range(rows))
+        sizes = [len(range(rows)[block]) for block in blocks]
+        assert all(n * row_pixels <= budget or n == 1 for n in sizes)
+        # every block but the last holds as many rows as the budget allows
+        assert all(n == max(1, budget // row_pixels) for n in sizes[:-1])
+
+    def test_one_row(self):
+        assert row_blocks(1, 2048) == [slice(0, 1)]
+
+    def test_last_block_is_partial(self):
+        # 32 rows of 1000 pixels fit in the default budget
+        assert BLOCK_PIXELS == 1 << 15
+        assert row_blocks(70, 1000) == [slice(0, 32), slice(32, 64), slice(64, 70)]
+
+    def test_a_row_wider_than_the_budget_is_a_block_alone(self):
+        assert row_blocks(3, BLOCK_PIXELS + 7) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+class TestFloat32Maps:
+    """A map stays at its decoder's float32: each stage casts the values it
+    takes to float64 before any arithmetic, so it gives the bytes of the same
+    call on the map's float64 cast."""
+
+    @given(height=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           dirs=arrays(np.float64, (7, 3), elements=st.floats(-1.0, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_lookup(self, height, seed, dirs):
+        data = np.random.default_rng(seed).gamma(1.0, 2.0, (height, 2 * height, 3))
+        data = data.astype(np.float32)
+        got = sample_equirect(data, dirs)
+        assert got.dtype == np.float64
+        assert got.tobytes() == sample_equirect(data.astype(np.float64), dirs).tobytes()
+
+    @given(height=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           columns=st.integers(-100, 100), fraction=st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_rotate(self, height, seed, columns, fraction):
+        data = np.random.default_rng(seed).gamma(1.0, 2.0, (height, 2 * height, 3))
+        env = EnvironmentMap(data.astype(np.float32))
+        wide = EnvironmentMap(env.data.astype(np.float64))
+        # a grid yaw is a roll and keeps the map's dtype; any other resamples in float64
+        for shift, dtype in ((columns, np.float32), (columns + fraction, np.float64)):
+            yaw = 360.0 * shift / (2 * height)
+            got, want = rotate_env(env, yaw).data, rotate_env(wide, yaw).data
+            assert got.dtype == dtype
+            assert got.astype(np.float64).tobytes() == want.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from luxprobe import fusion
-from luxprobe.envmap import EnvironmentMap
+from luxprobe.envmap import EnvironmentMap, row_blocks
 from luxprobe.fusion import (
     BLOCK_ROWS,
     EXPOSURE_RANGE,
@@ -167,6 +167,13 @@ class TestBlockedForward:
 
     def test_block_is_the_default_training_batch(self):
         assert BLOCK_ROWS == TrainConfig().batch_size
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_budget_of_block_rows_at_one_pixel_a_row(self, n):
+        # the budget `_forward_blocks` and `init_structured` pass to `row_blocks`
+        sizes = [len(range(n)[block]) for block in row_blocks(n, 1, BLOCK_ROWS)]
+        full, rest = divmod(n, BLOCK_ROWS)
+        assert sizes == [BLOCK_ROWS] * full + [rest] * (rest > 0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", ROWS)

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from luxprobe import probes
 from luxprobe.envmap import (
     EnvironmentMap,
     pixel_to_direction,
@@ -16,12 +18,14 @@ from luxprobe.probes import (
     MATTE_SILVER,
     MIRROR_BALL,
     PREFILTER_MAX_ROWS,
+    STANDARD_MATERIALS,
     Material,
     _pow_int,
     _weighted_sums,
     prefilter_diffuse,
     prefilter_glossy,
     render_probe,
+    render_probe_pixels,
 )
 from conftest import grid_directions
 
@@ -516,3 +520,28 @@ class TestRenderProbe:
         with pytest.raises(ValueError, match="at least 16"):
             render_probe(EnvironmentMap.constant(1.0, 8), MIRROR_BALL, size=8)
 
+
+class TestFloat32Maps:
+    @given(height=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), size=st.integers(16, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_probes_are_those_of_the_float64_cast(self, height, seed, size):
+        # the radiance spectrum is taken of float64 row blocks and the mirror
+        # lookup casts its texels, so a float32 map gives its float64 cast's bits
+        data = np.random.default_rng(seed).gamma(1.0, 2.0, (height, 2 * height, 3))
+        env = EnvironmentMap(data.astype(np.float32))
+        wide = EnvironmentMap(env.data.astype(np.float64))
+        materials = STANDARD_MATERIALS.values()
+        for (mask, (got,)), (want_mask, (want,)) in zip(
+                render_probe_pixels([env], materials, size),
+                render_probe_pixels([wide], materials, size)):
+            assert (mask == want_mask).all()
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_radiance_spectra_in_row_blocks_are_the_whole_map_ones(self, monkeypatch):
+        # 200x400: three row blocks (81, 81 and 38 rows); one whole-map block is the oracle
+        data = np.random.default_rng(5).gamma(1.0, 2.0, (200, 400, 3)).astype(np.float32)
+        blocked = _weighted_sums([data], 16, [1, 64])
+        monkeypatch.setattr(probes, "row_blocks", lambda rows, row_pixels: [slice(0, rows)])
+        whole = _weighted_sums([data], 16, [1, 64])
+        for ((num,), den), ((want_num,), want_den) in zip(blocked, whole):
+            assert num.tobytes() == want_num.tobytes() and den.tobytes() == want_den.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from luxprobe.envmap import (
+    BLOCK_PIXELS,
     EnvironmentMap,
     equirect_geometry,
     great_circle_deg,
@@ -13,7 +14,6 @@ from luxprobe.envmap import (
 )
 from luxprobe.imgio import codes8
 from luxprobe.projection import (
-    CROP_BLOCK_PIXELS,
     CameraSpec,
     PanoramaSource,
     Trajectory,
@@ -187,7 +187,7 @@ class TestProjection:
 
 def row_blocks(cam):
     """How many row blocks `_render` and `_display_codes` take for `cam`."""
-    return -(-cam.height // max(1, CROP_BLOCK_PIXELS // cam.width))
+    return -(-cam.height // max(1, BLOCK_PIXELS // cam.width))
 
 
 class TestRenderParity:
@@ -196,7 +196,7 @@ class TestRenderParity:
 
     @pytest.mark.parametrize("az, el, fov, width, height, blocks", [
         (33.0, -5.0, 70.0, 1000, 70, 3),  # 32, 32 and a partial 6 rows
-        (250.0, 8.0, 120.0, CROP_BLOCK_PIXELS + 7, 3, 3),  # wider than a block: one row each
+        (250.0, 8.0, 120.0, BLOCK_PIXELS + 7, 3, 3),  # wider than a block: one row each
         (0.0, 0.0, 60.0, 720, 480, 11),  # the default crop, 45-row blocks
         (359.0, 89.0, 10.0, 5, 4, 1),  # near a pole
     ])
