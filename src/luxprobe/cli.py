@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from . import fusion, metrics, probes, projection, tonemap
-from .envmap import EnvironmentMap, peak_direction, rotate_env, row_blocks
-from .imgio import read_hdr, read_pfm, read_png, write_pfm, write_png
+from .envmap import EnvironmentMap, map_rows, peak_direction, rotate_env
+from .imgio import codes8, read_hdr, read_pfm, read_png, write_pfm, write_png
 
 
 def thread_limit() -> int:
@@ -216,9 +216,11 @@ def _cmd_tonemap(args, out):
         _suffix(path, (".png",), "output")
     if Path(args.out_ldr).resolve() == Path(args.out_log).resolve():
         raise ValueError(f"--out-ldr and --out-log name one file: {args.out_log}")
-    maps = tonemap.tonemap_dual(_load_env(args.infile))
-    write_png(out.path(args.out_ldr), maps.ldr, metadata={"tonecurve": "dual-reinhard16"})
-    write_png(out.path(args.out_log), maps.log, metadata={"tonecurve": "dual-log10000"})
+    data = _load_env(args.infile).data
+    for path, channel, curve in ((args.out_ldr, tonemap.tonemap_ldr, "dual-reinhard16"),
+                                 (args.out_log, tonemap.tonemap_log, "dual-log10000")):
+        codes = map_rows(lambda e: codes8(channel(e)), data, out=np.empty(data.shape, np.uint8))
+        write_png(out.path(path), codes, metadata={"tonecurve": curve})
     return args.out_ldr, {"in": args.infile}, {}
 
 
@@ -228,9 +230,8 @@ def _cmd_decode(args, out):
     _suffix(args.out, (".pfm",), "output")
     maps = tonemap.DualToneMaps(ldr=_load_channel(args.ldr), log=_load_channel(args.log))
     if args.net is None:  # per row block, into the float32 values the PFM stores
-        hdr = np.empty(maps.ldr.shape, dtype=np.float32)
-        for block in row_blocks(*hdr.shape[:2]):
-            hdr[block] = tonemap.inverse_rule(maps.ldr[block], maps.log[block])
+        hdr = map_rows(tonemap.inverse_rule, maps.ldr, maps.log,
+                       out=np.empty(maps.ldr.shape, dtype=np.float32))
     else:
         hdr = fusion.fuse_image(fusion.load_fusion_net(args.net), maps).data
     write_pfm(out.path(args.out), hdr)

@@ -27,6 +27,19 @@ def row_blocks(rows: int, row_pixels: int, budget: int = BLOCK_PIXELS):
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
+def map_rows(fn, *arrays, out):
+    """Set out[b] = fn(*(a[b] for a in arrays)) for each b in `row_blocks(*out.shape[:2])`
+    and return `out` (or a tuple of outputs, blocked as the first, for a tuple-valued
+    `fn`): the one row-block rule. `fn` is per pixel, so any block gives its bits."""
+    many = isinstance(out, tuple)
+    for b in row_blocks(*(out[0] if many else out).shape[:2]):
+        values = fn(*(a[b] for a in arrays))
+        for o, v in zip(out, values) if many else [(out, values)]:
+            o[b] = v
+        del values, v  # no block is held while the next is made
+    return out
+
+
 def check_panorama(shape) -> None:
     """Raise ValueError unless `shape` is a panorama's: (H, W, 3), H >= 1, W == 2*H."""
     if len(shape) != 3 or shape[2] != 3 or shape[0] < 1:
@@ -235,9 +248,9 @@ def rotate_env(env: EnvironmentMap, yaw_deg: float) -> EnvironmentMap:
     Sampling the rotated map at azimuth phi reads the source at phi + yaw,
     so project(rotate_env(pano, d), az) == project(pano, az + d). Grid-aligned
     yaw is an exact column roll, at the map's dtype; otherwise columns are
-    linearly resampled with wraparound, in float64: the two resampled columns
-    are cast before they are lerped, so a float32 map gives the bits of its
-    float64 cast.
+    linearly resampled with wraparound, per row block into a float64 map: the
+    two resampled columns are cast before they are lerped, so a float32 map
+    gives the bits of its float64 cast.
     """
     width = env.width
     shift = yaw_deg * width / 360.0
@@ -250,9 +263,12 @@ def rotate_env(env: EnvironmentMap, yaw_deg: float) -> EnvironmentMap:
     i0 = np.floor(pos).astype(np.int64) % width
     i1 = (i0 + 1) % width
     t = (pos - np.floor(pos))[None, :, None]
-    lo = env.data[:, i0].astype(np.float64, copy=False)
-    data = lo + t * (env.data[:, i1].astype(np.float64, copy=False) - lo)
-    return EnvironmentMap(data)
+
+    def lerp(rows):
+        lo = rows[:, i0].astype(np.float64, copy=False)
+        return lo + t * (rows[:, i1].astype(np.float64, copy=False) - lo)
+
+    return EnvironmentMap(map_rows(lerp, env.data, out=np.empty(env.data.shape)))
 
 
 def peak_direction(env: EnvironmentMap, percentile: float = 0.999) -> np.ndarray:

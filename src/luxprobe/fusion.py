@@ -6,7 +6,8 @@ strictly positive. Training minimizes mean Huber loss (delta = 1) against
 linear-radiance targets with Adam-style per-parameter step scaling. One
 forward pass, `_forward`, serves training, inference and the structured init;
 the last two run it over consecutive BLOCK_ROWS-row blocks, so their memory
-is a fixed number of block-sized arrays plus the input and output.
+is a fixed number of block-sized arrays plus the input and output. The
+training pool is drawn whole and built per row block (`training_pool`).
 
 Inputs are the six [0,1] values (ldr RGB, log RGB); see tonemap.inverse_rule
 for the analytic oracle the trained network is benchmarked against.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import EnvironmentMap, row_blocks
+from .envmap import EnvironmentMap, map_rows, row_blocks
 from .imgio import check_unit
 from .tonemap import DualToneMaps, tonemap_ldr, tonemap_log, quantize8
 
@@ -218,15 +219,17 @@ def huber_loss(pred, target):
 
 
 def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool = True,
-                          intensity_range=INTENSITY_RANGE):
-    """Synthetic supervised pairs: ((ldr, log) inputs, hdr targets).
+                          intensity_range=INTENSITY_RANGE, out=None):
+    """Synthetic supervised pairs: ((ldr, log) inputs, hdr targets), as new
+    float64 (count, 3) arrays or, cast, into `out`, a triple of (count, 3) arrays.
 
     Radiance is drawn log-uniformly over the intensity range as a shared
     per-sample scale with a +/-1 octave per-channel hue jitter, then scaled
     by a random exposure and clipped back into the invertible range (so the
     analytic inverse recovers every unquantized pair exactly). The [0,1]
     inputs are optionally snapped to the 8-bit grid, matching the precision
-    of PNG-decoded inputs at inference time.
+    of PNG-decoded inputs at inference time. The draws are made whole; the
+    per-pair stage runs per row block (`map_rows`).
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -236,17 +239,23 @@ def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool =
     exposure = np.exp(
         rng.uniform(np.log(EXPOSURE_RANGE[0]), np.log(EXPOSURE_RANGE[1]), size=count)
     )
-    # clip(base * 2**jitter * exposure) in place, in that order of operations
-    hdr = np.power(2.0, jitter, out=jitter)
-    hdr *= base[:, None]
-    hdr *= exposure[:, None]
-    np.clip(hdr, lo, hi, out=hdr)
-    ldr = tonemap_ldr(hdr)
-    log = tonemap_log(hdr)
-    if quantize:
-        ldr = quantize8(ldr)
-        log = quantize8(log)
-    return ldr, log, hdr
+
+    def stage(base, jitter, exposure):
+        hdr = np.clip(base[:, None] * 2.0 ** jitter * exposure[:, None], lo, hi)
+        ldr, log = tonemap_ldr(hdr), tonemap_log(hdr)
+        return (quantize8(ldr), quantize8(log), hdr) if quantize else (ldr, log, hdr)
+
+    out = tuple(np.empty((count, 3)) for _ in range(3)) if out is None else out
+    return map_rows(stage, base, jitter, exposure, out=out)
+
+
+def training_pool(rng: np.random.Generator, count: int, quantize: bool = True):
+    """The TRAIN_DTYPE cast of `sample_training_pairs(rng, count, quantize)` as
+    inputs (count, 6) and targets (count, 3), with no float64 pool made."""
+    x = np.empty((count, WIDTHS[0]), dtype=TRAIN_DTYPE)
+    y = np.empty((count, WIDTHS[-1]), dtype=TRAIN_DTYPE)
+    sample_training_pairs(rng, count, quantize, out=(x[:, :3], x[:, 3:], y))
+    return x, y
 
 
 @dataclass
@@ -282,8 +291,8 @@ def _lr_at(cfg: TrainConfig, t: int) -> float:
 def train_fusion(cfg: TrainConfig, data=None):
     """Train a fusion net; returns (net, final mean Huber loss or None if no step ran).
 
-    `data` may supply a fixed (ldr, log, hdr) pool; by default a pool of
-    POOL_SIZE synthetic pairs is drawn from cfg.seed + 1, unless no step runs
+    `data` may supply a fixed (ldr, log, hdr) pool; by default the `training_pool`
+    of POOL_SIZE pairs is drawn from cfg.seed + 1, unless no step runs
     (cfg.steps == 0), which returns the initial net. Batches cycle
     through the pool in order, so identical configs give bit-identical nets.
     Raises RuntimeError with the step index if the loss goes non-finite.
@@ -296,13 +305,10 @@ def train_fusion(cfg: TrainConfig, data=None):
     if cfg.steps == 0:
         return net, None
     if data is None:
-        rng = np.random.default_rng(cfg.seed + 1)
-        data = sample_training_pairs(rng, POOL_SIZE, quantize=cfg.quantize)
-    ldr, log, hdr = data
-    x_pool = np.empty((len(ldr), WIDTHS[0]), dtype=dtype)
-    x_pool[:, :3] = ldr
-    x_pool[:, 3:] = log
-    y_pool = np.ascontiguousarray(hdr, dtype=dtype)
+        x_pool, y_pool = training_pool(np.random.default_rng(cfg.seed + 1), POOL_SIZE, cfg.quantize)
+    else:
+        x_pool = np.concatenate(data[:2], axis=1, dtype=dtype)
+        y_pool = np.ascontiguousarray(data[2], dtype=dtype)
     pool = x_pool.shape[0]
     if pool < cfg.batch_size:
         reps = -(-cfg.batch_size // pool)
@@ -341,12 +347,12 @@ def train_fusion(cfg: TrainConfig, data=None):
 
 
 def fuse_image(net: FusionNet, maps: DualToneMaps) -> EnvironmentMap:
-    """Per-pixel fusion of a dual-tonemapped environment map back to HDR."""
+    """Per-pixel fusion of a dual-tonemapped environment map back to HDR, at
+    `net.dtype`: each block's output goes straight into the map."""
     h, w = maps.ldr.shape[:2]
     ldr = maps.ldr.reshape(-1, 3)
     log = maps.log.reshape(-1, 3)
-    # each block's output goes straight into the float64 map (an exact cast)
-    out = _forward_blocks(net, ldr, log, np.empty((h * w, WIDTHS[-1])))
+    out = _forward_blocks(net, ldr, log, np.empty((h * w, WIDTHS[-1]), dtype=net.dtype))
     return EnvironmentMap(out.reshape(h, w, 3))
 
 

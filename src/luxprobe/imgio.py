@@ -224,9 +224,7 @@ def codes8(values) -> np.ndarray:
     value outside [0, 1] raises ValueError."""
     arr = np.asarray(values)
     check_unit(arr, "8-bit data")
-    codes = np.multiply(arr, 255.0, out=np.empty(arr.shape), dtype=np.float64)
-    codes += 0.5
-    return np.floor(codes, out=codes)
+    return np.floor(np.multiply(arr, 255.0, dtype=np.float64) + 0.5)
 
 
 def write_png(path, image: np.ndarray, metadata: dict | None = None) -> None:

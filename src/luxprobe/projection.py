@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import (EnvironmentMap, check_panorama, great_circle_deg, row_blocks,
+from .envmap import (EnvironmentMap, check_panorama, great_circle_deg, map_rows,
                      sample_equirect, vector_norms)
 from .imgio import codes8
 from .tonemap import apply_display_tonemap, auto_expose, tonemap_ldr, tonemap_log, TONE_CURVES
@@ -93,17 +93,15 @@ def camera_rays(cam: CameraSpec) -> np.ndarray:
 
 def _render(data: np.ndarray, cam: CameraSpec, out=None) -> np.ndarray:
     """The (cam.height, cam.width, 3) float64 view of the map `data`, written
-    into `out` (a new array if None) in the row blocks of `row_blocks`, from
-    ray to lookup: each block is `sample_equirect` along its own `pixel_ray`s,
-    so no whole-image ray or lookup array exists. Every stage is per pixel, so
+    into `out` (a new array if None) per row block (`map_rows` over the pixel
+    rows), from ray to lookup: each block is `sample_equirect` along its own
+    `pixel_ray`s, so no whole-image ray or lookup array exists. Every stage is per pixel, so
     the bits are those of `sample_equirect(data, camera_rays(cam))`."""
     if out is None:
         out = np.empty((cam.height, cam.width, 3))
     cols = np.arange(cam.width) + 0.5
     rows = (np.arange(cam.height) + 0.5)[:, None]
-    for block in row_blocks(cam.height, cam.width):
-        out[block] = sample_equirect(data, pixel_ray(cam, cols, rows[block]))
-    return out
+    return map_rows(lambda r: sample_equirect(data, pixel_ray(cam, cols, r)), rows, out=out)
 
 
 def project_perspective(pano: EnvironmentMap, cam: CameraSpec) -> np.ndarray:
@@ -113,21 +111,17 @@ def project_perspective(pano: EnvironmentMap, cam: CameraSpec) -> np.ndarray:
 
 
 def _display_codes(view: np.ndarray, scale: float, curve: str) -> np.ndarray:
-    """The (H, W, 3) uint8 8-bit codes of a float view, in the row blocks of
-    `row_blocks`: each block is multiplied by `scale`, put through the display
+    """The (H, W, 3) uint8 8-bit codes of a float view, per row block
+    (`map_rows`): each block is multiplied by `scale`, put through the display
     curve `curve` (a `TONE_CURVES` name) or, for curve "none" (an LDR source),
     clipped to [0, 1], and coded by `codes8`. `view` is not changed. Every
     stage is per pixel, so the codes are those of the same stages run on the
     whole view."""
-    codes = np.empty(view.shape, dtype=np.uint8)
-    for block in row_blocks(*view.shape[:2]):
-        v = view[block] * scale
-        if curve == "none":
-            np.clip(v, 0.0, 1.0, out=v)
-        else:
-            v = apply_display_tonemap(v, curve)  # every curve returns [0, 1]
-        codes[block] = codes8(v)
-    return codes
+    def codes(v):  # every curve returns [0, 1]
+        v = v * scale
+        return codes8(np.clip(v, 0.0, 1.0) if curve == "none" else apply_display_tonemap(v, curve))
+
+    return map_rows(codes, view, out=np.empty(view.shape, dtype=np.uint8))
 
 
 def sample_camera(rng: np.random.Generator, width: int = DEFAULT_CROP_WIDTH,
@@ -205,9 +199,13 @@ class PanoramaSource:
 
     def targets(self):
         """The supervised target of every sample of this source, computed anew on
-        each call: its dual tonemaps (ldr, log), or (ldr, None) for an LDR source,
-        whose [0,1] values count as linear radiance (no log-space intensity)."""
-        return tonemap_ldr(self.data), (tonemap_log(self.data) if self.hdr else None)
+        each call, per row block (`map_rows`): its float32 dual tonemaps (ldr, log),
+        or (ldr, None) for an LDR source, whose [0,1] values count as linear
+        radiance (no log-space intensity)."""
+        def target(channel):
+            return map_rows(channel, self.data, out=np.empty(self.data.shape, dtype=np.float32))
+
+        return target(tonemap_ldr), (target(tonemap_log) if self.hdr else None)
 
 
 @dataclass

@@ -42,30 +42,16 @@ class DualToneMaps:
         check_unit(self.log, "log channel")
 
 
-def _value(t: np.ndarray):
-    """`t`, or its value as a numpy scalar when 0-d: what an expression of
-    ufuncs returns for a 0-d input, which the in-place forms here keep."""
-    return t if t.ndim else t[()]
-
-
 def tonemap_ldr(e):
     """Extended Reinhard channel, clipped to [0,1]."""
     e = np.asarray(e, dtype=np.float64)
-    # e / (1 + e) * (1 + e / M_LDR**2) in place, in that order of operations
-    t = np.add(1.0, e, out=np.empty_like(e))
-    np.divide(e, t, out=t)
-    u = e / (M_LDR * M_LDR)
-    u += 1.0
-    t *= u
-    return _value(np.clip(t, 0.0, 1.0, out=t))
+    return np.clip(e / (1.0 + e) * (1.0 + e / (M_LDR * M_LDR)), 0.0, 1.0)
 
 
 def tonemap_log(e):
     """Normalized log-intensity channel, clipped to [0,1]."""
     e = np.asarray(e, dtype=np.float64)
-    t = np.log1p(e, out=np.empty_like(e))
-    t /= _LOG_DEN
-    return _value(np.clip(t, 0.0, 1.0, out=t))
+    return np.clip(np.log1p(e) / _LOG_DEN, 0.0, 1.0)
 
 
 def tonemap_dual(env: EnvironmentMap) -> DualToneMaps:
@@ -100,11 +86,10 @@ def inverse_rule(ldr, log):
 # values in [0, 1].
 
 def gamma24_srgb(x):
-    """Pure gamma companding: clip to [0,1], then power 1/2.4, in place. A 0-d
-    input takes the array loop too, so it gets the bits of a one-element array."""
-    x = np.asarray(x, dtype=np.float64)
-    t = np.clip(x, 0.0, 1.0, out=np.empty_like(x))
-    return _value(np.power(t, 1.0 / 2.4, out=t))
+    """Pure gamma companding: clip to [0,1], then power 1/2.4. The power is
+    `np.power`, the array loop, which a 0-d input takes too, so it gets the
+    bits of a one-element array (`**` on it would be numpy's scalar pow)."""
+    return np.power(np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0), 1.0 / 2.4)
 
 
 # the rational curves below are >= 1 (1 once clipped) beyond +-_SATURATED on either
@@ -133,10 +118,8 @@ def _hable(x):
 
 def filmic_approx(x):
     """Hable/Uncharted-2 filmic curve, white-normalized and gamma-encoded; 1 from x = 5.6 on."""
-    x = np.asarray(x, dtype=np.float64)
-    t = np.clip(x, -_SATURATED, _SATURATED, out=np.empty_like(x))
-    t *= _HABLE_EXPOSURE  # in place: the clamp costs no array over 2 * x
-    return gamma24_srgb(_hable(t) / _hable(_HABLE_WHITE))
+    x = np.clip(np.asarray(x, dtype=np.float64), -_SATURATED, _SATURATED)
+    return gamma24_srgb(_hable(x * _HABLE_EXPOSURE) / _hable(_HABLE_WHITE))
 
 
 # AgX sigmoid fit (Wrensch's 6th-order approximation of the Blender AgX
@@ -210,6 +193,4 @@ def auto_expose(img, percentile: float = 0.99, target: float = 0.9):
 
 def quantize8(img):
     """Snap [0,1] values to the 8-bit grid: the PNG codes (`imgio.codes8`) / 255."""
-    t = codes8(img)
-    t /= 255.0
-    return _value(t)
+    return codes8(img) / 255.0

@@ -33,7 +33,8 @@ def rng():
     return np.random.default_rng(1234)
 
 
-# the one-line tonemap expressions that the in-place forms replaced (oracles)
+# the one-line tonemap expressions, the code's own form, kept here as a pinned
+# copy that the code is checked against bit for bit (oracles)
 
 def tonemap_ldr_expr(e):
     e = np.asarray(e, dtype=np.float64)

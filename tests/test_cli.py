@@ -91,19 +91,38 @@ class TestTonemapInverse:
         for digest in m["outputs"].values():
             assert len(digest) == 64
 
-    def test_inverse_memory_flat_in_map_size(self, tmp_path):
-        # 128x256 and 512x1024 float32 PFM pairs: beyond the two decoded channels
-        # and the float32 output, the analytic inverse holds a few float64 row blocks
+    # bytes per map value that each command holds whole, its float32 decoded
+    # inputs and its output: the float32 map `inverse` and `fuse-apply` write,
+    # the uint8 codes of one `tonemap` channel and the copies its PNG write
+    # makes of them (filtered rows, compressed stream, file), and the float64
+    # map `rotate` resamples into
+    WHOLE_BYTES = {"inverse": 2 * 4 + 4, "fuse-apply": 2 * 4 + 4, "tonemap": 4 + 6,
+                   "rotate": 4 + 8}
+
+    @pytest.mark.parametrize("command", list(WHOLE_BYTES))
+    def test_memory_flat_in_map_size(self, tmp_path, command):
+        # 128x256 and 512x1024 float32 PFMs: beyond its inputs and its output,
+        # each command holds a few float64 row blocks at either size
         block = BLOCK_PIXELS * 3 * 8
         rng = np.random.default_rng(7)
+        net = tmp_path / "net.bin"
+        save_fusion_net(init_uniform(0, np.float32), net)
         for height in (128, 512):
-            pair = []
+            shape = (height, 2 * height, 3)
+            env, pair = tmp_path / f"env{height}.pfm", []
+            write_pfm(env, rng.gamma(1.0, 2.0, shape).astype(np.float32))
             for name in ("ldr", "log"):
                 pair += [f"--{name}", tmp_path / f"{name}{height}.pfm"]
-                write_pfm(pair[-1], rng.uniform(-0.05, 1.05, (height, 2 * height, 3)))
-            argv = ["inverse", *pair, "--out", tmp_path / "hdr.pfm"]
+                write_pfm(pair[-1], rng.uniform(-0.05, 1.05, shape).astype(np.float32))
+            argv = {"inverse": ["inverse", *pair, "--out", tmp_path / "hdr.pfm"],
+                    "fuse-apply": ["fuse-apply", "--net", net, *pair,
+                                   "--out", tmp_path / "hdr.pfm"],
+                    "tonemap": ["tonemap", "--in", env, "--out-ldr", tmp_path / "ldr.png",
+                                "--out-log", tmp_path / "log.png"],
+                    "rotate": ["rotate", "--env", env, "--yaw", 17.3, "--out", tmp_path / "r.pfm"],
+                    }[command]
             traced_peak(argv)  # warm up: first-call allocations stay out of the comparison
-            rest = traced_peak(argv) - 3 * height * 2 * height * 3 * 4
+            rest = traced_peak(argv) - self.WHOLE_BYTES[command] * np.prod(shape)
             assert rest < 10 * block, f"{height} rows: {rest / block:.2f} blocks"
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from luxprobe import fusion
-from luxprobe.envmap import EnvironmentMap, row_blocks
+from luxprobe.envmap import BLOCK_PIXELS, EnvironmentMap, row_blocks
 from luxprobe.fusion import (
     BLOCK_ROWS,
     EXPOSURE_RANGE,
@@ -30,6 +30,7 @@ from luxprobe.fusion import (
     sample_training_pairs,
     save_fusion_net,
     train_fusion,
+    training_pool,
 )
 from luxprobe.tonemap import DualToneMaps, inverse_rule, tonemap_dual
 
@@ -287,7 +288,8 @@ def sample_pairs_expr(rng, count, quantize):
 
 
 class TestTrainerParity:
-    """The in-place trainer step and pool against the expressions they replaced."""
+    """The in-place trainer step against the expressions it replaced, and the
+    sampler and the given pool against the pinned sampler expression."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_matches_bias_sum(self, rng, dtype):
@@ -336,6 +338,54 @@ class TestTrainerParity:
         want = np.ascontiguousarray(np.concatenate([ldr, log], axis=1), dtype=fusion.TRAIN_DTYPE)
         got = np.concatenate(seen)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# rows per block of the pool build: the stage's outputs are (count, 3)
+POOL_BLOCK = BLOCK_PIXELS // 3
+
+
+class TestTrainingPool:
+    """The float32 pool is built per row block straight from the whole draws."""
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("count", [2 * POOL_BLOCK, 2 * POOL_BLOCK + 777])
+    def test_pool_is_the_cast_of_the_expression(self, count, quantize):
+        x, y = training_pool(np.random.default_rng(4), count, quantize)
+        ldr, log, hdr = sample_pairs_expr(np.random.default_rng(4), count, quantize)
+        want_x = np.concatenate([ldr, log], axis=1).astype(np.float32)
+        assert x.dtype == np.float32 and x.tobytes() == want_x.tobytes()
+        assert y.dtype == np.float32 and y.tobytes() == hdr.astype(np.float32).tobytes()
+
+    def test_train_fusion_reads_the_pool(self, monkeypatch):
+        # three 1000-row steps read a 3000-pair default pool once, in order
+        seen = []
+
+        def recording(net, x):
+            seen.append(x.copy())
+            return _forward(net, x)
+
+        monkeypatch.setattr(fusion, "POOL_SIZE", 3000)
+        monkeypatch.setattr(fusion, "_forward", recording)
+        train_fusion(TrainConfig(steps=3, batch_size=1000, seed=5, init="uniform"))
+        ldr, log, _ = sample_pairs_expr(np.random.default_rng(6), 3000, True)
+        want = np.concatenate([ldr, log], axis=1).astype(np.float32)
+        assert np.concatenate(seen).tobytes() == want.tobytes()
+
+    def test_memory_holds_no_float64_pool(self):
+        # beyond the float32 pool (36 bytes a pair) and the float64 draws (40),
+        # with one (count,) draw in flight (8), the build holds a few blocks;
+        # one whole-pool float64 channel (24 bytes a pair) would not fit
+        count = 400_000
+        block = POOL_BLOCK * 3 * 8
+        training_pool(np.random.default_rng(0), 1000)  # warm up
+        tracemalloc.start()
+        try:
+            training_pool(np.random.default_rng(0), count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rest = peak - (36 + 40 + 8) * count
+        assert rest < 8 * block < 24 * count, f"{rest / block:.2f} blocks"
 
 
 class TestParams:
@@ -552,6 +602,14 @@ class TestFuseImage:
         env = EnvironmentMap(rng.random((8, 16, 3)) * 10)
         out = fuse_image(net, tonemap_dual(env))
         assert out.data.shape == env.data.shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_takes_the_net_dtype(self, rng, dtype):
+        net = init_uniform(2, dtype=dtype)
+        maps = DualToneMaps(ldr=rng.random((8, 16, 3)), log=rng.random((8, 16, 3)))
+        out = fuse_image(net, maps).data
+        want = fusion_forward(net, maps.ldr.reshape(-1, 3), maps.log.reshape(-1, 3))
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
 
 
 class TestSerialization:

@@ -386,9 +386,11 @@ class TestDatasetGen:
         assert not {"target_ldr", "target_log"} & set(vars(samples[0]))
         for source in (hdr, ldr):
             target_ldr, target_log = source.targets()
-            assert target_ldr.tobytes() == tonemap_ldr(source.data).tobytes()
+            # float32, the values a target PFM stores
+            assert target_ldr.tobytes() == tonemap_ldr(source.data).astype(np.float32).tobytes()
             if source.hdr:
-                assert target_log.tobytes() == tonemap_log(source.data).tobytes()
+                assert (target_log.tobytes()
+                        == tonemap_log(source.data).astype(np.float32).tobytes())
             else:
                 assert target_log is None
 

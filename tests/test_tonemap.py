@@ -243,7 +243,7 @@ def assert_same_result(got, want):
 
 
 class TestInPlaceParity:
-    """The in-place tonemap channels and quantize8 against their one-line expressions."""
+    """The tonemap channels and quantize8 against their pinned one-line expressions."""
 
     CASES = [(tonemap_ldr, tonemap_ldr_expr), (tonemap_log, tonemap_log_expr)]
 
@@ -355,8 +355,8 @@ def _curve_inputs():
 
 
 class TestDisplayCurveParity:
-    """The clamped curves and the in-place gamma encoder against the curves as
-    they were written before (oracles), bit for bit."""
+    """The clamped curves and the gamma encoder against the curves as they were
+    written before (oracles), bit for bit."""
 
     CASES = [("gamma24", gamma24_srgb_oracle), ("aces", aces_approx_oracle),
              ("filmic", filmic_approx_oracle)]
