@@ -7,12 +7,14 @@ linear-radiance targets with Adam-style per-parameter step scaling. One
 forward pass, `_forward`, serves training, inference and the structured init;
 the last two run it over consecutive BLOCK_ROWS-row blocks, so their memory
 is a fixed number of block-sized arrays plus the input and output. The
-training pool is drawn whole and built per row block (`training_pool`).
+training pool is drawn and built per row block straight into float32
+(`training_pool`), so a run holds its pool and a few blocks besides.
 
 Inputs are the six [0,1] values (ldr RGB, log RGB); see tonemap.inverse_rule
 for the analytic oracle the trained network is benchmarked against.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +220,27 @@ def huber_loss(pred, target):
     return np.where(ae <= HUBER_DELTA, 0.5 * e * e, HUBER_DELTA * (ae - 0.5 * HUBER_DELTA))
 
 
+def _draw_streams(rng: np.random.Generator, count: int):
+    """Three generators that yield, front to back, the doubles that whole draws of
+    base (count), jitter (count x 3) and exposure (count) would take from `rng`;
+    `rng` itself is moved past all 5 * count of them, as those draws would leave it.
+
+    PCG64 and PCG64DXSM spend one 64-bit output on each uniform double and can
+    `advance` over n outputs in O(log n) steps; other bit generators raise TypeError.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(f"training draws need a PCG64 or PCG64DXSM bit generator, "
+                        f"got {type(bits).__name__}")
+    streams = [np.random.Generator(copy.deepcopy(bits).advance(skip))
+               for skip in (0, count, 4 * count)]
+    state = bits.state
+    bits.advance(5 * count)
+    # advance drops the buffered 32-bit half of an output, which no double reads
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return streams
+
+
 def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool = True,
                           intensity_range=INTENSITY_RANGE, out=None):
     """Synthetic supervised pairs: ((ldr, log) inputs, hdr targets), as new
@@ -228,30 +251,35 @@ def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool =
     by a random exposure and clipped back into the invertible range (so the
     analytic inverse recovers every unquantized pair exactly). The [0,1]
     inputs are optionally snapped to the 8-bit grid, matching the precision
-    of PNG-decoded inputs at inference time. The draws are made whole; the
-    per-pair stage runs per row block (`map_rows`).
+    of PNG-decoded inputs at inference time. Draws and stage run per row
+    block (`map_rows`), each block's draws read from three streams of `rng`
+    (`_draw_streams`): the values, and `rng`'s state after, are those of
+    whole draws of base, jitter and exposure in turn.
     """
     if count <= 0:
         raise ValueError("count must be positive")
     lo, hi = intensity_range
-    base = np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))
-    jitter = rng.uniform(-1.0, 1.0, size=(count, 3))
-    exposure = np.exp(
-        rng.uniform(np.log(EXPOSURE_RANGE[0]), np.log(EXPOSURE_RANGE[1]), size=count)
-    )
+    base_rng, jitter_rng, exposure_rng = _draw_streams(rng, count)
 
-    def stage(base, jitter, exposure):
+    def stage(rows):  # called on the blocks in order, so each stream is read front to back
+        n = len(rows)
+        base = np.exp(base_rng.uniform(np.log(lo), np.log(hi), size=n))
+        jitter = jitter_rng.uniform(-1.0, 1.0, size=(n, 3))
+        exposure = np.exp(
+            exposure_rng.uniform(np.log(EXPOSURE_RANGE[0]), np.log(EXPOSURE_RANGE[1]), size=n)
+        )
         hdr = np.clip(base[:, None] * 2.0 ** jitter * exposure[:, None], lo, hi)
         ldr, log = tonemap_ldr(hdr), tonemap_log(hdr)
         return (quantize8(ldr), quantize8(log), hdr) if quantize else (ldr, log, hdr)
 
     out = tuple(np.empty((count, 3)) for _ in range(3)) if out is None else out
-    return map_rows(stage, base, jitter, exposure, out=out)
+    return map_rows(stage, range(count), out=out)
 
 
 def training_pool(rng: np.random.Generator, count: int, quantize: bool = True):
     """The TRAIN_DTYPE cast of `sample_training_pairs(rng, count, quantize)` as
-    inputs (count, 6) and targets (count, 3), with no float64 pool made."""
+    inputs (count, 6) and targets (count, 3): drawn and built per row block, so
+    no whole-pool float64 array, draws included, is made."""
     x = np.empty((count, WIDTHS[0]), dtype=TRAIN_DTYPE)
     y = np.empty((count, WIDTHS[-1]), dtype=TRAIN_DTYPE)
     sample_training_pairs(rng, count, quantize, out=(x[:, :3], x[:, 3:], y))

@@ -55,18 +55,25 @@ def read_pfm(path) -> np.ndarray:
         # check the size before reading: a huge header count must not allocate
         if 4 * count > os.fstat(f.fileno()).st_size - f.tell():
             raise ValueError("truncated PFM payload")
-        data = np.fromfile(f, dtype=endian + "f4", count=count)
-    data = data.reshape(height, width, channels)[::-1]  # bottom-to-top on disk
+        data = np.empty((height, width, channels), dtype=np.float32)
+        for block in row_blocks(height, width):
+            # rows run bottom to top on disk: each block is read into its place and flipped there
+            rows = data[height - block.stop : height - block.start]
+            if f.readinto(rows) != rows.nbytes:
+                raise ValueError("truncated PFM payload")
+            rows[:] = rows[::-1]  # overlapping, so numpy flips through a block-sized copy
+    if (endian == "<") != (sys.byteorder == "little"):
+        data.byteswap(inplace=True)
     if channels == 1:
         data = np.repeat(data, 3, axis=2)
     if abs(scale) not in (0.0, 1.0):
+        finite = np.isfinite(data).all()
         # a scale past float32's range is inf there, and 0 * inf is NaN: both rejected below
         with np.errstate(over="ignore", invalid="ignore"):
-            scaled = (data * abs(scale)).astype(np.float32, copy=False)
-        if not np.isfinite(scaled).all() and np.isfinite(data).all():
+            data *= abs(scale)
+        if finite and not np.isfinite(data).all():
             raise ValueError(f"PFM scale {abs(scale):g} overflows float32")
-        data = scaled
-    return np.ascontiguousarray(data, dtype=np.float32)
+    return data
 
 
 def write_pfm(path, image: np.ndarray) -> None:
@@ -213,8 +220,9 @@ def _chunk(tag: bytes, body: bytes) -> bytes:
 
 
 def check_unit(values: np.ndarray, what: str) -> None:
-    """Raise ValueError unless `values` lie in [0, 1], the range `codes8` codes."""
-    if not ((values >= 0.0) & (values <= 1.0)).all():
+    """Raise ValueError unless `values` lie in [0, 1], the range `codes8` codes:
+    two reductions, no whole-array temporary; NaN fails both comparisons."""
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError(f"{what} must lie in [0, 1] (NaN is rejected)")
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import luxprobe
 from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import BLOCK_PIXELS, EnvironmentMap, rotate_env, sample_equirect
-from luxprobe.fusion import init_uniform, load_fusion_net, save_fusion_net
+from luxprobe.fusion import POOL_SIZE, init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
 from luxprobe.projection import CameraSpec, camera_rays
 from luxprobe.tonemap import apply_display_tonemap, tonemap_ldr
@@ -338,6 +338,16 @@ class TestFuseCommands:
         assert main(["inverse", "--ldr", str(ldr), "--log", str(log),
                      "--net", str(net), "--out", str(out)]) == 0
         assert (read_pfm(out) > 0).all()
+
+    def test_train_holds_its_pool_and_little_else(self, tmp_path):
+        # over a bare start, a one-step run adds the float32 pool (36 bytes a pair)
+        # and less than 24 MiB; whole float64 draws (40 bytes a pair) would not fit
+        _fresh_maxrss(["--version"])  # byte-compiles the package if no cache is there
+        base = _fresh_maxrss(["--version"])
+        train = _fresh_maxrss(["fuse-train", "--steps", "1", "--batch", "8",
+                               "--out", tmp_path / "net.bin"])
+        pool = 36 * POOL_SIZE
+        assert train - base < pool + (24 << 20), f"{(train - base) / 2**20:.1f} MiB"
 
 
 class TestDatasetGen:
@@ -779,12 +789,39 @@ def _sweep_maps():
             "zeros": (b"-1.0", np.zeros((8, 16, 3)))}
 
 
+def _fresh_env(**extra) -> dict:
+    """This process's environment with this package on PYTHONPATH, plus `extra`."""
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh(argv):
     """`luxprobe argv` run in a new interpreter with this package on its path."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "luxprobe.cli", *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "luxprobe.cli", *map(str, argv)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=60)
+
+
+# run by a small parent: a child's peak RSS starts at its parent's RSS when it
+# is forked, so the test process, often hundreds of MB, cannot be that parent
+_MAXRSS_OF_CHILD = """
+import os, subprocess, sys
+with subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL) as proc:
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _fresh_maxrss(argv) -> int:
+    """Peak RSS in bytes (wait4's ru_maxrss) of `luxprobe argv` run in a new
+    interpreter with one BLAS thread and this package on its path."""
+    run = subprocess.run([sys.executable, "-c", _MAXRSS_OF_CHILD,
+                          sys.executable, "-m", "luxprobe.cli", *map(str, argv)],
+                         env=_fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+                         capture_output=True, text=True, timeout=120)
+    code, kib = map(int, run.stdout.split())
+    assert code == 0, (argv, run.stderr)
+    return kib * 1024  # ru_maxrss is in KiB on Linux
 
 
 def _hostile_inputs(d, image):
@@ -921,8 +958,7 @@ class TestOutOfMemory:
         out = tmp_path / "out"
         out.mkdir()
         # one BLAS thread: the cap is for the request, not for per-thread buffers
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        env = _fresh_env(OPENBLAS_NUM_THREADS="1")
         argv = [a.format(pano=pano, out=out) for a in argv]
         run = subprocess.run([sys.executable, "-m", "luxprobe.cli", *argv], env=env,
                              preexec_fn=cap, capture_output=True, text=True, timeout=60)

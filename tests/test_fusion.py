@@ -345,7 +345,8 @@ POOL_BLOCK = BLOCK_PIXELS // 3
 
 
 class TestTrainingPool:
-    """The float32 pool is built per row block straight from the whole draws."""
+    """The float32 pool is drawn and built per row block, from three streams of
+    the caller's generator that give exactly the whole draws' values."""
 
     @pytest.mark.parametrize("quantize", [True, False])
     @pytest.mark.parametrize("count", [2 * POOL_BLOCK, 2 * POOL_BLOCK + 777])
@@ -355,6 +356,35 @@ class TestTrainingPool:
         want_x = np.concatenate([ldr, log], axis=1).astype(np.float32)
         assert x.dtype == np.float32 and x.tobytes() == want_x.tobytes()
         assert y.dtype == np.float32 and y.tobytes() == hdr.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM])
+    @pytest.mark.parametrize("quantize", [True, False])
+    def test_streams_are_the_whole_draws(self, bits, quantize):
+        # 2 blocks and 777 pairs: the last block is short; the generator ends
+        # where the whole draws leave it, so its next values are theirs
+        count = 2 * POOL_BLOCK + 777
+        got_rng, want_rng = np.random.Generator(bits(8)), np.random.Generator(bits(8))
+        got = sample_training_pairs(got_rng, count, quantize)
+        want = sample_pairs_expr(want_rng, count, quantize)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got_rng.random(3).tobytes() == want_rng.random(3).tobytes()
+
+    def test_buffered_32_bit_half_survives(self):
+        # PCG64 keeps the unused half of an output after a 32-bit draw; doubles
+        # never read it, so the draw after the pairs still takes it
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for r in (got_rng, want_rng):
+            r.integers(0, 1 << 20, dtype=np.uint32)
+        sample_training_pairs(got_rng, 1000)
+        sample_pairs_expr(want_rng, 1000, True)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert (got_rng.integers(0, 1 << 20, 4, dtype=np.uint32).tolist()
+                == want_rng.integers(0, 1 << 20, 4, dtype=np.uint32).tolist())
+
+    def test_other_bit_generators_are_named(self):
+        with pytest.raises(TypeError, match="MT19937"):
+            sample_training_pairs(np.random.Generator(np.random.MT19937(0)), 1000)
 
     def test_train_fusion_reads_the_pool(self, monkeypatch):
         # three 1000-row steps read a 3000-pair default pool once, in order
@@ -372,20 +402,20 @@ class TestTrainingPool:
         assert np.concatenate(seen).tobytes() == want.tobytes()
 
     def test_memory_holds_no_float64_pool(self):
-        # beyond the float32 pool (36 bytes a pair) and the float64 draws (40),
-        # with one (count,) draw in flight (8), the build holds a few blocks;
-        # one whole-pool float64 channel (24 bytes a pair) would not fit
-        count = 400_000
+        # beyond the float32 pool (36 bytes a pair) the build holds a fixed
+        # number of blocks (7.7 when written) at counts 5x apart; a whole float64
+        # draw of the base alone (8 bytes a pair) would not fit at either
         block = POOL_BLOCK * 3 * 8
         training_pool(np.random.default_rng(0), 1000)  # warm up
-        tracemalloc.start()
-        try:
-            training_pool(np.random.default_rng(0), count)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        rest = peak - (36 + 40 + 8) * count
-        assert rest < 8 * block < 24 * count, f"{rest / block:.2f} blocks"
+        for count in (80_000, 400_000):
+            tracemalloc.start()
+            try:
+                training_pool(np.random.default_rng(0), count)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            rest = peak - 36 * count
+            assert rest < 9 * block, f"{count} pairs: {rest / block:.2f} blocks"
 
 
 class TestParams:
@@ -544,7 +574,7 @@ class TestTraining:
             train_fusion(cfg, data=(ldr, log, hdr))
 
     def test_zero_steps_returns_init_without_a_pool(self):
-        # the default pool is POOL_SIZE x 9 float64 values (144 MB) and no step
+        # the default pool is POOL_SIZE x 9 float32 values (72 MB) and no step
         # reads it; the structured init's own 32768-row fit peaks near 53 MB
         tracemalloc.start()
         try:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from luxprobe.imgio import _unfilter, read_hdr, read_pfm, read_png, write_pfm, write_png
+from luxprobe.imgio import _unfilter, check_unit, read_hdr, read_pfm, read_png, write_pfm, write_png
 from luxprobe.tonemap import quantize8
 
 
@@ -151,6 +151,40 @@ class TestPfm:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * payload, peak / payload
+
+    def test_reader_makes_one_copy(self, tmp_path, rng):
+        # each block of disk rows is read into its place in the output and flipped there
+        img = rng.random((512, 1024, 3)).astype(np.float32)
+        path = tmp_path / "r.pfm"
+        write_pfm(path, img)
+        tracemalloc.start()
+        try:
+            back = read_pfm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.flags.c_contiguous and back.tobytes() == img.tobytes()
+        assert peak < 1.25 * back.nbytes, peak / back.nbytes
+
+
+class TestCheckUnit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("edge, ok", [(-0.0, True), (0.0, True), (1.0, True),
+                                          ("1+ulp", False), (np.nan, False), ("-tiny", False)])
+    def test_edges(self, dtype, edge, ok):
+        value = {"1+ulp": np.nextafter(dtype(1), dtype(2)),
+                 "-tiny": -np.finfo(dtype).smallest_subnormal}.get(edge, edge)
+        for values in (np.array(value, dtype=dtype), np.full((4, 8, 3), 0.5, dtype=dtype)):
+            values[...] = 0.5
+            values.flat[-1] = value
+            if ok:
+                check_unit(values, "x")
+            else:
+                with pytest.raises(ValueError, match=r"x must lie in \[0, 1\] \(NaN is rejected\)"):
+                    check_unit(values, "x")
+
+    def test_empty_passes(self):
+        check_unit(np.zeros((0, 3)), "x")
 
 
 def rgbe_bytes(r, g, b, e):
