@@ -168,7 +168,8 @@ def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.nd
     blocks of `row_blocks` (a budget of BLOCK_ROWS at one pixel a row): each
     block is cast to `net.dtype`, joined and range-checked in one reused
     (BLOCK_ROWS, 6) buffer, so no (N, 6) input exists, and its output is
-    stored into `out`, cast to out's dtype."""
+    stored into `out`, cast to out's dtype. A block whose output is not
+    finite raises ValueError: the net, not its input, is at fault."""
     n = ldr.shape[0]
     x = np.empty((min(n, BLOCK_ROWS), WIDTHS[0]), dtype=net.dtype)
     for block in row_blocks(n, 1, BLOCK_ROWS):
@@ -176,12 +177,17 @@ def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.nd
         xb[:, :3] = ldr[block]
         xb[:, 3:] = log[block]
         check_unit(xb, "fusion inputs")
-        out[block] = _forward(net, xb)[1][-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output is refused below
+            yb = _forward(net, xb)[1][-1]
+        if not np.isfinite(yb.max()):  # softplus is >= 0, so NaN or +inf shows here
+            raise ValueError("fusion net output is not finite")
+        out[block] = yb
     return out
 
 
 def fusion_forward(net: FusionNet, ldr_rgb, log_rgb) -> np.ndarray:
-    """Predict HDR RGB from a dual-tonemapped pair; accepts (3,) or (N, 3)."""
+    """Predict HDR RGB from a dual-tonemapped pair; accepts (3,) or (N, 3).
+    Inputs outside [0, 1] and an output that is not finite raise ValueError."""
     ldr = np.asarray(ldr_rgb)
     log = np.asarray(log_rgb)
     if ldr.shape != log.shape or ldr.shape[-1:] != (3,) or ldr.ndim > 2:
@@ -394,10 +400,16 @@ _VERSION = 1
 
 
 def save_fusion_net(net: FusionNet, path) -> None:
+    """Write `net` as float32. A parameter that is not finite there raises
+    ValueError before `path` is opened, as `load_fusion_net` would refuse it."""
+    with np.errstate(over="ignore"):  # a float64 value past float32's range is refused below
+        params = net.params.astype("<f4")
+    if not np.isfinite(params).all():
+        raise ValueError("fusion net contains non-finite parameters")
     header = _MAGIC + np.array([_VERSION, len(WIDTHS) - 1, 0], dtype="<u4").tobytes()
     with open(path, "wb") as f:
         f.write(header)
-        f.write(net.params.astype("<f4").tobytes())
+        f.write(params.tobytes())
 
 
 def load_fusion_net(path) -> FusionNet:

@@ -100,7 +100,8 @@ def read_hdr(path) -> np.ndarray:
 
     `EXPOSURE=` and `COLORCORR=` header values are multipliers already applied
     to every stored pixel, cumulative over their lines (COLORCORR per channel),
-    so radiance is the stored value divided by their product.
+    so radiance is the stored value divided by their product; a product so
+    small that a texel overflows float32 raises ValueError.
     """
     applied = np.ones(3)  # product of the EXPOSURE and COLORCORR multipliers
     with open(path, "rb") as f:
@@ -141,7 +142,10 @@ def read_hdr(path) -> np.ndarray:
     if res[0] == b"+Y":
         rgbe = rgbe[::-1]
     data = _rgbe_to_float(rgbe)
-    data /= applied  # in float64, rounded once to float32; exact where a product is 1
+    with np.errstate(over="ignore"):  # an overflowing texel is rejected below
+        data /= applied  # in float64, rounded once to float32; exact where a product is 1
+    if not np.isfinite(data.max()):
+        raise ValueError(f"HDR EXPOSURE/COLORCORR product {applied} overflows float32")
     return data
 
 

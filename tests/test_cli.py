@@ -17,12 +17,15 @@ from hypothesis import given, settings, strategies as st
 import luxprobe
 from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import BLOCK_PIXELS, EnvironmentMap, rotate_env, sample_equirect
-from luxprobe.fusion import POOL_SIZE, init_uniform, load_fusion_net, save_fusion_net
+from luxprobe.fusion import (N_PARAMS, POOL_SIZE, FusionNet, fusion_forward, init_uniform,
+                             load_fusion_net, save_fusion_net)
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
+from luxprobe.probes import STANDARD_MATERIALS, render_probe
 from luxprobe.projection import CameraSpec, camera_rays
-from luxprobe.tonemap import apply_display_tonemap, tonemap_ldr
+from luxprobe.tonemap import apply_display_tonemap, inverse_rule, tonemap_ldr, tonemap_log
 from conftest import evaluate_sequence, hot_spot_env
 from test_acceptance import _determinism_commands
+from test_imgio import png_with_row_filters
 
 
 def smooth_env(height=32, top=400.0):
@@ -128,16 +131,18 @@ class TestTonemapInverse:
 
 class TestEval:
     def test_identity_scores_zero(self, tmp_path):
-        gt = tmp_path / "g.pfm"
-        write_pfm(gt, hot_spot_env(height=16, value=20.0, base=0.2).data)
-        out = tmp_path / "report.json"
-        assert main(["eval", "--pred", str(gt), "--gt", str(gt),
-                     "--probe-size", "32", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        for mat in ("diffuse", "matte", "mirror"):
-            for metric in ("si_rmse", "angular_deg", "n_rmse"):
-                assert abs(report["materials"][mat][metric]) < 1e-6
-        assert abs(report["pae_deg"]) < 1e-9
+        # a hot spot, and a map with an odd row count: all ten values exactly 0
+        maps = {"hot": hot_spot_env(height=16, value=20.0, base=0.2).data,
+                "odd": np.random.default_rng(2).gamma(1.0, 2.0, (33, 66, 3))}
+        for name, data in maps.items():
+            gt = tmp_path / f"{name}.pfm"
+            write_pfm(gt, data)
+            out = tmp_path / f"{name}.json"
+            assert main(["eval", "--pred", str(gt), "--gt", str(gt),
+                         "--probe-size", "32", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            values = [v for m in report["materials"].values() for v in m.values()]
+            assert values + [report["pae_deg"]] == [0.0] * 10, (name, report)
 
     def test_eval_video(self, tmp_path):
         pred_dir = tmp_path / "pred"
@@ -242,19 +247,73 @@ class TestCropRotatePeak:
         assert img.shape == (30, 40, 3)
         assert meta["tonecurve"] == "aces"
 
-    @pytest.mark.parametrize("tone", ["agx", "filmic"])
-    def test_crop_is_the_whole_image_pipeline(self, tmp_path, env_file, tone):
-        # 1500 wide: 21-row blocks, so 37 rows are a block and a partial one
-        cam = CameraSpec(azimuth=0.0, elevation=0.0, fov=60.0, width=1500, height=37)
-        view = sample_equirect(read_pfm(env_file).astype(np.float64), camera_rays(cam))
-        write_pfm(tmp_path / "want.pfm", view)
-        write_png(tmp_path / "want.png", apply_display_tonemap(view, tone),
-                  metadata={"tonecurve": tone})
-        for suffix in (".pfm", ".png"):
-            out = tmp_path / f"got{suffix}"
-            assert main(["crop", "--pano", str(env_file), "--w", "1500", "--h", "37",
-                         "--tonemap", tone, "--out", str(out)]) == 0
-            assert out.read_bytes() == (tmp_path / f"want{suffix}").read_bytes()
+    @pytest.mark.parametrize("case", ["crop-agx", "crop-filmic", "rotate", "inverse",
+                                      "render-probes", "tonemap", "dataset-gen", "fuse-apply"])
+    def test_command_is_its_whole_array_pipeline(self, tmp_path, case):
+        # a float32 160x320 PFM: rotate, inverse and tonemap run in two row blocks
+        # of it and fuse-apply in 25; a 1500-wide crop runs in 21-row blocks, so 37
+        # rows are a block and a partial one. Each output is the bytes of the
+        # whole-array library calls on the float64 map the loaders once made.
+        shape = (160, 320, 3)
+        rng = np.random.default_rng(1)
+        pano = tmp_path / "panos" / "pano.pfm"
+        pano.parent.mkdir()
+        write_pfm(pano, rng.gamma(1.0, 2.0, shape).astype(np.float32))
+        env = read_pfm(pano).astype(np.float64)
+        want, got = tmp_path / "want", tmp_path / "got"
+        want.mkdir()
+        got.mkdir()
+        if case.startswith("crop-"):
+            tone = case[5:]
+            cam = CameraSpec(azimuth=0.0, elevation=0.0, fov=60.0, width=1500, height=37)
+            view = sample_equirect(env, camera_rays(cam))
+            write_pfm(want / "c.pfm", view)
+            write_png(want / "c.png", apply_display_tonemap(view, tone),
+                      metadata={"tonecurve": tone})
+            runs = [["crop", "--pano", pano, "--w", 1500, "--h", 37, "--tonemap", tone,
+                     "--out", got / name] for name in ("c.pfm", "c.png")]
+        elif case == "rotate":
+            write_pfm(want / "r.pfm", rotate_env(EnvironmentMap(env), 17.3).data)
+            runs = [["rotate", "--env", pano, "--yaw", 17.3, "--out", got / "r.pfm"]]
+        elif case == "inverse":  # a float32 pair, clipped into [0, 1] as it is loaded
+            pair = [tmp_path / "ldr.pfm", tmp_path / "log.pfm"]
+            for path in pair:
+                write_pfm(path, rng.uniform(-0.05, 1.05, shape).astype(np.float32))
+            write_pfm(want / "h.pfm", inverse_rule(
+                *(np.clip(read_pfm(p).astype(np.float64), 0.0, 1.0) for p in pair)))
+            runs = [["inverse", "--ldr", pair[0], "--log", pair[1], "--out", got / "h.pfm"]]
+        elif case == "render-probes":
+            for name, material in STANDARD_MATERIALS.items():
+                probe = render_probe(EnvironmentMap(env), material, 32)
+                write_pfm(want / f"p_{name}.pfm", probe.pixels)
+            runs = [["render-probes", "--env", pano, "--size", 32, "--out-prefix", got / "p_"]]
+        elif case == "tonemap":
+            write_png(want / "l.png", tonemap_ldr(env), metadata={"tonecurve": "dual-reinhard16"})
+            write_png(want / "g.png", tonemap_log(env), metadata={"tonecurve": "dual-log10000"})
+            runs = [["tonemap", "--in", pano, "--out-ldr", got / "l.png",
+                     "--out-log", got / "g.png"]]
+        elif case == "dataset-gen":  # each drawn source's dual targets
+            (want / "source_0000").mkdir()
+            write_pfm(want / "source_0000" / "target_ldr.pfm", tonemap_ldr(env))
+            write_pfm(want / "source_0000" / "target_log.pfm", tonemap_log(env))
+            runs = [["dataset-gen", "--panos-dir", pano.parent, "--count", 1, "--w", 32,
+                     "--h", 24, "--out-dir", got]]
+        else:  # fuse-apply, on the tonemapped PNG pair
+            net, ldr, log = tmp_path / "net.bin", tmp_path / "l.png", tmp_path / "g.png"
+            save_fusion_net(init_uniform(0, np.float32), net)
+            write_png(ldr, tonemap_ldr(env))
+            write_png(log, tonemap_log(env))
+            fused = fusion_forward(load_fusion_net(net),
+                                   *(read_png(p)[0].reshape(-1, 3) for p in (ldr, log)))
+            write_pfm(want / "f.pfm", fused.reshape(shape))
+            runs = [["fuse-apply", "--net", net, "--ldr", ldr, "--log", log,
+                     "--out", got / "f.pfm"]]
+        for argv in runs:
+            assert main([str(a) for a in argv]) == 0, argv
+        wanted = [p.relative_to(want) for p in want.rglob("*") if p.is_file()]
+        assert wanted
+        for rel in wanted:
+            assert (got / rel).read_bytes() == (want / rel).read_bytes(), rel
 
     def test_crop_memory(self, tmp_path):
         # the view, its tone-mapped copy and its float codes were each whole
@@ -365,14 +424,26 @@ class TestDatasetGen:
         assert Path(rec["target_ldr"]).is_file() and Path(rec["target_log"]).is_file()
 
     def test_ldr_png_source_omits_log(self, tmp_path):
-        src = tmp_path / "panos"
-        src.mkdir()
-        write_png(src / "pano.png", np.clip(smooth_env(16).data / 500.0, 0, 1))
-        out_dir = tmp_path / "ds"
-        assert main(["dataset-gen", "--panos-dir", str(src), "--count", "1",
-                     "--w", "40", "--h", "30", "--out-dir", str(out_dir)]) == 0
-        rec = json.loads((out_dir / "dataset.jsonl").read_text().strip())
-        assert rec["target_log"] is None
+        # one image as this package's Up-filtered PNG and as a PNG with all five row
+        # filters mixed: the same crops and targets, byte for byte
+        codes = np.random.default_rng(5).integers(0, 256, (24, 48, 3), dtype=np.uint8)
+        mixed = np.random.default_rng(6).permutation(np.arange(24) % 5)
+        written = {}
+        for name in ("up", "mixed"):
+            src = tmp_path / f"panos_{name}"
+            src.mkdir()
+            if name == "up":
+                write_png(src / "pano.png", codes)
+            else:
+                (src / "pano.png").write_bytes(png_with_row_filters(codes, mixed))
+            out_dir = tmp_path / f"ds_{name}"
+            assert main(["dataset-gen", "--panos-dir", str(src), "--count", "3", "--w", "32",
+                         "--h", "24", "--video-frames", "2", "--out-dir", str(out_dir)]) == 0
+            for line in (out_dir / "dataset.jsonl").read_text().splitlines():
+                assert json.loads(line)["target_log"] is None
+            written[name] = {str(p.relative_to(out_dir)): p.read_bytes()
+                             for p in out_dir.rglob("*") if p.suffix in (".png", ".pfm")}
+        assert len(written["up"]) == 7 and written["mixed"] == written["up"]
 
     def test_targets_written_once_per_source(self, tmp_path):
         src = tmp_path / "panos"
@@ -902,17 +973,43 @@ class TestStderrOfAFreshProcess:
         run = _fresh(_argv("dataset-gen", panos / "x.pfm", panos / "x.pfm", None, out))
         _assert_one_error_line(run, out)
 
-    def test_probe_size_past_the_index_range(self, tmp_path):
-        # np.arange(2**63) is empty, so the disc is too: the renderer refuses it, where
-        # a 0x0 mirror probe, which `read_pfm` rejects, used to be written
+    @pytest.mark.parametrize("case", [
+        "render-probes-size-2**63", "rotate-exposure-1e-300", "peak-exposure-1e-300",
+        "fuse-apply-net-1e38", "inverse-net-1e38", "fuse-train-lr-1e308"])
+    def test_one_named_error_line(self, tmp_path, case):
         pano = tmp_path / "pano.pfm"
         write_pfm(pano, _valid_map())
+        hdr = tmp_path / "pano.hdr"
+        hdr.write_bytes(b"#?RADIANCE\nEXPOSURE=1e-300\n\n-Y 8 +X 16\n"
+                        + bytes([128, 64, 32, 129]) * 128)
+        net = tmp_path / "net.bin"
+        save_fusion_net(FusionNet(np.resize(np.float32([1e38, -1e38]), N_PARAMS)), net)
         out = tmp_path / "out"
         out.mkdir()
-        run = _fresh(["render-probes", "--env", pano, "--size", str(2 ** 63),
-                      "--out-prefix", out / "huge_"])
+        argv, cause = {
+            # np.arange(2**63) is empty, so the disc is too: the renderer refuses it,
+            # where a 0x0 mirror probe, which `read_pfm` rejects, used to be written
+            "render-probes-size-2**63": (["render-probes", "--env", pano, "--size", 2 ** 63,
+                                          "--out-prefix", out / "huge_"], str(2 ** 63)),
+            # a finite positive EXPOSURE that overflows a texel, where numpy's
+            # overflow warning came first
+            "rotate-exposure-1e-300": (_argv("rotate", hdr, pano, None, out),
+                                       "EXPOSURE/COLORCORR product"),
+            "peak-exposure-1e-300": (_argv("peak", hdr, pano, None, out),
+                                     "EXPOSURE/COLORCORR product"),
+            # a finite net of +-1e38 whose output overflows, where four warnings came
+            # first and the error blamed the environment map
+            "fuse-apply-net-1e38": (_argv("fuse-apply", pano, pano, net, out),
+                                    "net output is not finite"),
+            "inverse-net-1e38": (_argv("inverse", pano, pano, None, out) + ["--net", net],
+                                 "net output is not finite"),
+            # the last Adam step makes every parameter infinite, where the net was written
+            "fuse-train-lr-1e308": (["fuse-train", "--steps", 1, "--batch", 8, "--lr", 1e308,
+                                     "--out", out / "n.bin"], "non-finite parameters"),
+        }[case]
+        run = _fresh(argv)
         _assert_one_error_line(run, out)
-        assert str(2 ** 63) in run.stderr
+        assert cause in run.stderr
 
     @pytest.mark.parametrize("command, size", [
         ("eval", 2 ** 63 - 1), ("eval", 2 ** 63), ("eval-video", 2 ** 63 - 1),

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,11 @@ def zero_net():
     for b in net.biases:
         b[:] = 0.0
     return net
+
+
+def overflowing_net():
+    """A finite float32 net whose layers overflow float32: parameters of +-1e38."""
+    return FusionNet(np.resize(np.float32([1e38, -1e38]), N_PARAMS))
 
 
 class TestForward:
@@ -116,6 +122,16 @@ class TestForward:
         net.weights[2][0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             FusionNet(net.params)
+
+    @pytest.mark.parametrize("entry", ["fusion_forward", "fuse_image"])
+    def test_output_that_overflows_blames_the_net(self, entry):
+        ldr = np.full((4, 8, 3), 0.5)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="net output is not finite"):
+            warnings.simplefilter("error")  # one ValueError, not numpy's overflow warnings
+            if entry == "fusion_forward":
+                fusion_forward(overflowing_net(), ldr.reshape(-1, 3), ldr.reshape(-1, 3))
+            else:
+                fuse_image(overflowing_net(), DualToneMaps(ldr=ldr, log=ldr))
 
 
 def init_uniform_by_layers(seed, dtype=np.float64):
@@ -652,6 +668,18 @@ class TestSerialization:
             assert (a == b).all()
         for a, b in zip(net.biases, loaded.biases):
             assert (a == b).all()
+
+    @pytest.mark.parametrize("dtype, value", [
+        (np.float32, np.inf), (np.float32, np.nan),
+        (np.float64, 1e39),  # finite, but infinite as the float32 the file holds
+    ])
+    def test_save_refuses_what_the_loader_refuses(self, tmp_path, dtype, value):
+        net = init_uniform(0, dtype=dtype)
+        net.params[-1] = value  # as a diverged training step leaves it
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite"):
+            warnings.simplefilter("error")
+            save_fusion_net(net, tmp_path / "net.bin")
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_writes_no_sidecar(self, tmp_path):
         path = tmp_path / "net.bin"

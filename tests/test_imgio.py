@@ -307,9 +307,12 @@ class TestRadianceHdr:
         b"EXPOSURE=0", b"EXPOSURE=-1", b"EXPOSURE=nan", b"EXPOSURE=abc", b"EXPOSURE=inf",
         b"EXPOSURE=", b"COLORCORR=1 2", b"COLORCORR=1 0 1", b"COLORCORR=1 2 3 4",
         b"EXPOSURE=1e300\nEXPOSURE=1e300",
+        # finite positive products so small that a texel overflows float32
+        b"EXPOSURE=1e-300", b"COLORCORR=1 1e-39 1",
     ])
     def test_invalid_multiplier_rejected(self, tmp_path, line):
-        with pytest.raises(ValueError, match="EXPOSURE|COLORCORR"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="EXPOSURE|COLORCORR"):
+            warnings.simplefilter("error")  # one ValueError, not numpy's overflow warning
             self._texels(tmp_path / "bad.hdr", line + b"\n")
 
     @pytest.mark.parametrize("tail", [
@@ -331,6 +334,45 @@ class TestRadianceHdr:
         path.write_bytes(b"JUNK\n")
         with pytest.raises(ValueError, match="not a Radiance"):
             read_hdr(path)
+
+
+def png_with_row_filters(img, filters) -> bytes:
+    """An 8-bit RGB PNG of the uint8 (H, W, 3) `img`, hand-encoded with filter
+    type filters[y] on row y, as other encoders choose per row."""
+    height, width, _ = img.shape
+    raw = bytearray()
+    prev = np.zeros(width * 3, dtype=np.int32)
+    for y, ftype in enumerate(filters):
+        line = img[y].reshape(-1).astype(np.int32)
+        left = np.concatenate([[0, 0, 0], line[:-3]])
+        if ftype == 0:
+            enc = line
+        elif ftype == 1:
+            enc = (line - left) % 256
+        elif ftype == 2:
+            enc = (line - prev) % 256
+        elif ftype == 3:
+            enc = (line - (left + prev) // 2) % 256
+        else:
+            upleft = np.concatenate([[0, 0, 0], prev[:-3]])
+            pred = np.zeros_like(line)
+            for i in range(line.size):
+                a, b, c = left[i], prev[i], upleft[i]
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred[i] = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+            enc = (line - pred) % 256
+        raw.append(int(ftype))
+        raw.extend(int(v) for v in enc)
+        prev = line
+
+    def chunk(tag, body):
+        return (struct.pack(">I", len(body)) + tag + body
+                + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))
 
 
 class TestPng:
@@ -392,49 +434,11 @@ class TestPng:
         assert list(tmp_path.iterdir()) == []
 
     def test_reads_all_filter_types(self, tmp_path, rng):
-        # hand-encode one PNG per filter type and check exact decode
+        # one PNG per filter type, each decoded exactly
         img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
         for ftype in range(5):
-            raw = bytearray()
-            prev = np.zeros(7 * 3, dtype=np.int32)
-            for y in range(5):
-                line = img[y].reshape(-1).astype(np.int32)
-                if ftype == 0:
-                    enc = line
-                elif ftype == 1:
-                    left = np.concatenate([[0, 0, 0], line[:-3]])
-                    enc = (line - left) % 256
-                elif ftype == 2:
-                    enc = (line - prev) % 256
-                elif ftype == 3:
-                    left = np.concatenate([[0, 0, 0], line[:-3]])
-                    enc = (line - (left + prev) // 2) % 256
-                else:
-                    left = np.concatenate([[0, 0, 0], line[:-3]])
-                    upleft = np.concatenate([[0, 0, 0], prev[:-3]])
-                    pred = np.zeros_like(line)
-                    for i in range(line.size):
-                        a, b, c = left[i], prev[i], upleft[i]
-                        p = a + b - c
-                        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                        pred[i] = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-                    enc = (line - pred) % 256
-                raw.append(ftype)
-                raw.extend(int(v) for v in enc)
-                prev = line
-            def chunk(tag, body):
-                return (
-                    struct.pack(">I", len(body)) + tag + body
-                    + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF)
-                )
-            blob = (
-                b"\x89PNG\r\n\x1a\n"
-                + chunk(b"IHDR", struct.pack(">IIBBBBB", 7, 5, 8, 2, 0, 0, 0))
-                + chunk(b"IDAT", zlib.compress(bytes(raw)))
-                + chunk(b"IEND", b"")
-            )
             path = tmp_path / f"filter{ftype}.png"
-            path.write_bytes(blob)
+            path.write_bytes(png_with_row_filters(img, [ftype] * 5))
             back, _ = read_png(path)
             assert (np.round(back * 255).astype(np.uint8) == img).all(), f"filter {ftype}"
 
