@@ -262,7 +262,7 @@ def _cmd_render_probes(args, out):
     for name, (mask, (disc,)) in zip(materials, rendered):
         probe = probes.ProbeImage.from_disc(mask, disc)
         write_pfm(out.path(f"{args.out_prefix}{name}.pfm"), probe.pixels)
-        preview = tonemap.apply_display_tonemap(probe.pixels, "gamma24")
+        preview = projection._display_codes(probe.pixels, 1.0, "gamma24")
         write_png(out.path(f"{args.out_prefix}{name}.png"), preview,
                   metadata={"tonecurve": "gamma24"})
     params = {"size": args.size, "out_prefix": args.out_prefix}

@@ -168,8 +168,10 @@ def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.nd
     blocks of `row_blocks` (a budget of BLOCK_ROWS at one pixel a row): each
     block is cast to `net.dtype`, joined and range-checked in one reused
     (BLOCK_ROWS, 6) buffer, so no (N, 6) input exists, and its output is
-    stored into `out`, cast to out's dtype. A block whose output is not
-    finite raises ValueError: the net, not its input, is at fault."""
+    stored into `out`, cast to out's dtype. A block whose head pre-activation
+    is not finite raises ValueError: the net, not its input, is at fault. An
+    overflow anywhere in the net reaches the head as +-inf or NaN, and a
+    finite head gives a finite softplus."""
     n = ldr.shape[0]
     x = np.empty((min(n, BLOCK_ROWS), WIDTHS[0]), dtype=net.dtype)
     for block in row_blocks(n, 1, BLOCK_ROWS):
@@ -177,9 +179,11 @@ def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.nd
         xb[:, :3] = ldr[block]
         xb[:, 3:] = log[block]
         check_unit(xb, "fusion inputs")
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output is refused below
-            yb = _forward(net, xb)[1][-1]
-        if not np.isfinite(yb.max()):  # softplus is >= 0, so NaN or +inf shows here
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite head is refused below
+            pre, acts = _forward(net, xb)
+        head, yb = pre[-1], acts[-1]
+        del pre, acts  # the hidden layers of this block go before the next block's come
+        if not (np.isfinite(head.min()) and np.isfinite(head.max())):
             raise ValueError("fusion net output is not finite")
         out[block] = yb
     return out

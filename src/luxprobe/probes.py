@@ -43,7 +43,8 @@ def _check_exponent(exponent) -> None:
 
 @dataclass
 class Material:
-    """Probe material: 'mirror', 'matte' (Phong lobe), or 'diffuse'."""
+    """Probe material: 'mirror', 'matte' (Phong lobe), or 'diffuse', with an
+    albedo of three (RGB) components in [0, 1]."""
 
     kind: str
     albedo: tuple = (1.0, 1.0, 1.0)
@@ -52,6 +53,8 @@ class Material:
     def __post_init__(self):
         if self.kind not in ("mirror", "matte", "diffuse"):
             raise ValueError(f"unknown material kind {self.kind!r}")
+        if len(self.albedo) != 3:
+            raise ValueError(f"albedo must have 3 components, got {len(self.albedo)}")
         if any(not 0.0 <= a <= 1.0 for a in self.albedo):
             raise ValueError("albedo components must lie in [0, 1]")
         _check_exponent(self.exponent)

@@ -1,7 +1,12 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from luxprobe.envmap import EnvironmentMap, _pixel_centres
+from luxprobe.fusion import N_PARAMS, FusionNet, init_uniform
 from luxprobe.metrics import evaluate_three_spheres, sequence_report
 
 
@@ -28,6 +33,37 @@ def evaluate_sequence(pred_envs, gt_envs, probe_size):
                             for p, g in zip(pred_envs, gt_envs)])
 
 
+class allocation_peak:
+    """The peak bytes allocated inside a `with` block, by tracemalloc:
+    `with allocation_peak() as probe: ...`, then `probe.bytes`."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
+def overflowing_net():
+    """A finite float32 net whose layers overflow float32: parameters of +-1e38."""
+    return FusionNet(np.resize(np.float32([1e38, -1e38]), N_PARAMS))
+
+
+def overflowing_inside_net():
+    """A finite float32 net whose output comes out finite from an overflow inside:
+    layer-0 weights and biases of 1e38 and middle weights of 1 drive the hidden
+    layers to +inf, last weights of -1 take the head to -inf, and softplus to 0."""
+    net = init_uniform(0, np.float32)
+    net.weights[0][:] = 1e38
+    net.biases[0][:] = 1e38
+    for w in net.weights[1:-1]:
+        w[:] = 1.0
+    net.weights[-1][:] = -1.0
+    return net
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -49,3 +85,42 @@ def tonemap_log_expr(e):
 def quantize8_expr(img):
     img = np.asarray(img, dtype=np.float64)
     return np.floor(img * 255.0 + 0.5) / 255.0
+
+
+def png_with_row_filters(img, filters) -> bytes:
+    """An 8-bit RGB PNG of the uint8 (H, W, 3) `img`, hand-encoded with filter
+    type filters[y] on row y, as other encoders choose per row."""
+    height, width, _ = img.shape
+    raw = bytearray()
+    prev = np.zeros(width * 3, dtype=np.int32)
+    for y, ftype in enumerate(filters):
+        line = img[y].reshape(-1).astype(np.int32)
+        left = np.concatenate([[0, 0, 0], line[:-3]])
+        if ftype == 0:
+            enc = line
+        elif ftype == 1:
+            enc = (line - left) % 256
+        elif ftype == 2:
+            enc = (line - prev) % 256
+        elif ftype == 3:
+            enc = (line - (left + prev) // 2) % 256
+        else:
+            upleft = np.concatenate([[0, 0, 0], prev[:-3]])
+            pred = np.zeros_like(line)
+            for i in range(line.size):
+                a, b, c = left[i], prev[i], upleft[i]
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred[i] = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
+            enc = (line - pred) % 256
+        raw.append(int(ftype))
+        raw.extend(int(v) for v in enc)
+        prev = line
+
+    def chunk(tag, body):
+        return (struct.pack(">I", len(body)) + tag + body
+                + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,15 +16,15 @@ from hypothesis import given, settings, strategies as st
 import luxprobe
 from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import BLOCK_PIXELS, EnvironmentMap, rotate_env, sample_equirect
-from luxprobe.fusion import (N_PARAMS, POOL_SIZE, FusionNet, fusion_forward, init_uniform,
-                             load_fusion_net, save_fusion_net)
+from luxprobe.fusion import (POOL_SIZE, fusion_forward, init_uniform, load_fusion_net,
+                             save_fusion_net)
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
 from luxprobe.probes import STANDARD_MATERIALS, render_probe
 from luxprobe.projection import CameraSpec, camera_rays
 from luxprobe.tonemap import apply_display_tonemap, inverse_rule, tonemap_ldr, tonemap_log
-from conftest import evaluate_sequence, hot_spot_env
+from conftest import (allocation_peak, evaluate_sequence, hot_spot_env, overflowing_inside_net,
+                      overflowing_net, png_with_row_filters)
 from test_acceptance import _determinism_commands
-from test_imgio import png_with_row_filters
 
 
 def smooth_env(height=32, top=400.0):
@@ -53,12 +52,107 @@ def manifest_of(path):
 
 def traced_peak(argv) -> int:
     """Peak bytes that `main(argv)` allocates, by tracemalloc; the command must succeed."""
-    tracemalloc.start()
-    try:
+    with allocation_peak() as probe:
         assert main([str(a) for a in argv]) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return probe.bytes
+
+
+# ---------------------------------------------------------------------------
+# the harness of every CLI check: two runners, each returning (exit code, stdout,
+# stderr) as a terminal shows them, the one outcome check and the one table of
+# small valid arguments
+
+def _run(argv):
+    """main(argv) with its stdout and stderr, warnings included as a terminal shows
+    them; a traceback fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
+
+
+def _fresh_env(**extra) -> dict:
+    """This process's environment with this package on PYTHONPATH, plus `extra`."""
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
+def _fresh(argv, preexec_fn=None, **env):
+    """`luxprobe argv` run in a new interpreter with this package on its path and
+    `env` added to its environment, as a user runs it."""
+    run = subprocess.run([sys.executable, "-m", "luxprobe.cli", *map(str, argv)],
+                         env=_fresh_env(**env), preexec_fn=preexec_fn,
+                         capture_output=True, text=True, timeout=60)
+    return run.returncode, run.stdout, run.stderr
+
+
+def _check_outcome(code, stdout, stderr, out_dir) -> int:
+    """The one rule for how a command ends; returns its exit code. Exit 0: nothing
+    on stderr, and every PFM and net written under `out_dir` is finite and every
+    JSON document strict. Exit 1: one stderr line, `ERROR DATA: ...`. Exit 2:
+    argparse's usage line and one `error:` line. Exit 1 and 2 print nothing on
+    stdout and write nothing, no manifest either."""
+    written = sorted(out_dir.rglob("*"))
+    if code == 0:
+        assert stderr == "", stderr
+        for path in written:
+            if path.suffix == ".pfm":
+                assert np.isfinite(read_pfm(path)).all(), path
+            elif path.suffix in (".json", ".jsonl"):
+                text = path.read_text()
+                for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                    json.loads(doc, parse_constant=lambda name: pytest.fail(f"{name} in {path}"))
+            elif path.suffix == ".bin":
+                assert np.isfinite(load_fusion_net(path).params).all()
+        return code
+    assert written == [], f"exit {code} wrote {written}"
+    assert stdout == "", stdout
+    lines = stderr.splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), stderr
+    else:
+        assert code == 2, stderr
+        assert lines[0].startswith("usage: luxprobe "), stderr
+        assert re.match(r"luxprobe( [\w-]+)?: error: ", lines[-1]), stderr
+        assert sum("error:" in line for line in lines) == 1, stderr
+    return code
+
+
+def _argv(command, good, out, bad=None, net=None, flags=None) -> list:
+    """Small valid arguments for `command`, as --flag=value tokens: it reads the map
+    file `good`, or its directory, and writes under the directory `out`. With `bad`,
+    the command's first input is `bad` (or its directory) instead, and `net` is
+    the net `fuse-apply` reads. `flags` sets flags, or drops those set to None."""
+    bad = good if bad is None else bad
+    args = {
+        "crop": {"--pano": bad, "--w": 8, "--h": 6, "--out": out / "c.pfm"},
+        "dataset-gen": {"--panos-dir": bad.parent, "--count": 1, "--w": 8, "--h": 6,
+                        "--out-dir": out / "ds"},
+        "tonemap": {"--in": bad, "--out-ldr": out / "l.png", "--out-log": out / "g.png"},
+        "inverse": {"--ldr": bad, "--log": good, "--out": out / "r.pfm"},
+        "fuse-apply": {"--net": net, "--ldr": bad, "--log": good, "--out": out / "f.pfm"},
+        "fuse-train": {"--steps": 2, "--batch": 8, "--out": out / "n.bin"},
+        "render-probes": {"--env": bad, "--size": 16, "--out-prefix": out / "p_"},
+        "eval": {"--pred": bad, "--gt": good, "--probe-size": 16, "--out": out / "e.json"},
+        "eval-video": {"--pred-dir": bad.parent, "--gt-dir": good.parent,
+                       "--probe-size": 16, "--out": out / "v.json"},
+        "peak": {"--env": bad, "--out": out / "k.json"},
+        "rotate": {"--env": bad, "--yaw": 90, "--out": out / "o.pfm"},
+    }[command]
+    args.update(flags or {})
+    return [command, *(f"{flag}={value}" for flag, value in args.items() if value is not None)]
+
+
+@pytest.fixture
+def out_dir(tmp_path):
+    """An empty directory for a command's outputs, which the outcome check reads."""
+    path = tmp_path / "out"
+    path.mkdir()
+    return path
 
 
 class TestTonemapInverse:
@@ -204,7 +298,7 @@ class TestEval:
         few, many = run(2), run(8)
         assert many - few < frame_bytes, f"{(many - few) / frame_bytes:.2f} frames more"
 
-    def test_frame_count_mismatch_is_data_error(self, tmp_path, capsys):
+    def test_frame_count_mismatch_is_data_error(self, tmp_path, out_dir):
         pred_dir = tmp_path / "pred"
         gt_dir = tmp_path / "gt"
         pred_dir.mkdir()
@@ -213,24 +307,17 @@ class TestEval:
         write_pfm(pred_dir / "a.pfm", env.data)
         write_pfm(gt_dir / "a.pfm", env.data)
         write_pfm(gt_dir / "b.pfm", env.data)
-        code = main(["eval-video", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
-                     "--out", str(tmp_path / "r.json")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("ERROR DATA:")
+        assert _check_outcome(*_run(["eval-video", "--pred-dir", pred_dir, "--gt-dir", gt_dir,
+                                     "--out", out_dir / "r.json"]), out_dir) == 1
 
-
-    def test_eval_video_empty_dir_is_data_error(self, tmp_path, capsys):
+    def test_eval_video_empty_dir_is_data_error(self, tmp_path, out_dir):
         pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
         pred_dir.mkdir()
         gt_dir.mkdir()
         write_pfm(gt_dir / "a.pfm", hot_spot_env(height=16).data)
-        out = tmp_path / "r.json"
-        code = main(["eval-video", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
-                     "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("ERROR DATA: no frames") and "\n" not in err
-        assert not out.exists()
+        code, stdout, err = _run(["eval-video", "--pred-dir", pred_dir, "--gt-dir", gt_dir,
+                                  "--out", out_dir / "r.json"])
+        assert _check_outcome(code, stdout, err, out_dir) == 1 and "no frames" in err
 
 
 class TestCropRotatePeak:
@@ -286,6 +373,8 @@ class TestCropRotatePeak:
             for name, material in STANDARD_MATERIALS.items():
                 probe = render_probe(EnvironmentMap(env), material, 32)
                 write_pfm(want / f"p_{name}.pfm", probe.pixels)
+                write_png(want / f"p_{name}.png", apply_display_tonemap(probe.pixels, "gamma24"),
+                          metadata={"tonecurve": "gamma24"})
             runs = [["render-probes", "--env", pano, "--size", 32, "--out-prefix", got / "p_"]]
         elif case == "tonemap":
             write_png(want / "l.png", tonemap_ldr(env), metadata={"tonecurve": "dual-reinhard16"})
@@ -535,16 +624,12 @@ class TestManifest:
 
 
 class TestCliContract:
-    def test_unknown_command_exits_2(self, capsys):
-        assert main(["frobnicate"]) == 2
+    def test_unknown_command_exits_2(self, out_dir):
+        assert _check_outcome(*_run(["frobnicate"]), out_dir) == 2
 
-    def test_missing_input_exits_1_with_error_line(self, tmp_path, capsys):
-        code = main(["tonemap", "--in", str(tmp_path / "nope.pfm"),
-                     "--out-ldr", str(tmp_path / "a.png"),
-                     "--out-log", str(tmp_path / "b.png")])
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("ERROR DATA:") and "\n" not in err
+    def test_missing_input_exits_1_with_error_line(self, tmp_path, out_dir):
+        assert _check_outcome(*_run(_argv("tonemap", tmp_path / "nope.pfm", out_dir)),
+                              out_dir) == 1
 
     def test_config_file_supplies_defaults(self, tmp_path, env_file, capsys):
         cfg = tmp_path / "cfg.json"
@@ -571,18 +656,16 @@ class TestCliContract:
         m = manifest_of(out_a)
         assert m["parameters"]["yaw"] == 90.0
 
-    def test_abbreviated_flags_are_usage_errors(self, tmp_path, env_file, capsys):
+    def test_abbreviated_flags_are_usage_errors(self, tmp_path, env_file, out_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"w": 12, "h": 8}))
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
         crop = ["crop", "--pano", str(env_file), "--out", str(out_dir / "c.pfm")]
         evaluate = ["eval", "--pred", str(env_file), "--gt", str(env_file),
                     "--out", str(out_dir / "r.json")]
         for argv, bad in ((crop, "--conf"), (evaluate, "--probe")):
-            assert main(argv + [bad, str(cfg) if bad == "--conf" else "16"]) == 2
-            assert f"unrecognized arguments: {bad} " in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+            code, stdout, err = _run(argv + [bad, str(cfg) if bad == "--conf" else "16"])
+            assert _check_outcome(code, stdout, err, out_dir) == 2
+            assert f"unrecognized arguments: {bad} " in err
         assert main(crop + ["--config", str(cfg)]) == 0  # the full spelling reads the file
         assert read_pfm(out_dir / "c.pfm").shape == (8, 12, 3)
 
@@ -594,29 +677,21 @@ class TestCliContract:
                      f"--config={cfg}"]) == 0
         assert read_pfm(out).shape == (8, 12, 3)
 
-    def test_config_holding_a_list_is_data_error(self, tmp_path, env_file, capsys):
+    def test_config_holding_a_list_is_data_error(self, tmp_path, env_file, out_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps([{"w": 12}]))
-        out = tmp_path / "c.pfm"
-        assert main(["crop", "--pano", str(env_file), "--out", str(out),
-                     "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("ERROR DATA:") and "must hold a JSON object" in err
-        assert "\n" not in err and not out.exists()
+        code, stdout, err = _run(["crop", "--pano", env_file, "--out", out_dir / "c.pfm",
+                                  "--config", cfg])
+        assert _check_outcome(code, stdout, err, out_dir) == 1 and "must hold a JSON object" in err
 
     @pytest.mark.parametrize("line", [b"EXPOSURE=0", b"EXPOSURE=-1", b"EXPOSURE=nan",
                                       b"EXPOSURE=abc", b"COLORCORR=1 2"])
-    def test_invalid_hdr_multiplier_is_data_error(self, tmp_path, capsys, line):
+    def test_invalid_hdr_multiplier_is_data_error(self, tmp_path, out_dir, line):
         pano = tmp_path / "pano.hdr"
         pano.write_bytes(b"#?RADIANCE\n" + line + b"\n\n-Y 2 +X 4\n"
                          + bytes([128, 64, 32, 129]) * 8)
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        assert main(["crop", "--pano", str(pano), "--w", "4", "--h", "3",
-                     "--out", str(out_dir / "c.pfm")]) == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("ERROR DATA:") and "\n" not in err
-        assert list(out_dir.iterdir()) == []
+        assert _check_outcome(*_run(["crop", "--pano", pano, "--w", "4", "--h", "3",
+                                     "--out", out_dir / "c.pfm"]), out_dir) == 1
 
     def test_hdr_exposure_scales_the_crop(self, tmp_path):
         crops = []
@@ -630,33 +705,25 @@ class TestCliContract:
             crops.append(read_pfm(out))
         assert (crops[1] * 4 == crops[0]).all()
 
-    def test_nan_channel_is_data_error(self, tmp_path, capsys):
+    def test_nan_channel_is_data_error(self, tmp_path, out_dir):
         ldr = np.full((4, 8, 3), 0.5)
         ldr[1, 2, 1] = np.nan
         write_pfm(tmp_path / "ldr.pfm", ldr)
         write_pfm(tmp_path / "log.pfm", np.full((4, 8, 3), 0.25))
-        out = tmp_path / "rec.pfm"
-        code = main(["inverse", "--ldr", str(tmp_path / "ldr.pfm"),
-                     "--log", str(tmp_path / "log.pfm"), "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("ERROR DATA:") and "\n" not in err
-        assert not out.exists()
+        assert _check_outcome(*_run(["inverse", "--ldr", tmp_path / "ldr.pfm", "--log",
+                                     tmp_path / "log.pfm", "--out", out_dir / "rec.pfm"]),
+                              out_dir) == 1
 
-    def test_bad_png_crc_is_data_error(self, tmp_path, env_file, capsys):
+    def test_bad_png_crc_is_data_error(self, tmp_path, env_file, out_dir):
         ldr, log = tmp_path / "ldr.png", tmp_path / "log.png"
         assert main(["tonemap", "--in", str(env_file), "--out-ldr", str(ldr),
                      "--out-log", str(log)]) == 0
         blob = bytearray(ldr.read_bytes())
         blob[blob.find(b"IEND") - 5] ^= 0xFF  # last byte of the IDAT CRC
         ldr.write_bytes(bytes(blob))
-        capsys.readouterr()
-        out = tmp_path / "rec.pfm"
-        code = main(["inverse", "--ldr", str(ldr), "--log", str(log), "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("ERROR DATA:") and "CRC" in err and "\n" not in err
-        assert not out.exists()
+        code, stdout, err = _run(["inverse", "--ldr", ldr, "--log", log,
+                                  "--out", out_dir / "rec.pfm"])
+        assert _check_outcome(code, stdout, err, out_dir) == 1 and "CRC" in err
 
     def test_thread_limit_env(self, monkeypatch):
         monkeypatch.setenv("LUXPROBE_THREADS", "3")
@@ -680,11 +747,9 @@ class TestCliContract:
         monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
         assert thread_limit() == 64
 
-    def test_bad_thread_env_is_data_error(self, tmp_path, env_file, monkeypatch, capsys):
+    def test_bad_thread_env_is_data_error(self, env_file, monkeypatch, out_dir):
         monkeypatch.setenv("LUXPROBE_THREADS", "-2")
-        code = main(["peak", "--env", str(env_file)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("ERROR DATA:")
+        assert _check_outcome(*_run(_argv("peak", env_file, out_dir)), out_dir) == 1
 
     def test_rerun_manifest_hashes_match(self, tmp_path, env_file):
         out = tmp_path / "r.pfm"
@@ -699,39 +764,6 @@ class TestCliContract:
         main(["rotate", "--env", str(env_file), "--yaw", "45", "--out",
               str(tmp_path / "o.pfm")])
         assert env_file.read_bytes() == before
-
-
-def _argv(command, bad, good, net, out):
-    """Arguments that make `command` read `bad`, with any other input valid."""
-    return {
-        "crop": ["crop", "--pano", bad, "--w", "8", "--h", "6", "--out", out / "c.pfm"],
-        "dataset-gen": ["dataset-gen", "--panos-dir", bad.parent, "--count", "1",
-                        "--w", "8", "--h", "6", "--out-dir", out / "ds"],
-        "tonemap": ["tonemap", "--in", bad, "--out-ldr", out / "l.png",
-                    "--out-log", out / "g.png"],
-        "inverse": ["inverse", "--ldr", bad, "--log", good, "--out", out / "r.pfm"],
-        "fuse-apply": ["fuse-apply", "--net", net, "--ldr", bad, "--log", good,
-                       "--out", out / "f.pfm"],
-        "render-probes": ["render-probes", "--env", bad, "--size", "16",
-                          "--out-prefix", out / "p_"],
-        "eval": ["eval", "--pred", bad, "--gt", good, "--probe-size", "16",
-                 "--out", out / "e.json"],
-        "eval-video": ["eval-video", "--pred-dir", bad.parent, "--gt-dir", good.parent,
-                       "--probe-size", "16", "--out", out / "v.json"],
-        "peak": ["peak", "--env", bad, "--out", out / "k.json"],
-        "rotate": ["rotate", "--env", bad, "--yaw", "90", "--out", out / "o.pfm"],
-    }[command]
-
-
-def _assert_rejected(argv, out, capsys):
-    code = main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    assert code == 1
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), captured.err
-    assert captured.out == ""
-    assert list(out.iterdir()) == []  # no output and no manifest
-    return lines[0]
 
 
 FILE_COMMANDS = ["crop", "dataset-gen", "tonemap", "inverse", "fuse-apply",
@@ -759,15 +791,13 @@ class TestInputRule:
     """Every command that reads a file rejects bad input before writing anything."""
 
     @pytest.fixture
-    def inputs(self, tmp_path):
+    def inputs(self, tmp_path, out_dir):
         good = tmp_path / "good" / "x.pfm"
         good.parent.mkdir()
         write_pfm(good, _valid_map())
         net = tmp_path / "net.bin"
         save_fusion_net(init_uniform(0, dtype=np.float32), net)
-        out = tmp_path / "out"
-        out.mkdir()
-        return good, net, out
+        return good, net, out_dir
 
     @pytest.mark.parametrize("command", FILE_COMMANDS)
     def test_valid_input_runs(self, tmp_path, inputs, command):
@@ -775,11 +805,11 @@ class TestInputRule:
         bad = tmp_path / "bad" / "x.pfm"  # the same map: the control for the cases below
         bad.parent.mkdir()
         write_pfm(bad, _valid_map())
-        assert main([str(a) for a in _argv(command, bad, good, net, out)]) == 0
+        assert _check_outcome(*_run(_argv(command, good, out, bad=bad, net=net)), out) == 0
 
     @pytest.mark.parametrize("texel", ["nan", "+inf", "-inf", "missing"])
     @pytest.mark.parametrize("command", FILE_COMMANDS)
-    def test_non_finite_or_missing_input_exits_1(self, tmp_path, capsys, inputs, command, texel):
+    def test_non_finite_or_missing_input_exits_1(self, tmp_path, inputs, command, texel):
         good, net, out = inputs
         bad = tmp_path / "bad" / "x.pfm"
         if texel != "missing":  # else neither the file nor its directory exists
@@ -787,37 +817,35 @@ class TestInputRule:
             data[3, 5, 1] = float(texel)
             bad.parent.mkdir()
             write_pfm(bad, data)
-        _assert_rejected(_argv(command, bad, good, net, out), out, capsys)
+        assert _check_outcome(*_run(_argv(command, good, out, bad=bad, net=net)), out) == 1
 
     @pytest.mark.parametrize("az", ["nan", "inf", "-inf"])
-    def test_crop_rejects_non_finite_azimuth(self, capsys, inputs, az):
+    def test_crop_rejects_non_finite_azimuth(self, inputs, az):
         good, _, out = inputs
-        _assert_rejected(["crop", "--pano", good, f"--az={az}", "--w", "8", "--h", "6",
-                          "--out", out / "c.pfm"], out, capsys)
+        assert _check_outcome(*_run(_argv("crop", good, out, flags={"--az": az})), out) == 1
 
-    def test_crop_rejects_xyze_hdr(self, tmp_path, capsys, inputs):
+    def test_crop_rejects_xyze_hdr(self, tmp_path, inputs):
         # the header's FORMAT line was skipped, so XYZE texels were cropped as RGB
         _, _, out = inputs
         pano = tmp_path / "x.hdr"
         pano.write_bytes(b"#?RADIANCE\nFORMAT=32-bit_rle_xyze\n\n-Y 16 +X 32\n"
                          + bytes([128, 64, 32, 129]) * (16 * 32))
-        err = _assert_rejected(["crop", "--pano", pano, "--w", "8", "--h", "6",
-                                "--out", out / "c.png"], out, capsys)
-        assert "32-bit_rle_xyze" in err
+        code, stdout, err = _run(_argv("crop", pano, out, flags={"--out": out / "c.png"}))
+        assert _check_outcome(code, stdout, err, out) == 1 and "32-bit_rle_xyze" in err
 
     @pytest.mark.parametrize("command, flag, name", OUTPUT_SUFFIX_CASES)
-    def test_output_suffix_must_match_format(self, tmp_path, capsys, inputs, command, flag, name):
+    def test_output_suffix_must_match_format(self, tmp_path, inputs, command, flag, name):
         good, net, out = inputs
         missing = tmp_path / "missing" / "x.pfm"  # the suffix is checked before any read
-        argv = _argv(command, missing, good, net, out)
-        argv[argv.index(flag) + 1] = out / name
-        assert "unsupported output format" in _assert_rejected(argv, out, capsys)
+        code, stdout, err = _run(_argv(command, good, out, bad=missing, net=net,
+                                       flags={flag: out / name}))
+        assert _check_outcome(code, stdout, err, out) == 1 and "unsupported output format" in err
 
     @pytest.mark.parametrize("command, net", [
         ("inverse", None), ("inverse", "net.bin"), ("fuse-apply", "net.bin"),
         ("fuse-apply", "missing.bin"),  # the width rule comes before the net is opened
     ])
-    def test_dual_pair_must_be_a_panorama(self, tmp_path, capsys, inputs, command, net):
+    def test_dual_pair_must_be_a_panorama(self, tmp_path, inputs, command, net):
         _, _, out = inputs
         pair = tmp_path / "pair"
         pair.mkdir()
@@ -827,25 +855,24 @@ class TestInputRule:
                 "--out", out / "r.pfm"]
         if net is not None:
             argv += ["--net", tmp_path / net]
-        assert "width must equal 2*height" in _assert_rejected(argv, out, capsys)
+        code, stdout, err = _run(argv)
+        assert _check_outcome(code, stdout, err, out) == 1 and "width must equal 2*height" in err
 
     @pytest.mark.parametrize("out_log", ["./same.png", "{out}/same.png"])
-    def test_tonemap_outputs_must_be_two_files(self, capsys, monkeypatch, inputs, out_log):
+    def test_tonemap_outputs_must_be_two_files(self, monkeypatch, inputs, out_log):
         good, _, out = inputs
         monkeypatch.chdir(out)
-        argv = ["tonemap", "--in", good, "--out-ldr", "same.png",
-                "--out-log", out_log.format(out=out)]
-        assert "name one file" in _assert_rejected(argv, out, capsys)
+        code, stdout, err = _run(["tonemap", "--in", good, "--out-ldr", "same.png",
+                                  "--out-log", out_log.format(out=out)])
+        assert _check_outcome(code, stdout, err, out) == 1 and "name one file" in err
 
     @pytest.mark.parametrize("suffix", [".pfm", ".png"])
-    def test_dataset_gen_rejects_non_2to1_panorama(self, tmp_path, capsys, suffix):
+    def test_dataset_gen_rejects_non_2to1_panorama(self, tmp_path, out_dir, suffix):
         pano = tmp_path / "panos" / f"x{suffix}"
         pano.parent.mkdir()
         (write_pfm if suffix == ".pfm" else write_png)(pano, np.full((8, 12, 3), 0.5))
-        out = tmp_path / "out"
-        out.mkdir()
-        _assert_rejected(["dataset-gen", "--panos-dir", pano.parent, "--count", "1",
-                          "--out-dir", out / "ds"], out, capsys)
+        assert _check_outcome(*_run(["dataset-gen", "--panos-dir", pano.parent, "--count", "1",
+                                     "--out-dir", out_dir / "ds"]), out_dir) == 1
 
 
 # the maps of the stderr sweep, as (PFM scale line, texels): a scale whose product
@@ -858,18 +885,6 @@ def _sweep_maps():
             "all_1e-45": (b"-1.0", np.full((8, 16, 3), 1e-45)),
             "one_3e38": (b"-1.0", one_big),
             "zeros": (b"-1.0", np.zeros((8, 16, 3)))}
-
-
-def _fresh_env(**extra) -> dict:
-    """This process's environment with this package on PYTHONPATH, plus `extra`."""
-    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(luxprobe.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-
-
-def _fresh(argv):
-    """`luxprobe argv` run in a new interpreter with this package on its path."""
-    return subprocess.run([sys.executable, "-m", "luxprobe.cli", *map(str, argv)],
-                          env=_fresh_env(), capture_output=True, text=True, timeout=60)
 
 
 # run by a small parent: a child's peak RSS starts at its parent's RSS when it
@@ -913,13 +928,6 @@ def _hostile_inputs(d, image):
     return [d / "nan_texel.pfm", d / "idat_crc.png", d / "text_past_eof.png"]
 
 
-def _assert_one_error_line(run, out):
-    lines = run.stderr.splitlines()
-    assert run.returncode == 1, run.stderr
-    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), run.stderr
-    assert run.stdout == "" and list(out.iterdir()) == []
-
-
 class TestStderrOfAFreshProcess:
     """stderr as a user sees it: pytest captures warnings apart from capsys, so
     each command runs in its own interpreter."""
@@ -934,16 +942,10 @@ class TestStderrOfAFreshProcess:
             for command in ("tonemap", "crop", "render-probes", "eval", "peak", "rotate"):
                 out = tmp_path / f"{name}_{command}"
                 out.mkdir()
-                run = _fresh(_argv(command, bad, good, None, out))
-                lines = run.stderr.splitlines()
-                if run.returncode == 0:
-                    assert run.stderr == "", (name, command, run.stderr)
-                else:
-                    assert run.returncode == 1, (name, command, run.stderr)
-                    assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), \
-                        (name, command, run.stderr)
+                code, stdout, err = _fresh(_argv(command, good, out, bad=bad))
+                assert _check_outcome(code, stdout, err, out) in (0, 1), (name, command)
                 if name == "overflowing_scale":
-                    assert "overflows float32" in run.stderr, (command, run.stderr)
+                    assert "overflows float32" in err, (command, err)
 
     @pytest.mark.parametrize("command", ["inverse", "fuse-apply"])
     def test_hostile_dual_pair_channel(self, tmp_path, command):
@@ -956,80 +958,71 @@ class TestStderrOfAFreshProcess:
         for bad in [hostile / "ok.png", *_hostile_inputs(hostile, _valid_map())]:
             out = tmp_path / f"{bad.stem}_out"
             out.mkdir()
-            run = _fresh(_argv(command, bad, good, net, out))
-            if bad.name == "ok.png":  # the control: the same pair, intact
-                assert run.returncode == 0 and run.stderr == "", run.stderr
-            else:
-                _assert_one_error_line(run, out)
+            code = _check_outcome(*_fresh(_argv(command, good, out, bad=bad, net=net)), out)
+            assert code == (0 if bad.name == "ok.png" else 1), bad  # ok.png: the intact control
 
-    def test_dataset_gen_on_a_nan_texel(self, tmp_path):
+    def test_dataset_gen_on_a_nan_texel(self, tmp_path, out_dir):
         panos = tmp_path / "panos"
         panos.mkdir()
         data = _valid_map()
         data[3, 5, 0] = np.nan
         write_pfm(panos / "x.pfm", data)
-        out = tmp_path / "out"
-        out.mkdir()
-        run = _fresh(_argv("dataset-gen", panos / "x.pfm", panos / "x.pfm", None, out))
-        _assert_one_error_line(run, out)
+        assert _check_outcome(*_fresh(_argv("dataset-gen", panos / "x.pfm", out_dir)),
+                              out_dir) == 1
 
     @pytest.mark.parametrize("case", [
         "render-probes-size-2**63", "rotate-exposure-1e-300", "peak-exposure-1e-300",
-        "fuse-apply-net-1e38", "inverse-net-1e38", "fuse-train-lr-1e308"])
-    def test_one_named_error_line(self, tmp_path, case):
+        "fuse-apply-net-1e38", "inverse-net-1e38", "fuse-train-lr-1e308",
+        "fuse-apply-net-overflows-inside"])
+    def test_one_named_error_line(self, tmp_path, out_dir, case):
         pano = tmp_path / "pano.pfm"
         write_pfm(pano, _valid_map())
         hdr = tmp_path / "pano.hdr"
         hdr.write_bytes(b"#?RADIANCE\nEXPOSURE=1e-300\n\n-Y 8 +X 16\n"
                         + bytes([128, 64, 32, 129]) * 128)
-        net = tmp_path / "net.bin"
-        save_fusion_net(FusionNet(np.resize(np.float32([1e38, -1e38]), N_PARAMS)), net)
-        out = tmp_path / "out"
-        out.mkdir()
+        net, inside = tmp_path / "net.bin", tmp_path / "inside.bin"
+        save_fusion_net(overflowing_net(), net)
+        save_fusion_net(overflowing_inside_net(), inside)
         argv, cause = {
             # np.arange(2**63) is empty, so the disc is too: the renderer refuses it,
             # where a 0x0 mirror probe, which `read_pfm` rejects, used to be written
-            "render-probes-size-2**63": (["render-probes", "--env", pano, "--size", 2 ** 63,
-                                          "--out-prefix", out / "huge_"], str(2 ** 63)),
+            "render-probes-size-2**63": (_argv("render-probes", pano, out_dir,
+                                               flags={"--size": 2 ** 63}), str(2 ** 63)),
             # a finite positive EXPOSURE that overflows a texel, where numpy's
             # overflow warning came first
-            "rotate-exposure-1e-300": (_argv("rotate", hdr, pano, None, out),
+            "rotate-exposure-1e-300": (_argv("rotate", pano, out_dir, bad=hdr),
                                        "EXPOSURE/COLORCORR product"),
-            "peak-exposure-1e-300": (_argv("peak", hdr, pano, None, out),
+            "peak-exposure-1e-300": (_argv("peak", pano, out_dir, bad=hdr),
                                      "EXPOSURE/COLORCORR product"),
             # a finite net of +-1e38 whose output overflows, where four warnings came
             # first and the error blamed the environment map
-            "fuse-apply-net-1e38": (_argv("fuse-apply", pano, pano, net, out),
+            "fuse-apply-net-1e38": (_argv("fuse-apply", pano, out_dir, net=net),
                                     "net output is not finite"),
-            "inverse-net-1e38": (_argv("inverse", pano, pano, None, out) + ["--net", net],
+            "inverse-net-1e38": (_argv("inverse", pano, out_dir, flags={"--net": net}),
                                  "net output is not finite"),
             # the last Adam step makes every parameter infinite, where the net was written
-            "fuse-train-lr-1e308": (["fuse-train", "--steps", 1, "--batch", 8, "--lr", 1e308,
-                                     "--out", out / "n.bin"], "non-finite parameters"),
+            "fuse-train-lr-1e308": (_argv("fuse-train", pano, out_dir,
+                                          flags={"--steps": 1, "--lr": 1e308}),
+                                    "non-finite parameters"),
+            # hidden layers at +inf and a head at -inf, where zeros were written
+            "fuse-apply-net-overflows-inside": (_argv("fuse-apply", pano, out_dir, net=inside),
+                                                "net output is not finite"),
         }[case]
-        run = _fresh(argv)
-        _assert_one_error_line(run, out)
-        assert cause in run.stderr
+        code, stdout, err = _fresh(argv)
+        assert _check_outcome(code, stdout, err, out_dir) == 1 and cause in err
 
     @pytest.mark.parametrize("command, size", [
         ("eval", 2 ** 63 - 1), ("eval", 2 ** 63), ("eval-video", 2 ** 63 - 1),
         ("eval-video", 2 ** 63), ("render-probes", 2 ** 63 - 1)])
-    def test_probe_size_past_the_index_range_is_named(self, tmp_path, command, size):
+    def test_probe_size_past_the_index_range_is_named(self, tmp_path, out_dir, command, size):
         # np.arange(size) is empty from 2**63 - 1 on; the error names the size before
         # any prefilter runs, where eval and eval-video reported "empty input" after both
         pano = tmp_path / "frames" / "pano.pfm"
         pano.parent.mkdir()
         write_pfm(pano, _valid_map())
-        out = tmp_path / "out"
-        out.mkdir()
-        argv = {"eval": ["--pred", pano, "--gt", pano, "--probe-size", size,
-                         "--out", out / "report.json"],
-                "eval-video": ["--pred-dir", pano.parent, "--gt-dir", pano.parent,
-                               "--probe-size", size, "--out", out / "report.json"],
-                "render-probes": ["--env", pano, "--size", size, "--out-prefix", out / "huge_"]}
-        run = _fresh([command, *argv[command]])
-        _assert_one_error_line(run, out)
-        assert str(size) in run.stderr
+        flag = "--size" if command == "render-probes" else "--probe-size"
+        code, stdout, err = _fresh(_argv(command, pano, out_dir, flags={flag: size}))
+        assert _check_outcome(code, stdout, err, out_dir) == 1 and str(size) in err
 
 
 class TestOutOfMemory:
@@ -1038,13 +1031,11 @@ class TestOutOfMemory:
     once and takes no memory."""
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn and RLIMIT_AS")
-    @pytest.mark.parametrize("argv", [
-        ["render-probes", "--env", "{pano}", "--size", "300000", "--out-prefix", "{out}/huge_"],
-        ["eval", "--pred", "{pano}", "--gt", "{pano}", "--probe-size", "300000",
-         "--out", "{out}/huge.json"],
-        ["crop", "--pano", "{pano}", "--w", "200000", "--h", "200000", "--out", "{out}/huge.pfm"],
+    @pytest.mark.parametrize("command, flags", [
+        ("render-probes", {"--size": 300000}), ("eval", {"--probe-size": 300000}),
+        ("crop", {"--w": 200000, "--h": 200000}),
     ], ids=["render-probes", "eval", "crop"])
-    def test_allocation_failure_is_one_error_line(self, tmp_path, argv):
+    def test_allocation_failure_is_one_error_line(self, tmp_path, out_dir, command, flags):
         import resource
 
         def cap():
@@ -1052,66 +1043,37 @@ class TestOutOfMemory:
 
         pano = tmp_path / "pano.pfm"
         write_pfm(pano, _valid_map())
-        out = tmp_path / "out"
-        out.mkdir()
         # one BLAS thread: the cap is for the request, not for per-thread buffers
-        env = _fresh_env(OPENBLAS_NUM_THREADS="1")
-        argv = [a.format(pano=pano, out=out) for a in argv]
-        run = subprocess.run([sys.executable, "-m", "luxprobe.cli", *argv], env=env,
-                             preexec_fn=cap, capture_output=True, text=True, timeout=60)
-        lines = run.stderr.splitlines()
-        assert run.returncode == 1, run.stderr
-        assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), run.stderr
-        assert list(out.iterdir()) == []
+        run = _fresh(_argv(command, pano, out_dir, flags=flags), preexec_fn=cap,
+                     OPENBLAS_NUM_THREADS="1")
+        assert _check_outcome(*run, out_dir) == 1
 
-    def test_bare_memory_error_is_named(self, tmp_path, monkeypatch):
+    def test_bare_memory_error_is_named(self, tmp_path, monkeypatch, out_dir):
         def no_memory(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(luxprobe.metrics, "evaluate_three_spheres", no_memory)
         pano = tmp_path / "pano.pfm"
         write_pfm(pano, _valid_map())
-        code, _, err = _run(["eval", "--pred", pano, "--gt", pano, "--out", tmp_path / "e.json"])
-        assert (code, err) == (1, "ERROR DATA: out of memory\n")
-        assert not (tmp_path / "e.json").exists()
+        code, stdout, err = _run(_argv("eval", pano, out_dir))
+        assert _check_outcome(code, stdout, err, out_dir) == 1
+        assert err == "ERROR DATA: out of memory\n"
 
 
 class TestUniformMap:
     """A uniform map has no peak, so its report cannot be complete: exit 1, write nothing."""
 
     @pytest.mark.parametrize("command", ["eval", "eval-video"])
-    def test_uniform_map_exits_1(self, tmp_path, capsys, command):
+    def test_uniform_map_exits_1(self, tmp_path, out_dir, command):
         flat = tmp_path / "flat" / "x.pfm"
         flat.parent.mkdir()
         write_pfm(flat, np.full((16, 32, 3), 0.5))
-        out = tmp_path / "out"
-        out.mkdir()
-        _assert_rejected(_argv(command, flat, flat, None, out), out, capsys)
+        assert _check_outcome(*_run(_argv(command, flat, out_dir)), out_dir) == 1
 
 
 # ---------------------------------------------------------------------------
 # the argument boundary: flags and --config values parse the same way, and each
 # value out of range exits 1 or 2 before anything is written
-
-def _boundary_base(command, good, out) -> dict:
-    """Small valid arguments for `command`, flag -> value."""
-    return {
-        "crop": {"--pano": good, "--w": 8, "--h": 6, "--out": out / "c.pfm"},
-        "tonemap": {"--in": good, "--out-ldr": out / "l.png", "--out-log": out / "g.png"},
-        "inverse": {"--ldr": good, "--log": good, "--out": out / "r.pfm"},
-        "fuse-apply": {"--net": good.parent.parent / "net.bin", "--ldr": good, "--log": good,
-                       "--out": out / "f.pfm"},
-        "dataset-gen": {"--panos-dir": good.parent, "--count": 1, "--w": 8, "--h": 6,
-                        "--out-dir": out / "ds"},
-        "fuse-train": {"--steps": 2, "--batch": 8, "--out": out / "n.bin"},
-        "render-probes": {"--env": good, "--size": 16, "--out-prefix": out / "p_"},
-        "eval": {"--pred": good, "--gt": good, "--probe-size": 16, "--out": out / "e.json"},
-        "eval-video": {"--pred-dir": good.parent, "--gt-dir": good.parent,
-                       "--probe-size": 16, "--out": out / "v.json"},
-        "peak": {"--env": good, "--out": out / "k.json"},
-        "rotate": {"--env": good, "--yaw": 90, "--out": out / "o.pfm"},
-    }[command]
-
 
 NUMERIC_FLAGS = [
     ("crop", "--az"), ("crop", "--el"), ("crop", "--fov"), ("crop", "--w"), ("crop", "--h"),
@@ -1132,43 +1094,6 @@ SQUARE_PAIR_CASES = [
     ("inverse", "--ldr", "square/ldr.png"), ("inverse", "--net", "net.bin"),
     ("fuse-apply", "--log", "square/log.png"), ("fuse-apply", "--net", "missing.bin"),
 ]
-
-
-def _run(argv):
-    """main(argv) with its stdout and stderr, warnings included as a terminal shows
-    them; a traceback fails the calling test."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main([str(a) for a in argv])
-    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
-                    for w in caught)
-    return code, out.getvalue(), err.getvalue() + shown
-
-
-def _check_outcome(code, err, out_dir):
-    written = sorted(p for p in out_dir.rglob("*"))
-    if code == 0:
-        for path in written:
-            if path.suffix == ".pfm":
-                assert np.isfinite(read_pfm(path)).all(), path
-            elif path.suffix in (".json", ".jsonl"):
-                text = path.read_text()
-                for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
-                    json.loads(doc, parse_constant=lambda name: pytest.fail(f"{name} in {path}"))
-            elif path.suffix == ".bin":
-                assert np.isfinite(load_fusion_net(path).params).all()
-        return
-    assert written == [], f"exit {code} wrote {written}"
-    lines = err.splitlines()
-    if code == 1:
-        assert len(lines) == 1 and lines[0].startswith("ERROR DATA:"), err
-    else:
-        assert code == 2, err
-        assert lines[0].startswith("usage: luxprobe ")
-        assert re.match(r"luxprobe [\w-]+: error: ", lines[-1]), err
-        assert sum("error:" in line for line in lines) == 1, err
 
 
 @pytest.fixture(scope="module")
@@ -1195,28 +1120,24 @@ class TestArgumentBoundary:
         root, good = boundary_dir
         command, flag, value = case
         square = case in SQUARE_PAIR_CASES
+        pair = ({"--ldr": root / "square" / "ldr.png", "--log": root / "square" / "log.png"}
+                if square else {})
         codes = []
         for route in ("flag", "config"):
             work = Path(tempfile.mkdtemp(dir=root))
             out = work / "out"
             out.mkdir()
-            base = _boundary_base(command, good, out)
-            if square:
-                base.update({"--ldr": root / "square" / "ldr.png",
-                             "--log": root / "square" / "log.png"})
-            base.pop(flag, None)
-            argv = [command, *(tok for item in base.items() for tok in item)]
             path = (root if square else out) / value
             token, config = ((value, EDGE_VALUES[value]) if value in EDGE_VALUES
                              else (path, str(path)))
-            if route == "flag":
-                argv.insert(1, f"{flag}={token}")
-            else:
+            argv = _argv(command, good, out, net=root / "net.bin",
+                         flags={**pair, flag: token if route == "flag" else None})
+            if route == "config":
                 cfg = work / "cfg.json"
                 cfg.write_text(json.dumps({flag[2:]: config}))
-                argv[1:1] = ["--config", cfg]
-            code, _, err = _run(argv)
-            _check_outcome(code, err, out)
+                argv += ["--config", cfg]
+            code, stdout, err = _run(argv)
+            _check_outcome(code, stdout, err, out)
             assert not square or "width must equal 2*height" in err, err
             codes.append(code)
         assert codes[0] == codes[1], f"{command} {flag}={value}: flag {codes[0]}, config {codes[1]}"
@@ -1240,11 +1161,8 @@ class TestArgumentBoundary:
         out.mkdir()
         cfg = work / "cfg.json"
         cfg.write_text(json.dumps(config))
-        base = _boundary_base(command, good, out)
-        argv = [command, "--config", cfg, *(tok for item in base.items() for tok in item)]
-        code, _, err = _run(argv)
-        assert code == 2, err
-        _check_outcome(code, err, out)
+        argv = _argv(command, good, out, net=root / "net.bin") + ["--config", cfg]
+        assert _check_outcome(*_run(argv), out) == 2
 
     @pytest.mark.parametrize("command, flag, value", [
         ("rotate", "--yaw", "inf"), ("rotate", "--yaw", "-inf"), ("rotate", "--yaw", "1e308"),
@@ -1257,11 +1175,8 @@ class TestArgumentBoundary:
         root, good = boundary_dir
         out = Path(tempfile.mkdtemp(dir=root)) / "out"
         out.mkdir()
-        base = _boundary_base(command, good, out)
-        base[flag] = value
-        code, _, err = _run([command, *(f"{k}={v}" for k, v in base.items())])
-        assert code == 1, err
-        _check_outcome(code, err, out)
+        argv = _argv(command, good, out, net=root / "net.bin", flags={flag: value})
+        assert _check_outcome(*_run(argv), out) == 1
 
     def test_config_store_true_and_unknown_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +24,7 @@ from luxprobe.envmap import (
 )
 from luxprobe.projection import PanoramaSource
 from luxprobe.tonemap import DualToneMaps
-from conftest import grid_directions, hot_spot_env
+from conftest import allocation_peak, grid_directions, hot_spot_env
 
 
 class TestEnvironmentMap:
@@ -232,13 +230,9 @@ class TestPolarAngleRule:
         assert np.abs(got - want).max() <= 3 * np.finfo(np.float64).eps
 
     def test_pixel_to_direction_memory_flat_in_map_height(self):
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             d = pixel_to_direction(5, 7, 2 * 10**9, 10**9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, peak
+        assert probe.bytes < 2**20, probe.bytes
         assert d.shape == (3,) and d[1] > 0.999999
 
 
@@ -504,13 +498,9 @@ class TestPeakDirectionParity:
     def test_memory_below_twice_the_map(self, rng):
         # the whole (H, W, 3) direction grid and its temporaries took about 3.5x
         env = EnvironmentMap(rng.random((512, 1024, 3)))
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             peak_direction(env)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * env.data.nbytes, peak / env.data.nbytes
+        assert probe.bytes < 2 * env.data.nbytes, probe.bytes / env.data.nbytes
 
 
 class TestSampleEquirect:

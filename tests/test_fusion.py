@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +34,8 @@ from luxprobe.fusion import (
 )
 from luxprobe.tonemap import DualToneMaps, inverse_rule, tonemap_dual
 
-from conftest import quantize8_expr, tonemap_ldr_expr, tonemap_log_expr
+from conftest import (allocation_peak, overflowing_inside_net, overflowing_net, quantize8_expr,
+                      tonemap_ldr_expr, tonemap_log_expr)
 
 
 def zero_net():
@@ -45,11 +45,6 @@ def zero_net():
     for b in net.biases:
         b[:] = 0.0
     return net
-
-
-def overflowing_net():
-    """A finite float32 net whose layers overflow float32: parameters of +-1e38."""
-    return FusionNet(np.resize(np.float32([1e38, -1e38]), N_PARAMS))
 
 
 class TestForward:
@@ -125,13 +120,17 @@ class TestForward:
 
     @pytest.mark.parametrize("entry", ["fusion_forward", "fuse_image"])
     def test_output_that_overflows_blames_the_net(self, entry):
+        # a net whose output overflows, and one whose overflow inside gives
+        # a finite output of zeros
         ldr = np.full((4, 8, 3), 0.5)
-        with warnings.catch_warnings(), pytest.raises(ValueError, match="net output is not finite"):
-            warnings.simplefilter("error")  # one ValueError, not numpy's overflow warnings
-            if entry == "fusion_forward":
-                fusion_forward(overflowing_net(), ldr.reshape(-1, 3), ldr.reshape(-1, 3))
-            else:
-                fuse_image(overflowing_net(), DualToneMaps(ldr=ldr, log=ldr))
+        for net in (overflowing_net(), overflowing_inside_net()):
+            with warnings.catch_warnings(), \
+                    pytest.raises(ValueError, match="net output is not finite"):
+                warnings.simplefilter("error")  # one ValueError, not numpy's overflow warnings
+                if entry == "fusion_forward":
+                    fusion_forward(net, ldr.reshape(-1, 3), ldr.reshape(-1, 3))
+                else:
+                    fuse_image(net, DualToneMaps(ldr=ldr, log=ldr))
 
 
 def init_uniform_by_layers(seed, dtype=np.float64):
@@ -250,13 +249,9 @@ class TestBlockedForward:
         for n in (2**15, 2**17):
             ldr = rng.random((n, 3), dtype=np.float32)
             log = rng.random((n, 3), dtype=np.float32)
-            tracemalloc.start()
-            try:
+            with allocation_peak() as probe:
                 fusion_forward(net, ldr, log)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            rest = peak - n * 3 * 4
+            rest = probe.bytes - n * 3 * 4
             assert rest < 9 * block, f"{n} rows: {rest / block:.2f} hidden blocks"
 
 
@@ -424,13 +419,9 @@ class TestTrainingPool:
         block = POOL_BLOCK * 3 * 8
         training_pool(np.random.default_rng(0), 1000)  # warm up
         for count in (80_000, 400_000):
-            tracemalloc.start()
-            try:
+            with allocation_peak() as probe:
                 training_pool(np.random.default_rng(0), count)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            rest = peak - 36 * count
+            rest = probe.bytes - 36 * count
             assert rest < 9 * block, f"{count} pairs: {rest / block:.2f} blocks"
 
 
@@ -592,15 +583,11 @@ class TestTraining:
     def test_zero_steps_returns_init_without_a_pool(self):
         # the default pool is POOL_SIZE x 9 float32 values (72 MB) and no step
         # reads it; the structured init's own 32768-row fit peaks near 53 MB
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             net, loss = train_fusion(TrainConfig(steps=0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert loss is None
         assert net.params.tobytes() == init_structured(0, dtype=np.float32).params.tobytes()
-        assert peak < 72e6, f"peak {peak / 1e6:.0f} MB"
+        assert probe.bytes < 72e6, f"peak {probe.bytes / 1e6:.0f} MB"
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
@@ -635,13 +622,9 @@ class TestFuseImage:
         h, w = 64, 128
         maps = DualToneMaps(ldr=np.full((h, w, 3), 0.25), log=np.full((h, w, 3), 0.5))
         hidden = h * w * WIDTHS[1] * 4  # bytes of one float32 hidden-layer array
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             fuse_image(net, maps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * hidden, f"peak {peak / hidden:.2f} hidden-layer arrays"
+        assert probe.bytes < 3 * hidden, f"peak {probe.bytes / hidden:.2f} hidden-layer arrays"
 
     def test_shape_preserved(self, rng):
         net = init_uniform(1)

@@ -1,6 +1,5 @@
 import struct
 import sys
-import tracemalloc
 import warnings
 import zlib
 
@@ -12,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from luxprobe.imgio import _unfilter, check_unit, read_hdr, read_pfm, read_png, write_pfm, write_png
 from luxprobe.tonemap import quantize8
+from conftest import allocation_peak, png_with_row_filters
 
 
 class TestPfm:
@@ -130,41 +130,29 @@ class TestPfm:
         scale = b"-1.0" if sys.byteorder == "little" else b"1.0"
         path = tmp_path / "gray.pfm"
         path.write_bytes(b"Pf\n512 256\n" + scale + b"\n" + gray[::-1].tobytes())
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             img = read_pfm(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert img.dtype == np.float32 and img.flags.c_contiguous
         assert (img == gray[..., None]).all()
-        assert peak < 2 * img.nbytes, peak / img.nbytes
+        assert probe.bytes < 2 * img.nbytes, probe.bytes / img.nbytes
 
     def test_one_copy_of_the_payload(self, tmp_path, rng):
         # a float32 copy, its reversed astype and tobytes made three
         img = rng.random((512, 1024, 3))
         payload = img.size * 4
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             write_pfm(tmp_path / "m.pfm", img)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * payload, peak / payload
+        assert probe.bytes < 1.5 * payload, probe.bytes / payload
 
     def test_reader_makes_one_copy(self, tmp_path, rng):
         # each block of disk rows is read into its place in the output and flipped there
         img = rng.random((512, 1024, 3)).astype(np.float32)
         path = tmp_path / "r.pfm"
         write_pfm(path, img)
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             back = read_pfm(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert back.flags.c_contiguous and back.tobytes() == img.tobytes()
-        assert peak < 1.25 * back.nbytes, peak / back.nbytes
+        assert probe.bytes < 1.25 * back.nbytes, probe.bytes / back.nbytes
 
 
 class TestCheckUnit:
@@ -336,44 +324,6 @@ class TestRadianceHdr:
             read_hdr(path)
 
 
-def png_with_row_filters(img, filters) -> bytes:
-    """An 8-bit RGB PNG of the uint8 (H, W, 3) `img`, hand-encoded with filter
-    type filters[y] on row y, as other encoders choose per row."""
-    height, width, _ = img.shape
-    raw = bytearray()
-    prev = np.zeros(width * 3, dtype=np.int32)
-    for y, ftype in enumerate(filters):
-        line = img[y].reshape(-1).astype(np.int32)
-        left = np.concatenate([[0, 0, 0], line[:-3]])
-        if ftype == 0:
-            enc = line
-        elif ftype == 1:
-            enc = (line - left) % 256
-        elif ftype == 2:
-            enc = (line - prev) % 256
-        elif ftype == 3:
-            enc = (line - (left + prev) // 2) % 256
-        else:
-            upleft = np.concatenate([[0, 0, 0], prev[:-3]])
-            pred = np.zeros_like(line)
-            for i in range(line.size):
-                a, b, c = left[i], prev[i], upleft[i]
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                pred[i] = a if (pa <= pb and pa <= pc) else (b if pb <= pc else c)
-            enc = (line - pred) % 256
-        raw.append(int(ftype))
-        raw.extend(int(v) for v in enc)
-        prev = line
-
-    def chunk(tag, body):
-        return (struct.pack(">I", len(body)) + tag + body
-                + struct.pack(">I", zlib.crc32(tag + body) & 0xFFFFFFFF))
-
-    return (b"\x89PNG\r\n\x1a\n"
-            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0))
-            + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b""))
-
 
 class TestPng:
     def test_uint8_round_trip(self, tmp_path, rng):
@@ -520,14 +470,9 @@ class TestPng:
         stream = b"".join(deflate.compress(block) for _ in range(100)) + deflate.flush()
         path = tmp_path / "bomb.png"
         self._png(path, 1, 1, 2, stream)  # 1x1 RGB needs 4 bytes; this inflates to 100 MiB
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="size mismatch"):
-                read_png(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20
+        with allocation_peak() as probe, pytest.raises(ValueError, match="size mismatch"):
+            read_png(path)
+        assert probe.bytes < 10 * 2**20
 
     def test_huge_declared_size_rejected(self, tmp_path):
         path = tmp_path / "huge.png"

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,7 @@ from luxprobe.metrics import (
     temporal_stats,
 )
 from luxprobe.probes import STANDARD_MATERIALS, _disc_geometry, render_probe
-from conftest import evaluate_sequence, hot_spot_env
+from conftest import allocation_peak, evaluate_sequence, hot_spot_env
 
 
 def img(*pixels):
@@ -352,11 +350,7 @@ class TestThreeSpheresParity:
 
         pred, gt = env(), env()
         evaluate_three_spheres(pred, gt, probe_size=256)  # lazy set-up outside the count
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             evaluate_three_spheres(pred, gt, probe_size=256)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         disc = _disc_geometry(256)[1].nbytes  # one map's (n, 3) float64 disc pixels
-        assert peak <= 11.9 * disc, peak / disc
+        assert probe.bytes <= 11.9 * disc, probe.bytes / disc

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +25,7 @@ from luxprobe.probes import (
     render_probe,
     render_probe_pixels,
 )
-from conftest import grid_directions
+from conftest import allocation_peak, grid_directions
 
 
 def polar_cosines(height: int) -> np.ndarray:
@@ -214,25 +212,17 @@ class TestPrefilterParity:
         # the full (rows, H, W) kernel tensor would be 64*512*1024*8 bytes,
         # 21x the input; the row-at-a-time FFT needs a few input-sized buffers
         env = EnvironmentMap(rng.random((512, 1024, 3)))
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             prefilter_glossy(env, 64, out_height=512)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * env.data.nbytes
+        assert probe.bytes < 4 * env.data.nbytes
 
     def test_memory_of_two_maps_stays_near_their_size(self, rng):
         # the kernels and their spectra are shared, so a second map adds its
         # own spectrum and numerator, not another set of kernel buffers
         maps = [rng.random((512, 1024, 3)) for _ in range(2)]
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             _weighted_sums(maps, 64, [64])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * sum(m.nbytes for m in maps)
+        assert probe.bytes < 4 * sum(m.nbytes for m in maps)
 
     @pytest.mark.parametrize(
         "height, out_height, exponent",
@@ -366,6 +356,13 @@ class TestMaterial:
             Material("mirror", albedo=(1.5, 0, 0))
         with pytest.raises(ValueError, match="exponent"):
             Material("matte", exponent=0.0)
+
+    @pytest.mark.parametrize("albedo", [(0.5,), (0.5, 0.5), (0.5, 0.5, 0.5, 0.5)],
+                             ids=["1", "2", "4"])
+    def test_albedo_has_three_components(self, albedo):
+        # one component was broadcast to gray, and two or four failed in the prefilter
+        with pytest.raises(ValueError, match="albedo must have 3 components"):
+            Material("matte", albedo=albedo)
 
 
 class TestPrefilterDiffuse:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +32,7 @@ from luxprobe.tonemap import (
     tonemap_ldr,
     tonemap_log,
 )
+from conftest import allocation_peak
 
 
 def smooth_pano(height=64):
@@ -175,14 +174,10 @@ class TestProjection:
         # (H, W) array, and np.stack copied the index planes once more
         cam = CameraSpec(azimuth=30, elevation=5, fov=60, width=160, height=120)
         rays = camera_rays(cam)
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             equirect_geometry(rays, 32, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         crop = 120 * 160 * 3 * 8  # one float64 crop
-        assert peak < 4 * crop, peak / crop
+        assert probe.bytes < 4 * crop, probe.bytes / crop
 
 
 def row_blocks(cam):
@@ -428,13 +423,10 @@ class TestDatasetGen:
         source = PanoramaSource(smooth_pano(32).data)
 
         def peak(frames):
-            tracemalloc.start()
-            try:
+            with allocation_peak() as probe:
                 list(dataset_gen([source], 0, 1, frame_count=frames,
                                  crop_width=160, crop_height=120))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return probe.bytes
 
         crop = 120 * 160 * 3 * 8  # one float64 crop
         growth = peak(8) - peak(2)
@@ -443,12 +435,9 @@ class TestDatasetGen:
     @staticmethod
     def still_peak(source, width, height):
         """`tracemalloc` peak of one still sample, in float64 crops."""
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             list(dataset_gen([source], 0, 1, crop_width=width, crop_height=height))
-            return tracemalloc.get_traced_memory()[1] / (height * width * 3 * 8)
-        finally:
-            tracemalloc.stop()
+        return probe.bytes / (height * width * 3 * 8)
 
     def test_still_sample_memory(self):
         # rays, lookup geometry, gathers, lerps and tone curve were each
@@ -517,14 +506,10 @@ class TestDatasetGen:
     def test_nothing_is_spawned_up_front(self):
         # building one RNG stream per sample at the call peaked near 18 MB
         source = PanoramaSource(smooth_pano(8).data)
-        tracemalloc.start()
-        try:
+        with allocation_peak() as probe:
             samples = dataset_gen([source], 0, 20000, crop_width=8, crop_height=6)
             next(samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20, peak
+        assert probe.bytes < 1 << 20, probe.bytes
 
     def test_negative_seed_rejected_at_the_call(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
