@@ -6,9 +6,10 @@ strictly positive. Training minimizes mean Huber loss (delta = 1) against
 linear-radiance targets with Adam-style per-parameter step scaling. One
 forward pass, `_forward`, serves training, inference and the structured init;
 the last two run it over consecutive BLOCK_ROWS-row blocks, so their memory
-is a fixed number of block-sized arrays plus the input and output. The
-training pool is drawn and built per row block straight into float32
-(`training_pool`), so a run holds its pool and a few blocks besides.
+is a fixed number of block-sized arrays plus the input and output. Training
+pairs are drawn per row block straight into float32. A run holds a pool
+(`training_pool`) only when it reads a pair twice; otherwise each batch is
+drawn into one reused buffer just before its step.
 
 Inputs are the six [0,1] values (ldr RGB, log RGB); see tonemap.inverse_rule
 for the analytic oracle the trained network is benchmarked against.
@@ -251,21 +252,13 @@ def _draw_streams(rng: np.random.Generator, count: int):
     return streams
 
 
-def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool = True,
-                          intensity_range=INTENSITY_RANGE, out=None):
-    """Synthetic supervised pairs: ((ldr, log) inputs, hdr targets), as new
-    float64 (count, 3) arrays or, cast, into `out`, a triple of (count, 3) arrays.
-
-    Radiance is drawn log-uniformly over the intensity range as a shared
-    per-sample scale with a +/-1 octave per-channel hue jitter, then scaled
-    by a random exposure and clipped back into the invertible range (so the
-    analytic inverse recovers every unquantized pair exactly). The [0,1]
-    inputs are optionally snapped to the 8-bit grid, matching the precision
-    of PNG-decoded inputs at inference time. Draws and stage run per row
-    block (`map_rows`), each block's draws read from three streams of `rng`
-    (`_draw_streams`): the values, and `rng`'s state after, are those of
-    whole draws of base, jitter and exposure in turn.
-    """
+def _pair_drawer(rng: np.random.Generator, count: int, quantize: bool = True,
+                 intensity_range=INTENSITY_RANGE):
+    """`fill(out)`: sets `out`, a triple of (n, 3) arrays, to the next n of the
+    `count` pairs of `sample_training_pairs(rng, count, quantize, intensity_range)`,
+    cast, per row block (`map_rows`), and returns it. `rng` is moved past all
+    `count` pairs at once (`_draw_streams`); calls read the pairs front to back
+    and must not read more than `count` of them in all."""
     if count <= 0:
         raise ValueError("count must be positive")
     lo, hi = intensity_range
@@ -282,8 +275,31 @@ def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool =
         ldr, log = tonemap_ldr(hdr), tonemap_log(hdr)
         return (quantize8(ldr), quantize8(log), hdr) if quantize else (ldr, log, hdr)
 
-    out = tuple(np.empty((count, 3)) for _ in range(3)) if out is None else out
-    return map_rows(stage, range(count), out=out)
+    return lambda out: map_rows(stage, range(len(out[0])), out=out)
+
+
+def sample_training_pairs(rng: np.random.Generator, count: int, quantize: bool = True,
+                          intensity_range=INTENSITY_RANGE, out=None):
+    """Synthetic supervised pairs: ((ldr, log) inputs, hdr targets), as new
+    float64 (count, 3) arrays or, cast, into `out`, a triple of (count, 3) arrays.
+
+    Radiance is drawn log-uniformly over the intensity range as a shared
+    per-sample scale with a +/-1 octave per-channel hue jitter, then scaled
+    by a random exposure and clipped back into the invertible range (so the
+    analytic inverse recovers every unquantized pair exactly). The [0,1]
+    inputs are optionally snapped to the 8-bit grid, matching the precision
+    of PNG-decoded inputs at inference time. Draws and stage run per row
+    block (`_pair_drawer`), each block's draws read from three streams of `rng`
+    (`_draw_streams`): the values, and `rng`'s state after, are those of
+    whole draws of base, jitter and exposure in turn.
+    """
+    fill = _pair_drawer(rng, count, quantize, intensity_range)
+    return fill(tuple(np.empty((count, 3)) for _ in range(3)) if out is None else out)
+
+
+def _split(x, y):
+    """The (ldr, log, hdr) output triple that fills inputs `x` and targets `y`."""
+    return x[:, :3], x[:, 3:], y
 
 
 def training_pool(rng: np.random.Generator, count: int, quantize: bool = True):
@@ -292,7 +308,7 @@ def training_pool(rng: np.random.Generator, count: int, quantize: bool = True):
     no whole-pool float64 array, draws included, is made."""
     x = np.empty((count, WIDTHS[0]), dtype=TRAIN_DTYPE)
     y = np.empty((count, WIDTHS[-1]), dtype=TRAIN_DTYPE)
-    sample_training_pairs(rng, count, quantize, out=(x[:, :3], x[:, 3:], y))
+    sample_training_pairs(rng, count, quantize, out=_split(x, y))
     return x, y
 
 
@@ -312,6 +328,8 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.init not in ("structured", "uniform"):
             raise ValueError(f"unknown init {self.init!r}")
 
@@ -326,13 +344,50 @@ def _lr_at(cfg: TrainConfig, t: int) -> float:
     return LR_MIN + 0.5 * (cfg.learning_rate - LR_MIN) * (1.0 + np.cos(np.pi * f))
 
 
+def _batches(cfg: TrainConfig, data=None):
+    """The (inputs, targets) float32 batch of each of cfg.steps steps, in order.
+
+    The pool is `data`, a fixed (ldr, log, hdr) triple, or by default the
+    `training_pool` of POOL_SIZE pairs drawn from cfg.seed + 1, tiled when
+    shorter than a batch. Batches are its consecutive rows, back to row 0
+    when a batch would run past its end. A default run that reads no pair
+    twice (steps x batch <= POOL_SIZE) holds no pool: each batch is drawn
+    into one reused buffer when its step reads it, the same bits.
+    """
+    b = cfg.batch_size
+    if data is None and cfg.steps * b <= POOL_SIZE:
+        fill = _pair_drawer(np.random.default_rng(cfg.seed + 1), POOL_SIZE, cfg.quantize)
+        x = np.empty((b, WIDTHS[0]), dtype=TRAIN_DTYPE)
+        y = np.empty((b, WIDTHS[-1]), dtype=TRAIN_DTYPE)
+        for _ in range(cfg.steps):
+            fill(_split(x, y))
+            yield x, y
+        return
+    if data is None:
+        x_pool, y_pool = training_pool(np.random.default_rng(cfg.seed + 1), POOL_SIZE, cfg.quantize)
+    else:
+        x_pool = np.concatenate(data[:2], axis=1, dtype=TRAIN_DTYPE)
+        y_pool = np.ascontiguousarray(data[2], dtype=TRAIN_DTYPE)
+    if x_pool.shape[0] < b:
+        reps = -(-b // x_pool.shape[0])
+        x_pool = np.tile(x_pool, (reps, 1))
+        y_pool = np.tile(y_pool, (reps, 1))
+    offset = 0
+    for _ in range(cfg.steps):
+        if offset + b > x_pool.shape[0]:
+            offset = 0
+        yield x_pool[offset : offset + b], y_pool[offset : offset + b]
+        offset += b
+
+
 def train_fusion(cfg: TrainConfig, data=None):
     """Train a fusion net; returns (net, final mean Huber loss or None if no step ran).
 
-    `data` may supply a fixed (ldr, log, hdr) pool; by default the `training_pool`
-    of POOL_SIZE pairs is drawn from cfg.seed + 1, unless no step runs
-    (cfg.steps == 0), which returns the initial net. Batches cycle
-    through the pool in order, so identical configs give bit-identical nets.
+    `data` may supply a fixed (ldr, log, hdr) pool; by default the pairs are
+    those of the `training_pool` of POOL_SIZE pairs drawn from cfg.seed + 1.
+    Batches cycle through the pool in order (`_batches`), so identical
+    configs give bit-identical nets. A run holds a pool only when it reads a
+    pair twice; a run of no step (cfg.steps == 0) returns the initial net.
     Raises RuntimeError with the step index if the loss goes non-finite.
     """
     dtype = TRAIN_DTYPE
@@ -340,34 +395,14 @@ def train_fusion(cfg: TrainConfig, data=None):
         net = init_structured(cfg.seed, dtype=dtype, quantize=cfg.quantize)
     else:
         net = init_uniform(cfg.seed, dtype=dtype)
-    if cfg.steps == 0:
-        return net, None
-    if data is None:
-        x_pool, y_pool = training_pool(np.random.default_rng(cfg.seed + 1), POOL_SIZE, cfg.quantize)
-    else:
-        x_pool = np.concatenate(data[:2], axis=1, dtype=dtype)
-        y_pool = np.ascontiguousarray(data[2], dtype=dtype)
-    pool = x_pool.shape[0]
-    if pool < cfg.batch_size:
-        reps = -(-cfg.batch_size // pool)
-        x_pool = np.tile(x_pool, (reps, 1))
-        y_pool = np.tile(y_pool, (reps, 1))
-        pool = x_pool.shape[0]
-
     m = np.zeros_like(net.params)
     v = np.zeros_like(net.params)
     beta1, beta2, eps = 0.9, 0.999, dtype(1e-8)
     delta = dtype(HUBER_DELTA)
-    offset = 0
     loss = None
-    for t in range(1, cfg.steps + 1):
+    for t, (x, y) in enumerate(_batches(cfg, data), start=1):
         # fold bias correction into the step size
         lr_t = dtype(_lr_at(cfg, t) * np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t))
-        if offset + cfg.batch_size > pool:
-            offset = 0
-        x = x_pool[offset : offset + cfg.batch_size]
-        y = y_pool[offset : offset + cfg.batch_size]
-        offset += cfg.batch_size
         pre, acts = _forward(net, x)
         err = acts[-1] - y
         dout = np.clip(err, -delta, delta) / dtype(err.size)

@@ -11,6 +11,7 @@ from luxprobe.fusion import (
     INTENSITY_RANGE,
     LEAKY_SLOPE,
     N_PARAMS,
+    POOL_SIZE,
     WIDTHS,
     FusionNet,
     TrainConfig,
@@ -18,6 +19,7 @@ from luxprobe.fusion import (
     _forward,
     _gradient,
     _leaky,
+    _lr_at,
     _sigmoid,
     _softplus,
     _softplus_inv,
@@ -351,6 +353,49 @@ class TestTrainerParity:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def train_by_whole_pool(cfg: TrainConfig):
+    """Training over the whole default pool, made before the first step, with
+    batches cut by an offset that cycles back to row 0 (oracle)."""
+    dtype = fusion.TRAIN_DTYPE
+    if cfg.init == "structured":
+        net = init_structured(cfg.seed, dtype=dtype, quantize=cfg.quantize)
+    else:
+        net = init_uniform(cfg.seed, dtype=dtype)
+    x_pool, y_pool = training_pool(np.random.default_rng(cfg.seed + 1), fusion.POOL_SIZE,
+                                   cfg.quantize)
+    pool = x_pool.shape[0]
+    if pool < cfg.batch_size:
+        reps = -(-cfg.batch_size // pool)
+        x_pool = np.tile(x_pool, (reps, 1))
+        y_pool = np.tile(y_pool, (reps, 1))
+        pool = x_pool.shape[0]
+    m = np.zeros_like(net.params)
+    v = np.zeros_like(net.params)
+    beta1, beta2, eps = 0.9, 0.999, dtype(1e-8)
+    delta = dtype(fusion.HUBER_DELTA)
+    offset = 0
+    loss = None
+    for t in range(1, cfg.steps + 1):
+        lr_t = dtype(_lr_at(cfg, t) * np.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t))
+        if offset + cfg.batch_size > pool:
+            offset = 0
+        x = x_pool[offset : offset + cfg.batch_size]
+        y = y_pool[offset : offset + cfg.batch_size]
+        offset += cfg.batch_size
+        pre, acts = _forward(net, x)
+        err = acts[-1] - y
+        dout = np.clip(err, -delta, delta) / dtype(err.size)
+        g = _gradient(net, pre, acts, dout)
+        m *= dtype(beta1)
+        m += dtype(1.0 - beta1) * g
+        v *= dtype(beta2)
+        v += dtype(1.0 - beta2) * g * g
+        net.params -= lr_t * m / (np.sqrt(v) + eps)
+        if t == cfg.steps or t % 500 == 0:
+            loss = float(np.mean(huber_loss(err, 0.0)))
+    return net, loss
+
+
 # rows per block of the pool build: the stage's outputs are (count, 3)
 POOL_BLOCK = BLOCK_PIXELS // 3
 
@@ -411,6 +456,47 @@ class TestTrainingPool:
         ldr, log, _ = sample_pairs_expr(np.random.default_rng(6), 3000, True)
         want = np.concatenate([ldr, log], axis=1).astype(np.float32)
         assert np.concatenate(seen).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("steps, batch, options", [
+        (4, 1000, {}),  # below the pool
+        (5, 1000, {}),  # exactly the pool
+        (9, 700, {}),  # past it: 5000 % 700 = 100 rows are skipped before the wrap
+        (3, 6000, {}),  # a batch larger than the pool: the tiled pool
+        (7, 700, {"quantize": False}),
+        (4, 1000, {"init": "uniform"}),
+        (9, 700, {"init": "uniform", "quantize": False}),
+    ])
+    def test_train_fusion_matches_whole_pool_loop(self, monkeypatch, steps, batch, options):
+        monkeypatch.setattr(fusion, "POOL_SIZE", 5000)
+        cfg = TrainConfig(steps=steps, batch_size=batch, seed=3, **options)
+        net, loss = train_fusion(cfg)
+        want_net, want_loss = train_by_whole_pool(cfg)
+        assert loss == want_loss and np.isfinite(loss)
+        assert net.params.tobytes() == want_net.params.tobytes()
+
+    def test_memory_flat_in_step_count(self):
+        # no pair is read twice, so no pool is held: 40 steps peak as 4 do,
+        # far below the 36-bytes-a-pair default pool (72 MB)
+        train_fusion(TrainConfig(steps=1, batch_size=8, init="uniform"))  # warm up
+        peaks = {}
+        for steps in (4, 40):
+            with allocation_peak() as probe:
+                train_fusion(TrainConfig(steps=steps, init="uniform"))
+            peaks[steps] = probe.bytes
+        assert abs(peaks[40] - peaks[4]) < 64 << 10, peaks
+        assert peaks[40] < 36 * POOL_SIZE / 4, peaks
+
+    def test_wrapping_run_holds_its_pool(self, monkeypatch):
+        # 196 steps of 2048 pairs read past a 400 000-pair pool and wrap: the run
+        # holds the float32 pool (36 bytes a pair) over what 4 steps hold
+        monkeypatch.setattr(fusion, "POOL_SIZE", 400_000)
+        peaks = {}
+        for steps in (4, 196):
+            with allocation_peak() as probe:
+                train_fusion(TrainConfig(steps=steps, init="uniform"))
+            peaks[steps] = probe.bytes
+        pool = 36 * 400_000
+        assert 0.9 * pool < peaks[196] - peaks[4] < pool + (1 << 20), peaks
 
     def test_memory_holds_no_float64_pool(self):
         # beyond the float32 pool (36 bytes a pair) the build holds a fixed
@@ -581,8 +667,9 @@ class TestTraining:
             train_fusion(cfg, data=(ldr, log, hdr))
 
     def test_zero_steps_returns_init_without_a_pool(self):
-        # the default pool is POOL_SIZE x 9 float32 values (72 MB) and no step
-        # reads it; the structured init's own 32768-row fit peaks near 53 MB
+        # a run holds a pool only when it reads a pair twice, and no step reads
+        # any: the structured init's own 32768-row fit (about 30 MB) is the peak,
+        # where the default pool alone is POOL_SIZE x 9 float32 values (72 MB)
         with allocation_peak() as probe:
             net, loss = train_fusion(TrainConfig(steps=0))
         assert loss is None
@@ -592,6 +679,7 @@ class TestTraining:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
         ("learning_rate", float("inf")), ("steps", -1), ("batch_size", 0), ("batch_size", -1),
+        ("seed", -1),
     ])
     def test_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field.split("_")[0]):
