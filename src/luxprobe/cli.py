@@ -161,6 +161,7 @@ def _cmd_crop(args, out):
 
 
 def _cmd_dataset_gen(args, out):
+    projection.check_dataset_args(args.seed, args.count, args.video_frames)  # before any read
     src_dir = Path(args.panos_dir)
     paths = _list_images(src_dir, tuple(_READERS), "panoramas")
     # PNG is display-referred LDR
@@ -258,12 +259,19 @@ def _cmd_fuse_train(args, out):
 
 def _cmd_render_probes(args, out):
     materials = probes.STANDARD_MATERIALS
-    rendered = probes.render_probe_pixels([_load_env(args.env)], materials.values(), args.size)
-    for name, (mask, (disc,)) in zip(materials, rendered):
-        probe = probes.ProbeImage.from_disc(mask, disc)
-        write_pfm(out.path(f"{args.out_prefix}{name}.pfm"), probe.pixels)
-        preview = projection._display_codes(probe.pixels, 1.0, "gamma24")
-        write_png(out.path(f"{args.out_prefix}{name}.png"), preview,
+    rendered = probes.render_probe_blocks([_load_env(args.env)], materials.values(), args.size)
+    image = codes = None
+    for name, (mask, blocks) in zip(materials, rendered):
+        if image is None:  # the size is checked: one image and its codes serve every probe
+            image = np.empty((*mask.shape, 3), dtype=np.float32)  # the values a PFM stores
+            codes = np.empty(image.shape, dtype=np.uint8)
+        for rows, (disc,) in blocks:
+            block = probes.ProbeImage.from_disc(mask[rows], disc).pixels
+            image[rows] = block
+            # coded from float64: the float32 image's codes can differ
+            codes[rows] = projection._display_codes(block, 1.0, "gamma24")
+        write_pfm(out.path(f"{args.out_prefix}{name}.pfm"), image)
+        write_png(out.path(f"{args.out_prefix}{name}.png"), codes,
                   metadata={"tonecurve": "gamma24"})
     params = {"size": args.size, "out_prefix": args.out_prefix}
     return out.paths[0], {"env": args.env}, params

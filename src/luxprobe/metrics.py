@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envmap import (EnvironmentMap, angle_between, great_circle_deg, peak_direction,
-                     vector_norms)
-from .probes import STANDARD_MATERIALS, render_probe_pixels
+                     row_blocks, vector_norms)
+from .probes import PROBE_BLOCK_PIXELS, STANDARD_MATERIALS, render_probe_pixels
 
 
 def _pair(pred, gt):
@@ -28,18 +28,27 @@ def _pair(pred, gt):
     return p, g
 
 
+def _blocks(count: int):
+    """Slices of 0..count-1, in order, of at most PROBE_BLOCK_PIXELS entries each."""
+    return row_blocks(count, 1, PROBE_BLOCK_PIXELS)
+
+
 def si_rmse(pred, gt) -> float:
     """Scale-invariant RMSE: best single positive scale on pred, then RMSE.
 
     alpha = sum(pred*gt) / sum(pred^2) over all pixels and channels jointly;
-    raises for an all-zero prediction.
+    raises for an all-zero prediction. One temporary of the inputs' shape
+    serves each product and then the squared residuals.
     """
     p, g = _pair(pred, gt)
-    denom = float((p * p).sum())
+    t = p * p
+    denom = float(t.sum())
     if denom == 0.0:
         raise ValueError("degenerate prediction: all-zero")
-    alpha = float((p * g).sum()) / denom
-    return float(np.sqrt(np.mean((alpha * p - g) ** 2)))
+    alpha = float(np.multiply(p, g, out=t).sum()) / denom
+    np.multiply(p, alpha, out=t)
+    t -= g
+    return float(np.sqrt(np.mean(np.square(t, out=t))))
 
 
 def angular_error(pred, gt) -> float:
@@ -47,28 +56,43 @@ def angular_error(pred, gt) -> float:
 
     A pixel counts when its squared norm is at least the smallest normal
     float in both images (`peak_direction`'s underflow rule), so the metric
-    does not depend on either image's scale; raises if no pixel counts.
+    does not depend on either image's scale; raises if no pixel counts. The
+    angles are taken per block of pixels, the pixels that do not count
+    dropped before any division, into one array of degrees in pixel order,
+    whose mean is the metric.
     """
     p, g = _pair(pred, gt)
-    pn = vector_norms(p)
-    gn = vector_norms(g)
+    p, g = p.reshape(-1, 3), g.reshape(-1, 3)
     tiny = np.finfo(np.float64).tiny
-    ok = (pn * pn >= tiny) & (gn * gn >= tiny)
-    if not ok.all():
-        if not ok.any():
-            raise ValueError("no pixels with nonzero color in both images")
-        p, pn, g, gn = p[ok], pn[ok], g[ok], gn[ok]
-    angles = angle_between(p / pn[..., None], g / gn[..., None])
-    return float(np.degrees(angles).mean())
+    degrees = np.empty(len(p))
+    counted = 0
+    for block in _blocks(len(p)):
+        pb, gb = p[block], g[block]
+        pn, gn = vector_norms(pb), vector_norms(gb)
+        ok = (pn * pn >= tiny) & (gn * gn >= tiny)
+        if not ok.all():
+            pb, pn, gb, gn = pb[ok], pn[ok], gb[ok], gn[ok]
+        angles = angle_between(pb / pn[:, None], gb / gn[:, None])
+        np.degrees(angles, out=degrees[counted:counted + len(angles)])
+        counted += len(angles)
+    if not counted:
+        raise ValueError("no pixels with nonzero color in both images")
+    return float(degrees[:counted].mean())
 
 
 def n_rmse(pred, gt) -> float:
-    """RMSE after normalizing each image to unit mean intensity."""
+    """RMSE after normalizing each image to unit mean intensity. One
+    temporary of the inputs' shape holds the residuals, which are made per
+    block of values."""
     p, g = _pair(pred, gt)
     pm, gm = p.mean(), g.mean()
     if pm <= 0.0 or gm <= 0.0:
         raise ValueError("images must have positive mean")
-    return float(np.sqrt(np.mean((p / pm - g / gm) ** 2)))
+    t = p / pm
+    flat, g = t.reshape(-1), g.reshape(-1)
+    for block in _blocks(flat.size):
+        flat[block] -= g[block] / gm
+    return float(np.sqrt(np.mean(np.square(t, out=t))))
 
 
 def peak_angular_error(pred_env: EnvironmentMap, gt_env: EnvironmentMap,

@@ -20,19 +20,31 @@ diffuse cosine and the Phong power of it, are raised from one clamped-cosine
 base, and each map's radiance spectrum is taken once per call. Nothing but
 the radiance spectrum and the per-frequency products depends on the map,
 so several maps of one shape are prefiltered together, each with its own
-product, and a map's bits are those of a one-map call. `render_probe_pixels`
-renders every probe of several maps from one such pass, with one disc and
-shared lookup geometry.
+product, and a map's bits are those of a one-map call.
+
+`render_probe_blocks` renders every probe of several maps from one such
+pass. Every stage after the prefilter is per pixel and runs per block of
+probe rows: the disc normals, the reflections, the lookup geometry, the
+lookup and the albedo weight. Each material's block builds its own
+geometry, and nothing is held between materials but the prefiltered maps.
+`render_probe_pixels` gathers the blocks into whole-disc pixels, the form
+the metrics score; `render-probes` writes each block into its images.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envmap import (EnvironmentMap, apply_equirect, equirect_geometry, polar_cos_sin,
-                     row_blocks, solid_angle_rows)
+from .envmap import (BLOCK_PIXELS, EnvironmentMap, apply_equirect, equirect_geometry,
+                     map_rows, polar_cos_sin, row_blocks, solid_angle_rows)
 
 PREFILTER_MAX_ROWS = 64
+# probe pixels per row block of the per-pixel stages after the prefilter. A
+# block peaks at about 175 bytes a pixel (normals, reflections, texels,
+# weights and lerps), seven times its 24-byte output pixels; a quarter of
+# BLOCK_PIXELS splits the 51 468-pixel disc of the default probe size 256
+# into eight blocks, where BLOCK_PIXELS would make it two
+PROBE_BLOCK_PIXELS = BLOCK_PIXELS // 4
 
 
 def _check_exponent(exponent) -> None:
@@ -202,16 +214,30 @@ def prefilter_glossy(env: EnvironmentMap, exponent: float, out_height: int) -> E
     return EnvironmentMap(num / den[..., None])
 
 
-def _disc_geometry(size: int):
-    """The sphere disc of a size x size probe: its mask, and the unit normals
-    (n, 3) of the pixels under it in row-major order."""
+def _disc_mask(size: int):
+    """The pixel-centre coordinates (size,) of a size x size probe along either
+    axis, in [-1, 1], and its sphere-disc mask (size, size), made per row block
+    (`map_rows`) so that no whole-probe coordinate array exists. A size below
+    16, or one past numpy's index range (its disc is empty), raises ValueError
+    before the mask is allocated."""
+    if size < 16:
+        raise ValueError("probe size must be at least 16 pixels")
     coords = (2.0 * (np.arange(size) + 0.5) / size) - 1.0
-    u, v = np.meshgrid(coords, -coords)  # v axis points up in the image
-    r2 = u * u + v * v
-    mask = r2 <= 1.0
-    u, v, r2 = u[mask], v[mask], r2[mask]
-    nz = np.sqrt(np.clip(1.0 - r2, 0.0, 1.0))
-    return mask, np.stack([u, v, nz], axis=-1)
+    if not coords.size:  # np.arange(size) is empty past numpy's index range
+        raise ValueError(f"probe size {size} is past numpy's index range")
+    # u along the columns, v = -coords along the rows (the v axis points up in the image)
+    mask = map_rows(lambda v: coords * coords + v * v <= 1.0, -coords[:, None],
+                    out=np.empty((size, size), dtype=bool))
+    return coords, mask
+
+
+def _disc_normals(coords: np.ndarray, mask: np.ndarray, rows: slice) -> np.ndarray:
+    """The unit normals (k, 3) of the k disc pixels in probe rows `rows`, in row-major order."""
+    u, v = np.meshgrid(coords, -coords[rows])
+    under = mask[rows]
+    u, v = u[under], v[under]
+    nz = np.sqrt(np.clip(1.0 - (u * u + v * v), 0.0, 1.0))
+    return np.stack([u, v, nz], axis=-1)
 
 
 def _reflect_view(normals: np.ndarray) -> np.ndarray:
@@ -219,26 +245,25 @@ def _reflect_view(normals: np.ndarray) -> np.ndarray:
     return 2.0 * normals[:, 2:3] * normals - np.array([0.0, 0.0, 1.0])
 
 
-def render_probe_pixels(envs, materials, size: int):
-    """Sphere-probe pixels of several materials under several environment maps.
+def render_probe_blocks(envs, materials, size: int):
+    """Sphere-probe pixels of several materials under several environment maps,
+    in blocks of probe rows.
 
-    Yields, for each material in order, (disc mask (size, size), one (n, 3)
-    array per map of the pixels under the mask, in row-major order), so a
-    caller can use one material's pixels before the next is rendered. Maps
-    may differ in shape. The disc is built once; each map shape takes one
-    prefilter pass for every lobe the materials need. A lookup geometry is
-    built once per direction set and grid, and kept only while a later
-    material looks up the same directions: the mirror and matte probes of a
-    map of at most PREFILTER_MAX_ROWS rows share one reflection geometry,
-    since the prefilter grid is then the map's own. A size below 16, or one
-    past numpy's index range (its disc is empty), raises ValueError.
+    Yields, for each material in order, (disc mask (size, size), blocks), where
+    `blocks` iterates (rows, pixels) over `row_blocks(size, size,
+    PROBE_BLOCK_PIXELS)`: `rows` is a slice of probe rows and `pixels` one
+    (k, 3) float64 array per map of the k disc pixels in those rows, in
+    row-major order. Maps may differ in shape. The size is checked (a size
+    below 16, or one past numpy's index range, raises ValueError) and the mask
+    made on the first step, before any prefilter runs; each map shape then
+    takes one prefilter pass for every lobe the materials need. Every
+    later stage is per pixel and runs per block: the disc normals, the
+    reflections, the lookup geometry, the lookup and the albedo weight. So
+    every per-pixel array is block-sized, each material's block builds its own
+    geometry, and nothing but the prefiltered maps is held between materials.
     """
-    if size < 16:
-        raise ValueError("probe size must be at least 16 pixels")
     materials = list(materials)
-    mask, normals = _disc_geometry(size)
-    if not len(normals):  # np.arange(size) is empty past numpy's index range
-        raise ValueError(f"probe size {size} is past numpy's index range")
+    coords, mask = _disc_mask(size)
     by_shape = {}
     for i, env in enumerate(envs):
         by_shape.setdefault(env.data.shape, []).append(i)
@@ -250,30 +275,57 @@ def render_probe_pixels(envs, materials, size: int):
         for shape, group in by_shape.items():
             sums = _weighted_sums([envs[i].data for i in group], PREFILTER_MAX_ROWS, exponents)
             lobes[shape] = dict(zip(exponents, sums))
-    geometries = {}  # (looks up the normals, grid shape) -> lookup geometry
-    for k, material in enumerate(materials):
+    for material in materials:
         diffuse = material.kind == "diffuse"
         weight = np.asarray(material.albedo, dtype=np.float64)
         if diffuse:
             weight = weight / np.pi
-        pixels = [None] * len(envs)
+        grids = []  # (indices of the maps of one shape, the maps their lookups read)
         for shape, group in by_shape.items():
             if material.kind == "mirror":
                 maps = [envs[i].data for i in group]
             else:
                 nums, den = lobes[shape][1 if diffuse else material.exponent]
                 maps = nums if diffuse else [num / den[..., None] for num in nums]
-            key = (diffuse, maps[0].shape[:2])
-            if key not in geometries:
-                geometries[key] = equirect_geometry(
-                    normals if diffuse else _reflect_view(normals), *key[1])
+            grids.append((group, maps))
+        yield mask, _material_blocks(coords, mask, grids, len(envs), diffuse, weight)
+
+
+def _material_blocks(coords, mask, grids, count, diffuse, weight):
+    """The (rows, pixels) blocks of one material for `render_probe_blocks`: the
+    diffuse probe looks up at the normals, the others at the reflections."""
+    for rows in row_blocks(*mask.shape, PROBE_BLOCK_PIXELS):
+        dirs = _disc_normals(coords, mask, rows)
+        if not diffuse:
+            dirs = _reflect_view(dirs)
+        pixels = [None] * count
+        for group, maps in grids:
+            geometry = equirect_geometry(dirs, *maps[0].shape[:2])
             for i, data in zip(group, maps):
-                pixels[i] = apply_equirect(data, geometries[key])
+                pixels[i] = apply_equirect(data, geometry)
                 pixels[i] *= weight
-        # while the caller holds these pixels, keep only geometries a later material reads
-        later = {m.kind == "diffuse" for m in materials[k + 1:]}
-        geometries = {key: g for key, g in geometries.items() if key[0] in later}
+        yield rows, pixels
+
+
+def render_probe_pixels(envs, materials, size: int):
+    """Sphere-probe pixels of several materials under several environment maps.
+
+    Yields, for each material in order, (disc mask (size, size), one (n, 3)
+    float64 array per map of the pixels under the mask, in row-major order),
+    so a caller can use one material's pixels before the next is rendered.
+    The pixels are rendered per block of probe rows (`render_probe_blocks`),
+    each block stored at its disc offset, which the mask's row counts give;
+    the outputs are allocated before the first block is made.
+    """
+    for mask, blocks in render_probe_blocks(envs, materials, size):
+        starts = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        pixels = [np.empty((starts[-1], 3)) for _ in envs]
+        for rows, block in blocks:
+            at = slice(starts[rows.start], starts[rows.stop])
+            for out, values in zip(pixels, block):
+                out[at] = values
         yield mask, pixels
+        del pixels  # so the next material's outputs are not made while these are held
 
 
 def render_probe(env: EnvironmentMap, material: Material, size: int) -> ProbeImage:

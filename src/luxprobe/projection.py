@@ -225,26 +225,36 @@ class DatasetSample:
 _CURVE_NAMES = sorted(TONE_CURVES)
 
 
+def check_dataset_args(seed: int, count: int, frame_count: int) -> None:
+    """Raise ValueError, naming the value, unless `seed` >= 0, `count` >= 1 and
+    `frame_count` >= 1: the checks `dataset_gen` makes, which a caller can
+    make before it reads any panorama."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if frame_count < 1:
+        raise ValueError(f"frame_count must be >= 1, got {frame_count}")
+
+
 def dataset_gen(sources, seed: int, count: int, frame_count: int = 1,
                 crop_width: int = DEFAULT_CROP_WIDTH, crop_height: int = DEFAULT_CROP_HEIGHT):
     """Generate `count` >= 1 supervised samples of `frame_count` >= 1 crops each.
 
-    `sources` are `PanoramaSource`s. The arguments, `seed` too, are checked when
-    this is called; the iterator returned then draws one sample at a time, sample
-    i from child i of `SeedSequence(seed)`, which is built only then: sample i is
-    a function of (sources, seed, i) alone, and nothing is made up front. HDR sources
+    `sources` are `PanoramaSource`s. The arguments are checked when this is
+    called (`check_dataset_args`, then `sources`); the iterator returned then
+    draws one sample at a time, sample i from child i of `SeedSequence(seed)`,
+    which is built only then: sample i is a function of (sources, seed, i)
+    alone, and nothing is made up front. HDR sources
     get a random display tone curve plus auto-exposure (frame 0's p99 luminance
     -> 0.9) before 8-bit coding; LDR sources only get the exposure. Each frame is
     coded before the next one is rendered. A sample carries no target: the
     samples of one source share `PanoramaSource.targets()`.
     """
-    entropy = np.random.SeedSequence(seed).entropy  # a negative seed raises here
+    check_dataset_args(seed, count, frame_count)
     if not sources:
         raise ValueError("no panoramas supplied")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if frame_count < 1:
-        raise ValueError("frame_count must be >= 1")
+    entropy = np.random.SeedSequence(seed).entropy
     return _samples(sources, entropy, count, frame_count, crop_width, crop_height)
 
 

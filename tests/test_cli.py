@@ -18,7 +18,7 @@ from luxprobe.cli import main, thread_limit
 from luxprobe.envmap import BLOCK_PIXELS, EnvironmentMap, rotate_env, sample_equirect
 from luxprobe.fusion import fusion_forward, init_uniform, load_fusion_net, save_fusion_net
 from luxprobe.imgio import read_pfm, read_png, write_pfm, write_png
-from luxprobe.probes import STANDARD_MATERIALS, render_probe
+from luxprobe.probes import PROBE_BLOCK_PIXELS, STANDARD_MATERIALS, render_probe
 from luxprobe.projection import CameraSpec, camera_rays
 from luxprobe.tonemap import apply_display_tonemap, inverse_rule, tonemap_ldr, tonemap_log
 from conftest import (allocation_peak, evaluate_sequence, hot_spot_env, overflowing_inside_net,
@@ -450,6 +450,24 @@ class TestRenderProbes:
             assert (tmp_path / f"p_{name}.png").is_file()
         m = manifest_of(f"{prefix}mirror.pfm")
         assert len(m["outputs"]) == 6
+
+    def test_memory_flat_in_probe_size(self, tmp_path):
+        # beyond its output image, a 1024-pixel probe peaks no higher than a
+        # 256-pixel one: per probe pixel, the float32 image the PFMs store, the
+        # uint8 codes, the disc mask and the PNG's filtered rows, and the PNG's
+        # compressed stream thrice (IDAT body, chunk and file); the rest is a
+        # few row blocks of the lookups
+        env = tmp_path / "env.pfm"
+        write_pfm(env, np.random.default_rng(7).gamma(1.0, 2.0, (64, 128, 3)).astype(np.float32))
+        rest = {}
+        for size in (256, 1024):
+            argv = ["render-probes", "--env", env, "--size", size, "--out-prefix", tmp_path / "p_"]
+            traced_peak(argv)  # warm up: first-call allocations stay out of the comparison
+            peak = traced_peak(argv)
+            png = max((tmp_path / f"p_{name}.png").stat().st_size for name in STANDARD_MATERIALS)
+            rest[size] = peak - (4 * 3 + 3 + 1 + 3) * size * size - 3 * png
+        block = PROBE_BLOCK_PIXELS * 3 * 8
+        assert rest[1024] - rest[256] < block, (rest[1024] - rest[256]) / block
 
 
 class TestFuseCommands:
@@ -1168,13 +1186,27 @@ class TestArgumentBoundary:
         ("dataset-gen", "--video-frames", "0"), ("dataset-gen", "--video-frames", "-1"),
         ("fuse-train", "--steps", "-1"), ("fuse-train", "--batch", "0"),
         ("fuse-train", "--lr", "nan"), ("fuse-train", "--seed", "-1"),
+        ("dataset-gen", "--seed", "-1"),
     ])
     def test_out_of_range_flag_is_data_error(self, boundary_dir, command, flag, value):
+        # the one error line names the value it got
         root, good = boundary_dir
         out = Path(tempfile.mkdtemp(dir=root)) / "out"
         out.mkdir()
         argv = _argv(command, good, out, net=root / "net.bin", flags={flag: value})
-        assert _check_outcome(*_run(argv), out) == 1
+        code, stdout, err = _run(argv)
+        assert _check_outcome(code, stdout, err, out) == 1 and ", got " in err, err
+
+    def test_dataset_gen_refuses_a_negative_seed_before_any_read(self, boundary_dir):
+        # the 16x16 PNGs under square/ are no panoramas: a read of them fails otherwise
+        root, good = boundary_dir
+        out = Path(tempfile.mkdtemp(dir=root)) / "out"
+        out.mkdir()
+        argv = _argv("dataset-gen", good, out, bad=root / "square" / "ldr.png",
+                     flags={"--seed": -1})
+        code, stdout, err = _run(argv)
+        assert _check_outcome(code, stdout, err, out) == 1
+        assert err == "ERROR DATA: seed must be >= 0, got -1\n"
 
     def test_config_store_true_and_unknown_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"

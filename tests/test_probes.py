@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from luxprobe import probes
 from luxprobe.envmap import (
     EnvironmentMap,
+    apply_equirect,
+    equirect_geometry,
     pixel_to_direction,
     polar_cos_sin,
     rotate_env,
@@ -16,13 +18,16 @@ from luxprobe.probes import (
     MATTE_SILVER,
     MIRROR_BALL,
     PREFILTER_MAX_ROWS,
+    PROBE_BLOCK_PIXELS,
     STANDARD_MATERIALS,
     Material,
     _pow_int,
+    _reflect_view,
     _weighted_sums,
     prefilter_diffuse,
     prefilter_glossy,
     render_probe,
+    render_probe_blocks,
     render_probe_pixels,
 )
 from conftest import allocation_peak, grid_directions
@@ -542,3 +547,125 @@ class TestFloat32Maps:
         whole = _weighted_sums([data], 16, [1, 64])
         for ((num,), den), ((want_num,), want_den) in zip(blocked, whole):
             assert num.tobytes() == want_num.tobytes() and den.tobytes() == want_den.tobytes()
+
+
+def disc_geometry(size: int):
+    """`probes._disc_geometry` as it was before the probes rendered in row
+    blocks (oracle): the sphere disc of a size x size probe, its mask, and
+    the unit normals (n, 3) of the pixels under it in row-major order."""
+    coords = (2.0 * (np.arange(size) + 0.5) / size) - 1.0
+    u, v = np.meshgrid(coords, -coords)  # v axis points up in the image
+    r2 = u * u + v * v
+    mask = r2 <= 1.0
+    u, v, r2 = u[mask], v[mask], r2[mask]
+    nz = np.sqrt(np.clip(1.0 - r2, 0.0, 1.0))
+    return mask, np.stack([u, v, nz], axis=-1)
+
+
+def render_probe_pixels_whole_disc(envs, materials, size: int):
+    """`render_probe_pixels` as it was before it rendered in row blocks
+    (oracle): every stage after the prefilter on the whole disc, with the
+    lookup geometry shared by the materials that read the same directions."""
+    if size < 16:
+        raise ValueError("probe size must be at least 16 pixels")
+    materials = list(materials)
+    mask, normals = disc_geometry(size)
+    if not len(normals):  # np.arange(size) is empty past numpy's index range
+        raise ValueError(f"probe size {size} is past numpy's index range")
+    by_shape = {}
+    for i, env in enumerate(envs):
+        by_shape.setdefault(env.data.shape, []).append(i)
+    # the diffuse probe reads the exponent-1 numerator, the matte probe num/den
+    exponents = list(dict.fromkeys(1 if m.kind == "diffuse" else m.exponent
+                                   for m in materials if m.kind != "mirror"))
+    lobes = {}
+    if exponents:
+        for shape, group in by_shape.items():
+            sums = _weighted_sums([envs[i].data for i in group], PREFILTER_MAX_ROWS, exponents)
+            lobes[shape] = dict(zip(exponents, sums))
+    geometries = {}  # (looks up the normals, grid shape) -> lookup geometry
+    for k, material in enumerate(materials):
+        diffuse = material.kind == "diffuse"
+        weight = np.asarray(material.albedo, dtype=np.float64)
+        if diffuse:
+            weight = weight / np.pi
+        pixels = [None] * len(envs)
+        for shape, group in by_shape.items():
+            if material.kind == "mirror":
+                maps = [envs[i].data for i in group]
+            else:
+                nums, den = lobes[shape][1 if diffuse else material.exponent]
+                maps = nums if diffuse else [num / den[..., None] for num in nums]
+            key = (diffuse, maps[0].shape[:2])
+            if key not in geometries:
+                geometries[key] = equirect_geometry(
+                    normals if diffuse else _reflect_view(normals), *key[1])
+            for i, data in zip(group, maps):
+                pixels[i] = apply_equirect(data, geometries[key])
+                pixels[i] *= weight
+        # while the caller holds these pixels, keep only geometries a later material reads
+        later = {m.kind == "diffuse" for m in materials[k + 1:]}
+        geometries = {key: g for key, g in geometries.items() if key[0] in later}
+        yield mask, pixels
+
+
+# the standard probes and a matte one with a non-integer lobe and a coloured albedo
+PARITY_MATERIALS = [*STANDARD_MATERIALS.values(), Material("matte", (0.2, 0.5, 0.9), 8.5)]
+
+
+def assert_whole_disc_pixels(envs, size):
+    """Every material's pixels of `render_probe_pixels` are, byte for byte, the oracle's."""
+    got = list(render_probe_pixels(envs, PARITY_MATERIALS, size))
+    want = list(render_probe_pixels_whole_disc(envs, PARITY_MATERIALS, size))
+    assert len(got) == len(want) == len(PARITY_MATERIALS)
+    for (mask, pixels), (want_mask, want_pixels) in zip(got, want):
+        assert mask.tobytes() == want_mask.tobytes()
+        assert len(pixels) == len(want_pixels) == len(envs)
+        for p, w in zip(pixels, want_pixels):
+            assert p.dtype == w.dtype and p.shape == w.shape and p.tobytes() == w.tobytes()
+
+
+def random_maps(rng, maps):
+    """One gamma-noise map with a hot spot per (rows, dtype) of `maps`."""
+    envs = []
+    for height, dtype in maps:
+        data = rng.gamma(1.0, 2.0, (height, 2 * height, 3))
+        data[rng.integers(height), rng.integers(2 * height)] = 300.0
+        envs.append(EnvironmentMap(data.astype(dtype)))
+    return envs
+
+
+class TestRowBlockParity:
+    """The probes rendered per block of probe rows against the whole-disc renderer."""
+
+    MAPS = {
+        "1-row": [(1, np.float64)],
+        "5-row-float32": [(5, np.float32)],
+        "64-row-pair": [(64, np.float32), (64, np.float64)],
+        # several phase classes, and two map shapes in one call
+        "72-and-96": [(72, np.float64), (96, np.float32)],
+    }
+
+    # 16 and 17 are one block; 57 and 300 end in a partial block; 256 is eight
+    @pytest.mark.parametrize("size", [16, 17, 57, 256, 300])
+    @pytest.mark.parametrize("maps", list(MAPS))
+    def test_pixels_are_the_whole_disc_ones(self, size, maps):
+        assert_whole_disc_pixels(random_maps(np.random.default_rng(size), self.MAPS[maps]), size)
+
+    @given(height=st.integers(1, 96), wide=st.booleans(), size=st.integers(16, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_any_map_height(self, height, wide, size, seed):
+        dtype = np.float64 if wide else np.float32
+        assert_whole_disc_pixels(random_maps(np.random.default_rng(seed), [(height, dtype)]), size)
+
+    def test_blocks_tile_the_probe_within_the_budget(self):
+        # at most PROBE_BLOCK_PIXELS probe pixels a block, so the 256-pixel probe is 8 or more
+        env = random_maps(np.random.default_rng(0), [(16, np.float64)])
+        for mask, blocks in render_probe_blocks(env, STANDARD_MATERIALS.values(), 256):
+            done = 0
+            for rows, (pixels,) in blocks:
+                assert rows.start == done and (rows.stop - rows.start) * 256 <= PROBE_BLOCK_PIXELS
+                assert pixels.shape == (mask[rows].sum(), 3)
+                done = rows.stop
+            assert done == 256

@@ -512,7 +512,7 @@ class TestDatasetGen:
         assert probe.bytes < 1 << 20, probe.bytes
 
     def test_negative_seed_rejected_at_the_call(self):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             dataset_gen([PanoramaSource(smooth_pano(8).data)], -1, 1)
 
     @pytest.mark.parametrize("count", [0, -1])
