@@ -11,10 +11,8 @@ OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import datetime
-import hashlib
 import json
 import os
 import sys
@@ -47,6 +45,8 @@ def thread_limit() -> int:
 
 
 def _sha256(path) -> str:
+    import hashlib  # loads OpenSSL: only once the outputs are written
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(1 << 20), b""):
@@ -143,11 +143,11 @@ def _load_channel(path) -> np.ndarray:
 
 def _cmd_crop(args, out):
     suffix = _suffix(args.out, (".png", ".pfm"), "output")
-    env = _load_env(args.pano)
-    cam = projection.CameraSpec(
+    cam = projection.CameraSpec(  # before the read
         azimuth=args.az, elevation=args.el, fov=args.fov,
         width=args.w, height=args.h,
     )
+    env = _load_env(args.pano)
     view = projection.project_perspective(env, cam)
     path = out.path(args.out)
     if suffix == ".png":
@@ -161,7 +161,8 @@ def _cmd_crop(args, out):
 
 
 def _cmd_dataset_gen(args, out):
-    projection.check_dataset_args(args.seed, args.count, args.video_frames)  # before any read
+    projection.check_dataset_args(args.seed, args.count, args.video_frames,
+                                  args.w, args.h)  # before any read
     src_dir = Path(args.panos_dir)
     paths = _list_images(src_dir, tuple(_READERS), "panoramas")
     # PNG is display-referred LDR
@@ -296,6 +297,8 @@ def _cmd_eval_video(args, out):
     def score(pred, gt):  # a task holds one frame pair, so memory is flat in frame count
         return metrics.evaluate_three_spheres(_load_env(pred), _load_env(gt),
                                               probe_size=args.probe_size)
+
+    import concurrent.futures  # eval-video is the one command with a pool
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=thread_limit()) as pool:
         report = metrics.sequence_report(list(pool.map(score, pred_frames, gt_frames)))

@@ -4,16 +4,19 @@ The network is fixed at 5 affine layers (widths 6-64-64-64-64-3) with
 LeakyReLU(0.01) hidden activations and a softplus output, so predictions are
 strictly positive. Training minimizes mean Huber loss (delta = 1) against
 linear-radiance targets with Adam-style per-parameter step scaling. One
-forward pass, `_forward`, serves training, inference and the structured init;
-the last two run it over consecutive BLOCK_ROWS-row blocks, so their memory
-is a fixed number of block-sized arrays plus the input and output. Training
-pairs are drawn per row block straight into float32. A run holds a pool
-(`training_pool`) only when it reads a pair twice; otherwise each batch is
-drawn into one reused buffer just before its step.
+forward pass, `_layers`, serves training, inference and the structured init;
+training and the init keep every layer (`_forward`), inference only the
+layer in hand. The last two run it over consecutive BLOCK_ROWS-row blocks,
+so their memory is a fixed number of block-sized arrays plus the input and
+output. Training pairs are drawn per row block straight into float32. A run
+holds a pool (`training_pool`) only when it reads a pair twice; otherwise
+each batch is drawn into one reused buffer just before its step.
 
 Inputs are the six [0,1] values (ldr RGB, log RGB); see tonemap.inverse_rule
 for the analytic oracle the trained network is benchmarked against.
 """
+
+from __future__ import annotations  # `np.random.Generator` hints import no numpy.random
 
 import copy
 from dataclasses import dataclass
@@ -150,16 +153,22 @@ def init_structured(seed: int, dtype=np.float64, quantize: bool = True) -> Fusio
     return FusionNet(params.astype(dtype))
 
 
-def _forward(net: FusionNet, x: np.ndarray):
-    """Forward pass returning (pre-activations, activations) for backprop."""
-    pre, acts = [], [x]
+def _layers(net: FusionNet, x: np.ndarray):
+    """Yield each layer's (pre-activation, activation) of the forward pass on `x`."""
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = h @ w
         z += b
-        pre.append(z)
         h = _leaky(z) if i < last else _softplus(z)
+        yield z, h
+
+
+def _forward(net: FusionNet, x: np.ndarray):
+    """Forward pass returning (pre-activations, activations) for backprop."""
+    pre, acts = [], [x]
+    for z, h in _layers(net, x):
+        pre.append(z)
         acts.append(h)
     return pre, acts
 
@@ -181,9 +190,8 @@ def _forward_blocks(net: FusionNet, ldr: np.ndarray, log: np.ndarray, out: np.nd
         xb[:, 3:] = log[block]
         check_unit(xb, "fusion inputs")
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite head is refused below
-            pre, acts = _forward(net, xb)
-        head, yb = pre[-1], acts[-1]
-        del pre, acts  # the hidden layers of this block go before the next block's come
+            for head, yb in _layers(net, xb):  # each layer's arrays go as the next come
+                pass
         if not (np.isfinite(head.min()) and np.isfinite(head.max())):
             raise ValueError("fusion net output is not finite")
         out[block] = yb

@@ -14,6 +14,7 @@ when no row uses Avg or Paeth, else one per anti-diagonal of the image
 (W + H - 1).
 """
 
+import functools
 import math
 import os
 import struct
@@ -367,10 +368,12 @@ def _unfilter_rows(data: np.ndarray, filters: list) -> np.ndarray:
     return img
 
 
+@functools.cache
 def _predictor_table() -> np.ndarray:
     """Filter f's prediction minus the up-left byte c, mod 256, as a flat
     table indexed by (f - 1, u + 255, v + 255), where u = a - c and v = b - c
-    for the left byte a and the up byte b.
+    for the left byte a and the up byte b. Built once per process, on the
+    first wavefront decode, and read-only.
 
     Sub predicts a = c + u, Up b = c + v, Avg floor((a + b) / 2) =
     c + floor((u + v) / 2), and Paeth (Paeth 1991, as the PNG specification
@@ -382,7 +385,9 @@ def _predictor_table() -> np.ndarray:
     paeth = np.where((np.abs(v) <= np.abs(u)) & (np.abs(v) <= np.abs(u + v)), u,
                      np.where(np.abs(u) <= np.abs(u + v), v, 0))
     table = np.stack(np.broadcast_arrays(u, v, (u + v) >> 1, paeth))
-    return table.astype(np.uint8).reshape(-1)
+    table = table.astype(np.uint8).reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
 def _unfilter_wavefront(data: np.ndarray, filters: np.ndarray) -> np.ndarray:

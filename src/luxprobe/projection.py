@@ -6,6 +6,8 @@ the camera x axis) then yaw (azimuth, about the world up axis), so azimuth
 indexes panorama columns directly.
 """
 
+from __future__ import annotations  # `np.random.Generator` hints import no numpy.random
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +47,17 @@ class CameraSpec:
         self.azimuth = float(self.azimuth) % 360.0
         if self.azimuth == 360.0:  # a tiny negative azimuth rounds up to 360
             self.azimuth = 0.0
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("output size must be positive")
+        _check_size(self.width, self.height)
 
     def forward(self) -> np.ndarray:
         """World-space unit view direction: the camera's -z axis."""
         return _rotation(self) @ (0.0, 0.0, -1.0)
+
+
+def _check_size(width: int, height: int) -> None:
+    """Raise ValueError, naming the size, unless a width x height view has pixels."""
+    if width <= 0 or height <= 0:
+        raise ValueError(f"output size must be positive, got {width}x{height}")
 
 
 def _rotation(cam: CameraSpec) -> np.ndarray:
@@ -225,16 +232,18 @@ class DatasetSample:
 _CURVE_NAMES = sorted(TONE_CURVES)
 
 
-def check_dataset_args(seed: int, count: int, frame_count: int) -> None:
-    """Raise ValueError, naming the value, unless `seed` >= 0, `count` >= 1 and
-    `frame_count` >= 1: the checks `dataset_gen` makes, which a caller can
-    make before it reads any panorama."""
+def check_dataset_args(seed: int, count: int, frame_count: int, crop_width: int,
+                       crop_height: int) -> None:
+    """Raise ValueError, naming the value, unless `seed` >= 0, `count` >= 1,
+    `frame_count` >= 1 and the crop size has pixels: the checks `dataset_gen`
+    makes, which a caller can make before it reads any panorama."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
+    _check_size(crop_width, crop_height)
 
 
 def dataset_gen(sources, seed: int, count: int, frame_count: int = 1,
@@ -251,7 +260,7 @@ def dataset_gen(sources, seed: int, count: int, frame_count: int = 1,
     coded before the next one is rendered. A sample carries no target: the
     samples of one source share `PanoramaSource.targets()`.
     """
-    check_dataset_args(seed, count, frame_count)
+    check_dataset_args(seed, count, frame_count, crop_width, crop_height)
     if not sources:
         raise ValueError("no panoramas supplied")
     entropy = np.random.SeedSequence(seed).entropy

@@ -1041,6 +1041,63 @@ class TestStderrOfAFreshProcess:
         assert _check_outcome(code, stdout, err, out_dir) == 1 and str(size) in err
 
 
+# run in a new interpreter: which of numpy.random and OpenSSL (`_hashlib`) are
+# loaded after a bare `import numpy`, after `import luxprobe.cli`, when
+# `evaluate_three_spheres` starts (a wrapper records it) and when `main(argv)` ends
+_LOADED_BY_STAGE = """
+import json, sys
+def loaded():
+    return [m for m in ("numpy.random", "_hashlib") if m in sys.modules]
+import numpy
+seen = {"numpy": loaded()}
+import luxprobe.cli, luxprobe.metrics
+seen["import"] = loaded()
+evaluate = luxprobe.metrics.evaluate_three_spheres
+def recorded(*args, **kwargs):
+    seen.setdefault("evaluate", loaded())
+    return evaluate(*args, **kwargs)
+luxprobe.metrics.evaluate_three_spheres = recorded
+seen["code"] = luxprobe.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+seen["end"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def _loaded_by_stage(argv=()) -> dict:
+    run = subprocess.run([sys.executable, "-c", _LOADED_BY_STAGE, *map(str, argv)],
+                         env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen["code"] in (None, 0), run.stderr
+    return seen
+
+
+class TestImportRule:
+    """A command that draws no random numbers loads neither numpy.random nor
+    OpenSSL, and output hashing loads `hashlib` after the work. Where a bare
+    `import numpy` already loads them (numpy 1.x does), the rule cannot show."""
+
+    @staticmethod
+    def _skip_if_numpy_loads(seen):
+        if seen["numpy"]:
+            pytest.skip(f"import numpy alone loads {seen['numpy']}")
+
+    def test_import_loads_neither(self):
+        seen = _loaded_by_stage()
+        self._skip_if_numpy_loads(seen)
+        assert seen["import"] == []
+
+    def test_eval_loads_neither_before_it_scores(self, env_file, out_dir):
+        seen = _loaded_by_stage(_argv("eval", env_file, out_dir))
+        self._skip_if_numpy_loads(seen)
+        assert seen["evaluate"] == []
+        assert "numpy.random" not in seen["end"]
+
+    def test_fuse_train_loads_numpy_random(self, env_file, out_dir):
+        seen = _loaded_by_stage(_argv("fuse-train", env_file, out_dir))
+        assert "numpy.random" in seen["end"]
+
+
 class TestOutOfMemory:
     """An allocation that fails is one ERROR DATA line, not numpy's traceback. Each
     command runs under a 2 GiB address-space cap, so the huge request fails at
@@ -1186,7 +1243,8 @@ class TestArgumentBoundary:
         ("dataset-gen", "--video-frames", "0"), ("dataset-gen", "--video-frames", "-1"),
         ("fuse-train", "--steps", "-1"), ("fuse-train", "--batch", "0"),
         ("fuse-train", "--lr", "nan"), ("fuse-train", "--seed", "-1"),
-        ("dataset-gen", "--seed", "-1"),
+        ("dataset-gen", "--seed", "-1"), ("dataset-gen", "--w", "0"), ("dataset-gen", "--h", "-1"),
+        ("crop", "--w", "0"),
     ])
     def test_out_of_range_flag_is_data_error(self, boundary_dir, command, flag, value):
         # the one error line names the value it got
@@ -1207,6 +1265,18 @@ class TestArgumentBoundary:
         code, stdout, err = _run(argv)
         assert _check_outcome(code, stdout, err, out) == 1
         assert err == "ERROR DATA: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("flag, value, size", [("--w", 0, "0x6"), ("--h", -4, "8x-4")])
+    def test_dataset_gen_refuses_an_empty_crop_before_any_read(self, boundary_dir, flag, value,
+                                                               size):
+        root, good = boundary_dir
+        out = Path(tempfile.mkdtemp(dir=root)) / "out"
+        out.mkdir()
+        argv = _argv("dataset-gen", good, out, bad=root / "square" / "ldr.png",
+                     flags={flag: value})
+        code, stdout, err = _run(argv)
+        assert _check_outcome(code, stdout, err, out) == 1
+        assert err == f"ERROR DATA: output size must be positive, got {size}\n"
 
     def test_config_store_true_and_unknown_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"

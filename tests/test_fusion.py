@@ -244,7 +244,9 @@ class TestBlockedForward:
     def test_inference_memory_flat_in_map_size(self):
         # 2**15 and 2**17 rows: beyond the (N, 3) inputs and the (N, 3) output,
         # inference holds the same few block-sized arrays at both sizes; the
-        # inputs are cast, joined and checked a block at a time
+        # inputs are cast, joined and checked a block at a time, and a layer's
+        # arrays go once the next layer's are made (4.1 blocks; 8.3 when each
+        # block kept every layer)
         net = init_uniform(1, dtype=np.float32)
         block = BLOCK_ROWS * WIDTHS[1] * 4  # bytes of one float32 hidden block
         rng = np.random.default_rng(0)
@@ -254,7 +256,7 @@ class TestBlockedForward:
             with allocation_peak() as probe:
                 fusion_forward(net, ldr, log)
             rest = probe.bytes - n * 3 * 4
-            assert rest < 9 * block, f"{n} rows: {rest / block:.2f} hidden blocks"
+            assert rest < 5 * block, f"{n} rows: {rest / block:.2f} hidden blocks"
 
 
 def forward_by_sum(net, x):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from luxprobe.imgio import _unfilter, check_unit, read_hdr, read_pfm, read_png, write_pfm, write_png
+from luxprobe.imgio import (_predictor_table, _unfilter, check_unit, read_hdr, read_pfm, read_png,
+                            write_pfm, write_png)
 from luxprobe.tonemap import quantize8
 from conftest import allocation_peak, png_with_row_filters
 
@@ -664,6 +665,18 @@ class TestUnfilterParity:
         for shift in range(5):
             filters = np.roll(np.arange(10) % 5, shift)
             assert_unfilter_parity(random_payload(rng, filters, 11, bpp), bpp)
+
+    def test_two_decodes_share_one_table(self, tmp_path, rng):
+        img = rng.integers(0, 256, (6, 7, 3), dtype=np.uint8)
+        path = tmp_path / "paeth.png"
+        path.write_bytes(png_with_row_filters(img, [4, 3, 1, 4, 0, 2]))
+        _predictor_table.cache_clear()
+        for _ in range(2):
+            got, _ = read_png(path)
+            np.testing.assert_array_equal(got, img / 255.0)
+        info = _predictor_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not _predictor_table().flags.writeable
 
     @pytest.mark.parametrize("ftype", [5, 255])
     def test_unknown_filter_rejected(self, tmp_path, rng, ftype):
